@@ -20,7 +20,7 @@ from .errors import NumericalError, SpecError
 from .fields import as_field
 from .geometry import (Domain, ExpansionCoefficients, MetricSpec,
                        geometric_coefficients)
-from .spectrum import (DiscreteSpectrum, Spectrum, analytic_spectrum,
+from .spectrum import (DiscreteSpectrum, Spectrum, _two_grid_eigs,
                        assemble_fdm, solve_eigs)
 from .special import rect_theta_factor
 
@@ -122,8 +122,7 @@ def default_window(spec: Spectrum, points: int = 25) -> np.ndarray:
 def richardson_curve(domain: Domain, metric: Optional[MetricSpec], h: float,
                      ts: np.ndarray, k: int, seed: int = 0) -> HeatTraceCurve:
     """Richardson-extrapolated trace curve (4 T_{h/2} - T_h)/3 over grids h, h/2."""
-    coarse = solve_eigs(assemble_fdm(domain, metric, h=h), k, seed=seed)
-    fine = solve_eigs(assemble_fdm(domain, metric, h=h / 2), k, seed=seed)
+    coarse, fine = _two_grid_eigs(domain, metric, h, k, seed)
     sc, sf = coarse.spectrum(), fine.spectrum()
     ts = np.asarray(ts, dtype=float)
     vc = np.array([trace_at(sc, t) for t in ts])

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from spectral_corner import (MetricSpec, ScalarField, analytic_spectrum,
-                             assemble_fdm, bessel_zero, richardson_spectrum,
-                             solve_eigs, spectrum_upto, weyl_ratio)
+from spectral_corner import (MetricSpec, NumericalError, ScalarField,
+                             analytic_spectrum, assemble_fdm, bessel_zero,
+                             richardson_spectrum, solve_eigs, spectrum_upto,
+                             weyl_ratio)
+from spectral_corner import spectrum as spectrum_mod
 
 from .conftest import make_sector
 
@@ -55,11 +58,14 @@ class TestAnalyticSpectra:
 
 
 class TestDiscreteOperator:
-    def test_five_point_eigenvalues_exact(self, square):
+    # k = 150 spans several slicing windows and the square's degenerate
+    # (m, n) / (n, m) pairs
+    @pytest.mark.parametrize("k", [6, 150])
+    def test_five_point_eigenvalues_exact(self, square, k):
         h = 1 / 32
-        ds = solve_eigs(assemble_fdm(square, None, h=h), 6, seed=0)
+        ds = solve_eigs(assemble_fdm(square, None, h=h), k, seed=0)
         expected = sorted(fdm_square_eigenvalue(m, n, h)
-                          for m in range(1, 6) for n in range(1, 6))[:6]
+                          for m in range(1, 32) for n in range(1, 32))[:k]
         np.testing.assert_allclose(ds.eigenvalues, expected, rtol=1e-9)
 
     def test_completeness_convention(self, square):
@@ -105,3 +111,71 @@ class TestDiscreteOperator:
         lam_slit = solve_eigs(assemble_fdm(slit_square, None, h=1 / 32), 1,
                               seed=0).eigenvalues[0]
         assert lam_slit > lam_sq + 1.0
+
+
+class TestSpectrumSlicing:
+    """Windows certified by Sylvester inertia inside solve_eigs."""
+
+    K = 100  # three windows on the h = 1/16 slit square (n = 217)
+
+    @pytest.fixture(scope="class")
+    def slit_op(self, slit_square):
+        return assemble_fdm(slit_square, None, h=1 / 16)
+
+    def test_completeness_matches_dense_count(self, slit_op):
+        ds = solve_eigs(slit_op, self.K, seed=0)
+        dense = np.linalg.eigvalsh(slit_op.symmetrized().toarray())
+        cut = ds.completeness()
+        assert np.count_nonzero(ds.eigenvalues < cut) \
+            == np.count_nonzero(dense < cut)
+        np.testing.assert_allclose(ds.eigenvalues, dense[:self.K], rtol=1e-10)
+
+    def test_fallback_matches_sliced(self, slit_op, monkeypatch):
+        sliced = solve_eigs(slit_op, self.K, seed=0).eigenvalues
+        calls = []
+        eigsh = spectrum_mod.spsla.eigsh
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["sigma"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum_mod, "_shifted_lu", lambda B, mu: None)
+        monkeypatch.setattr(spectrum_mod.spsla, "eigsh", counted)
+        fallback = solve_eigs(slit_op, self.K, seed=0).eigenvalues
+        assert calls == [0.0]
+        np.testing.assert_allclose(fallback, sliced, rtol=1e-10)
+
+    def test_nudged_edges_stay_certified(self, slit_op, monkeypatch):
+        # every shift's first factorization fails, its nudged retry succeeds
+        shifted_lu = spectrum_mod._shifted_lu
+        calls = itertools.count()
+
+        def every_other_fails(B, mu):
+            return None if next(calls) % 2 == 0 else shifted_lu(B, mu)
+
+        monkeypatch.setattr(spectrum_mod, "_shifted_lu", every_other_fails)
+        nudged = solve_eigs(slit_op, self.K, seed=0).eigenvalues
+        dense = np.linalg.eigvalsh(slit_op.symmetrized().toarray())
+        np.testing.assert_allclose(nudged, dense[:self.K], rtol=1e-10)
+
+    def test_same_seed_same_bits(self, slit_op):
+        a = solve_eigs(slit_op, self.K, seed=3)
+        b = solve_eigs(slit_op, self.K, seed=3)
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.spectrum().provenance == b.spectrum().provenance \
+            == {"source": "discrete", "h": 1 / 16, "grid_nodes": slit_op.n_nodes,
+                "u": slit_op.u}
+
+    def test_window_count_mismatch_names_stage(self, slit_op, monkeypatch):
+        shifted_lu = spectrum_mod._shifted_lu
+
+        def overcount(B, mu):
+            lu, below = shifted_lu(B, mu)
+            return lu, below + 1
+
+        monkeypatch.setattr(spectrum_mod, "_shifted_lu", overcount)
+        with pytest.raises(NumericalError) as info:
+            solve_eigs(slit_op, self.K, seed=0)
+        assert info.value.stage == "solve_eigs"
+        assert "window [0, " in str(info.value)
+        assert "inertia counts" in str(info.value) and "found" in str(info.value)
