@@ -24,40 +24,37 @@ from .geometry import (ArcPiece, ConformalData, Corner, Domain,
 from .heattrace import (ExpansionFit, HeatTraceCurve, compare_expansion,
                         default_window, derivative_identity_residual,
                         fit_expansion, richardson_curve, trace_at,
-                        trace_curve, weighted_trace)
-from .special import bessel_j, bessel_zero, integrate_adaptive, rect_theta_factor
-from .spectrum import (DiscreteOperator, DiscreteSpectrum, Eigenpair,
-                       Spectrum, analytic_spectrum, assemble_fdm,
-                       richardson_spectrum, solve_eigs, spectrum_upto,
-                       weyl_ratio)
+                        trace_curve)
+from .special import bessel_j, bessel_zero, rect_theta_factor
+from .spectrum import (DiscreteOperator, DiscreteSpectrum,
+                       FunctionTraceProvider, Spectrum, TraceSource,
+                       analytic_spectrum, assemble_fdm, richardson_spectrum,
+                       solve_eigs, spectrum_upto, weyl_ratio)
 from .walker import BridgeEstimate, bridge_trace_estimate
 from .wedge import (SliverShape, WedgeBallQuery, a_remainder,
                     a_remainder_bound, halfplane_sliver_trace,
                     wedge_ball_trace)
-from .zeta import (FunctionTraceProvider, SpectrumTraceProvider,
-                   ThetaTraceProvider, ZetaEvaluation, log_zdet,
-                   provider_for, zeta_continued, zeta_prime_at_zero,
-                   zeta_series)
+from .zeta import (ZetaEvaluation, log_zdet, provider_for, zeta_continued,
+                   zeta_prime_at_zero, zeta_series)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnomalyReport", "ArcPiece", "BridgeEstimate", "ConformalData", "Corner",
-    "DiscreteOperator", "DiscreteSpectrum", "Domain", "Eigenpair",
+    "AnomalyReport", "ArcPiece", "BridgeEstimate", "ConformalData",
+    "Corner", "DiscreteOperator", "DiscreteSpectrum", "Domain",
     "ExpansionCoefficients", "ExpansionFit", "FunctionTraceProvider",
     "GridField", "HeatTraceCurve", "MetricSpec", "NumericalError",
     "PipelineConfig", "ScalarField", "Segment", "SliverShape", "SpecError",
-    "Spectrum", "SpectrumTraceProvider", "ThetaTraceProvider",
-    "WedgeBallQuery", "ZetaEvaluation", "a_remainder", "a_remainder_bound",
-    "analytic_spectrum", "as_field", "assemble_fdm", "bessel_j",
-    "bessel_zero", "boundary_integral", "bridge_trace_estimate",
-    "build_domain", "compare_expansion", "conformal_transform",
-    "corner_term", "default_window", "derivative_identity_residual",
-    "fit_expansion", "geometric_coefficients", "halfplane_sliver_trace",
-    "integrate_adaptive", "interior_integral", "load_domain", "log_zdet",
-    "pa_rhs", "pa_verify", "provider_for", "rect_theta_factor",
-    "richardson_curve", "richardson_spectrum", "solve_eigs", "spectrum_upto",
-    "trace_at", "trace_curve", "wedge_ball_trace", "weighted_trace",
-    "weyl_ratio", "zeta_continued", "zeta_prime_at_zero", "zeta_series",
-    "__version__",
+    "Spectrum", "TraceSource", "WedgeBallQuery", "ZetaEvaluation",
+    "a_remainder", "a_remainder_bound", "analytic_spectrum", "as_field",
+    "assemble_fdm", "bessel_j", "bessel_zero", "boundary_integral",
+    "bridge_trace_estimate", "build_domain", "compare_expansion",
+    "conformal_transform", "corner_term", "default_window",
+    "derivative_identity_residual", "fit_expansion",
+    "geometric_coefficients", "halfplane_sliver_trace",
+    "interior_integral", "load_domain", "log_zdet", "pa_rhs", "pa_verify",
+    "provider_for", "rect_theta_factor", "richardson_curve",
+    "richardson_spectrum", "solve_eigs", "spectrum_upto", "trace_at",
+    "trace_curve", "wedge_ball_trace", "weyl_ratio", "zeta_continued",
+    "zeta_prime_at_zero", "zeta_series", "__version__",
 ]

@@ -31,9 +31,9 @@ from .errors import SpecError
 from .fields import ScalarField, as_field
 from .geometry import (Domain, MetricSpec, boundary_integral, corner_term,
                        geometric_coefficients, interior_integral)
-from .spectrum import analytic_spectrum, richardson_spectrum, solve_eigs, assemble_fdm
-from .zeta import (SpectrumTraceProvider, ThetaTraceProvider,
-                   zeta_prime_at_zero)
+from .spectrum import (FunctionTraceProvider, assemble_fdm, richardson_spectrum,
+                       solve_eigs)
+from .zeta import zeta_prime_at_zero
 
 _QUAD_TOL = 1e-10
 
@@ -148,7 +148,7 @@ def _zeta_prime_analytic_rect(domain: Domain, c: float, budget: float):
     """
     a, b = domain.params["a"], domain.params["b"]
     s = math.exp(c)
-    provider = ThetaTraceProvider(a * s, b * s)
+    provider = FunctionTraceProvider.rectangle(a * s, b * s)
     coeffs = geometric_coefficients(domain, MetricSpec(ScalarField.constant(c), 1.0))
     return zeta_prime_at_zero(provider, coeffs, tol=budget)
 
@@ -168,9 +168,8 @@ def _zeta_prime_discrete(domain: Domain, sigma, u: float, cfg: PipelineConfig,
     else:
         spec = solve_eigs(assemble_fdm(domain, metric, h=cfg.h),
                           k, seed=cfg.seed).spectrum()
-    provider = SpectrumTraceProvider(spec)
     coeffs = geometric_coefficients(domain, metric)
-    return zeta_prime_at_zero(provider, coeffs,
+    return zeta_prime_at_zero(spec.trace, coeffs,
                               tol=budget if budget is not None else cfg.zeta_budget)
 
 

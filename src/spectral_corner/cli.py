@@ -118,12 +118,11 @@ def _emit(artifact: dict, rows, headers, args) -> None:
 def _load_domain_doc(args):
     from .errors import SpecError
     from .fields import as_field
-    from .geometry import load_domain
+    from .geometry import _read_domain_doc, load_domain
 
     if not args.domain:
         raise SpecError("--domain is required for this command")
-    with open(args.domain) as fh:
-        doc = json.load(fh)
+    doc = _read_domain_doc(args.domain)
     domain, sigma = load_domain(doc)
     if args.sigma is not None:
         sigma = as_field(args.sigma)

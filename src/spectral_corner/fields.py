@@ -16,6 +16,15 @@ from .errors import SpecError
 
 _X, _Y = sp.symbols("x y")
 
+# Expressions a ScalarField evaluates, by key; each is built and lambdified
+# at most once per field.
+_DERIVED = {
+    "f": lambda e: e,
+    "dx": lambda e: sp.diff(e, _X),
+    "dy": lambda e: sp.diff(e, _Y),
+    "lap": lambda e: sp.diff(e, _X, 2) + sp.diff(e, _Y, 2),
+}
+
 
 class ScalarField:
     """Smooth scalar field given by a closed-form expression in x and y."""
@@ -29,6 +38,8 @@ class ScalarField:
         elif isinstance(expr, (int, float)):
             expr = sp.Float(expr)
         self.expr = sp.sympify(expr)
+        if not isinstance(self.expr, sp.Expr):
+            raise SpecError(f"field must be a scalar expression, got {expr!r}")
         free = self.expr.free_symbols - {_X, _Y}
         if free:
             raise SpecError(f"field expression has unknown symbols: {free}")
@@ -38,26 +49,24 @@ class ScalarField:
     def constant(cls, c: float) -> "ScalarField":
         return cls(sp.Float(c))
 
-    def _lambdify(self, key, expr):
+    def _eval(self, key, x, y):
         if key not in self._fn:
-            self._fn[key] = sp.lambdify((_X, _Y), expr, modules="numpy")
-        return self._fn[key]
-
-    def _eval(self, key, expr, x, y):
-        fn = self._lambdify(key, expr)
+            self._fn[key] = sp.lambdify((_X, _Y), _DERIVED[key](self.expr),
+                                        modules="numpy")
+        fn = self._fn[key]
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = fn(x, y)
         return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(x.shape, y.shape)).copy()
 
     def __call__(self, x, y):
-        return self._eval("f", self.expr, x, y)
+        return self._eval("f", x, y)
 
     def dx(self, x, y):
-        return self._eval("dx", sp.diff(self.expr, _X), x, y)
+        return self._eval("dx", x, y)
 
     def dy(self, x, y):
-        return self._eval("dy", sp.diff(self.expr, _Y), x, y)
+        return self._eval("dy", x, y)
 
     def grad_sq(self, x, y):
         """|grad f|^2 with respect to the flat metric."""
@@ -65,8 +74,7 @@ class ScalarField:
 
     def pos_laplacian(self, x, y):
         """Flat positive Laplacian -(f_xx + f_yy)."""
-        lap = sp.diff(self.expr, _X, 2) + sp.diff(self.expr, _Y, 2)
-        return -self._eval("lap", lap, x, y)
+        return -self._eval("lap", x, y)
 
     def normal_derivative(self, x, y, nx, ny):
         return self.dx(x, y) * np.asarray(nx) + self.dy(x, y) * np.asarray(ny)

@@ -160,36 +160,49 @@ def build_domain(spec: dict) -> Domain:
       polygon{vertices} | slit-polygon{vertices, slits}
     Angles alpha are in units of pi.  Slits are polylines whose first point
     lies on a straight boundary edge and whose remaining points are interior.
+    A missing or mistyped parameter raises SpecError.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise SpecError("domain spec must be a dict with a 'kind' key")
     kind = spec["kind"]
-    params = dict(spec.get("params", {}))
-    if kind == "rectangle":
-        return _build_rectangle(params)
-    if kind == "disk":
-        return _build_disk(params)
-    if kind == "sector":
-        return _build_sector(params)
-    if kind == "polygon":
-        return _build_polygon(params, slits=None)
-    if kind == "slit-polygon":
-        return _build_polygon(params, slits=params.get("slits", spec.get("slits")))
+    try:
+        params = dict(spec.get("params", {}))
+        if kind == "rectangle":
+            return _build_rectangle(params)
+        if kind == "disk":
+            return _build_disk(params)
+        if kind == "sector":
+            return _build_sector(params)
+        if kind == "polygon":
+            return _build_polygon(params, slits=None)
+        if kind == "slit-polygon":
+            return _build_polygon(params, slits=params.get("slits", spec.get("slits")))
+    except SpecError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(f"malformed {kind!r} parameters: {exc!r}") from exc
     raise SpecError(f"unknown domain kind {kind!r}")
+
+
+def _read_domain_doc(source) -> dict:
+    """Parse a domain JSON document from a file path or file object."""
+    try:
+        if hasattr(source, "read"):
+            doc = json.load(source)
+        else:
+            with open(source) as fh:
+                doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"domain document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SpecError("domain document must be a JSON object")
+    return doc
 
 
 def load_domain(source) -> tuple[Domain, "ScalarField"]:
     """Load (domain, sigma) from a JSON file path, file object, or dict."""
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
-    dom = build_domain(doc)
-    sigma = as_field(doc.get("sigma"))
-    return dom, sigma
+    doc = source if isinstance(source, dict) else _read_domain_doc(source)
+    return build_domain(doc), as_field(doc.get("sigma"))
 
 
 def _build_rectangle(params) -> Domain:
@@ -625,9 +638,6 @@ class ExpansionCoefficients:
     a_mhalf: float
     a_0: float
     breakdown: dict
-
-    def as_tuple(self):
-        return (self.a_m1, self.a_mhalf, self.a_0)
 
 
 def geometric_coefficients(domain: Domain, metric: Optional[MetricSpec] = None,

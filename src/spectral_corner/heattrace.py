@@ -1,10 +1,12 @@
 """Heat traces, short-time expansion fits, and the trace-derivative identity.
 
-Tr(e^{-t Delta}) is evaluated from closed-form spectra (rectangles route
-through theta products for machine precision at every t), from truncated
-analytic spectra, or from finite-difference spectra with Richardson
-extrapolation over grid halving.  Fits extract (a_{-1}, a_{-1/2}, a_0) and
-are compared against the geometric prediction.
+Tr(e^{-t Delta}) of a spectrum comes from its one trace source,
+``Spectrum.trace``: the exact closed form where the spectrum carries one
+(rectangles, a theta product at machine precision for every t > 0), else
+the truncated eigenvalue sum, which refuses t below 40/completeness.
+Finite-difference spectra add Richardson extrapolation over grid halving.
+Fits extract (a_{-1}, a_{-1/2}, a_0) and are compared against the
+geometric prediction.
 """
 
 from __future__ import annotations
@@ -14,18 +16,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import NumericalError, SpecError
 from .fields import as_field
 from .geometry import (Domain, ExpansionCoefficients, MetricSpec,
                        geometric_coefficients)
-from .spectrum import (DiscreteSpectrum, Spectrum, _two_grid_eigs,
-                       assemble_fdm, solve_eigs)
-from .special import rect_theta_factor
-
-# Relative tail below 1e-15 once t * completeness >= this.
-TAIL_THRESHOLD = 40.0
+from .spectrum import (Spectrum, TAIL_THRESHOLD, _two_grid_eigs, assemble_fdm,
+                       solve_eigs)
 
 
 @dataclass
@@ -50,67 +47,28 @@ class HeatTraceCurve:
             raise SpecError("heat trace must be positive and strictly decreasing")
 
 
-def min_admissible_t(spec: Spectrum) -> float:
-    return TAIL_THRESHOLD / spec.completeness
-
-
-def trace_at(spec: Spectrum, t: float) -> float:
-    """Tr(e^{-t Delta}) = sum e^{-t lambda_n} from a spectrum.
+def trace_at(spec: Spectrum, t):
+    """Tr(e^{-t Delta}) at t > 0, a scalar or an array, from ``spec.trace``.
 
     Rectangle spectra are summed exactly as a theta product.  Truncated
     spectra refuse t below 40/completeness (tail no longer negligible).
     """
-    if t <= 0:
+    if np.any(np.asarray(t) <= 0):
         raise SpecError("trace_at requires t > 0")
-    prov = spec.provenance
-    if prov.get("source") == "analytic" and prov.get("kind") == "rectangle":
-        a, b = prov["params"]["a"], prov["params"]["b"]
-        return rect_theta_factor(t / a**2) * rect_theta_factor(t / b**2)
-    t_min = min_admissible_t(spec)
-    if t < t_min:
-        raise NumericalError(
-            "trace_at",
-            f"t={t:.3g} below minimum admissible t={t_min:.3g} "
-            f"(completeness {spec.completeness:.3g}); no tail extrapolation",
-        )
-    return float(np.sum(np.exp(-t * spec.eigenvalues)))
-
-
-def _tail_bound(spec: Spectrum, t: float) -> float:
-    # Weyl estimate of the omitted tail: integral of (Vol/4pi) e^{-t lam}
-    if spec.provenance.get("kind") == "rectangle" and \
-            spec.provenance.get("source") == "analytic":
-        return 1e-15
-    return spec.volume * math.exp(-t * spec.completeness) / (4 * math.pi * t)
+    return spec.trace.value(t)
 
 
 def trace_curve(spec: Spectrum, ts: np.ndarray, source: Optional[str] = None) -> HeatTraceCurve:
     ts = np.asarray(ts, dtype=float)
-    vals = np.array([trace_at(spec, t) for t in ts])
-    errs = np.array([_tail_bound(spec, t) for t in ts])
+    vals = trace_at(spec, ts)
+    errs = np.array([spec.trace.tail_bound(t) for t in ts])
     return HeatTraceCurve(ts, vals, errs,
                           source or spec.provenance.get("source", "spectrum"))
 
 
-def weighted_trace(pairs: DiscreteSpectrum, psi, t: float) -> float:
-    """Sum e^{-t lam_n} <psi phi_n, phi_n>_w over discrete eigenpairs."""
-    t_min = TAIL_THRESHOLD / pairs.completeness()
-    if t < t_min:
-        raise NumericalError(
-            "weighted_trace",
-            f"t={t:.3g} below minimum admissible t={t_min:.3g}")
-    return pairs.weighted_trace(psi, t)
-
-
 def default_window(spec: Spectrum, points: int = 25) -> np.ndarray:
-    """Default log-spaced fit window in t for a given spectrum."""
-    if spec.provenance.get("source") == "analytic" and \
-            spec.provenance.get("kind") == "rectangle":
-        lo = 1e-4
-    else:
-        lo = max(1e-4, min_admissible_t(spec))
-        if spec.provenance.get("source") == "discrete":
-            lo = max(1e-2, min_admissible_t(spec))
+    """Log-spaced fit window from max(window floor, t_min of the trace) to 0.1."""
+    lo = max(spec.window_floor, spec.trace.t_min)
     hi = 1e-1
     if lo >= hi:
         raise SpecError(
@@ -125,10 +83,9 @@ def richardson_curve(domain: Domain, metric: Optional[MetricSpec], h: float,
     coarse, fine = _two_grid_eigs(domain, metric, h, k, seed)
     sc, sf = coarse.spectrum(), fine.spectrum()
     ts = np.asarray(ts, dtype=float)
-    vc = np.array([trace_at(sc, t) for t in ts])
-    vf = np.array([trace_at(sf, t) for t in ts])
+    vc, vf = trace_at(sc, ts), trace_at(sf, ts)
     vals = (4 * vf - vc) / 3
-    errs = np.abs(vf - vc) / 3 + np.array([_tail_bound(sf, t) for t in ts])
+    errs = np.abs(vf - vc) / 3 + np.array([sf.tail_bound(t) for t in ts])
     return HeatTraceCurve(ts, vals, errs, f"discrete-richardson h={h}")
 
 
@@ -269,8 +226,9 @@ def derivative_identity_residual(domain: Domain, sigma, u: float, eps: float,
                                  k: Optional[int] = None, seed: int = 0) -> float:
     """Residual of d/du int_eps^inf t^-1 Tr(e^{-t Delta_u}) dt = 2 Tr(sigma e^{-eps Delta_u}).
 
-    The integral is evaluated term-wise as sum E_1(eps * lambda_n); the u
-    derivative is a central difference over u +/- du.
+    The integral is the spectrum's ``e1_sum(eps)``, term-wise sum
+    E_1(eps * lambda_n); the u derivative is a central difference over
+    u +/- du.
     """
     sigma = as_field(sigma)
     if eps <= 0 or du <= 0:
@@ -283,20 +241,10 @@ def derivative_identity_residual(domain: Domain, sigma, u: float, eps: float,
         k = int(domain.area * lam_target / (4 * math.pi) * 1.6) + 25
         k = min(k, n - 2)
 
-    def e1_sum(u_val: float) -> tuple[float, DiscreteSpectrum]:
-        op = assemble_fdm(domain, MetricSpec(sigma, u_val), h=h)
-        ds = solve_eigs(op, k, seed=seed)
-        lam = ds.eigenvalues
-        if eps * ds.completeness() < TAIL_THRESHOLD:
-            raise NumericalError(
-                "derivative_identity_residual",
-                f"eps={eps:.3g} below minimum admissible "
-                f"{TAIL_THRESHOLD / ds.completeness():.3g}")
-        return float(np.sum(exp1(eps * lam))), ds
-
-    f_plus, _ = e1_sum(u + du)
-    f_minus, _ = e1_sum(u - du)
-    _, center = e1_sum(u)
+    f_plus, f_minus = (
+        solve_eigs(assemble_fdm(domain, MetricSpec(sigma, v), h=h), k,
+                   seed=seed).spectrum().e1_sum(eps)[0]
+        for v in (u + du, u - du))
     lhs = (f_plus - f_minus) / (2 * du)
-    rhs = 2.0 * center.weighted_trace(sigma, eps)
+    rhs = 2.0 * solve_eigs(probe, k, seed=seed).weighted_trace(sigma, eps)
     return abs(lhs - rhs)

@@ -1,8 +1,8 @@
 """Special functions and quadrature shared by all numeric modules.
 
 Bessel functions of fractional order and their zeros, the one-dimensional
-theta-type sum used for exact rectangle heat traces, and adaptive
-integration helpers.  All functions here are pure.
+theta-type sum used for exact rectangle heat traces, and quadrature
+rules.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import math
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 from scipy import special as _sci_special
 
 from .errors import NumericalError, SpecError
@@ -153,38 +152,8 @@ def rect_theta_factor(t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive integration
+# Quadrature
 # ---------------------------------------------------------------------------
-
-def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    points=None,
-) -> Tuple[float, float]:
-    """Integrate f over [a, b] (b may be inf) to absolute tolerance tol.
-
-    Returns (value, error_estimate).  Raises NumericalError carrying the
-    best estimate if the requested tolerance is not met.
-    """
-    kwargs = dict(epsabs=tol, epsrel=min(tol, 1e-10), limit=400, full_output=1)
-    if points is not None and np.isfinite(b):
-        kwargs["points"] = points
-    res = _sci_integrate.quad(f, a, b, **kwargs)
-    value, err = res[0], res[1]
-    if len(res) >= 4 or err > max(tol, 10 * abs(value) * 1e-15):
-        # quad reports convergence trouble via a 4th message element
-        if len(res) >= 4 and err <= tol:
-            pass  # roundoff warning but tolerance met
-        else:
-            raise NumericalError(
-                "integrate_adaptive",
-                f"achieved error {err:.3g} exceeds tolerance {tol:.3g}",
-                best_estimate=value,
-            )
-    return value, err
-
 
 def tanh_sinh(
     f: Callable[[np.ndarray], np.ndarray],

@@ -1,27 +1,60 @@
-"""Dirichlet spectra: closed forms and a slit-aware finite-difference solver.
+"""Dirichlet spectra, their heat traces, and a slit-aware finite-difference solver.
 
 Analytic spectra cover rectangles, disks, and circular sectors of any
 opening angle alpha*pi > 0 (alpha > 2 is a cone sector).  Polygonal and slit
 domains with a conformal weight exp(2 u sigma) use a 5-point finite
 difference discretization and a spectrum-slicing shift-invert Lanczos
 eigensolver whose eigenvalue counts are certified by Sylvester inertia.
+
+Every spectrum is a trace source (``TraceSource``): the truncated sum over
+its eigenvalues.  Rectangle spectra also carry their exact theta-product
+trace, a ``FunctionTraceProvider``; ``Spectrum.trace`` is the best source a
+spectrum has, and ``_closed_form`` is the one place that choice is made.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Protocol
 
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spsla
+from scipy.special import exp1
 
 from .errors import NumericalError, SpecError
 from .fields import as_field
 from .geometry import Domain, MetricSpec
-from .special import bessel_zeros_upto
+from .special import bessel_zeros_upto, gauss_panels, rect_theta_factor
+
+# Relative tail below 1e-15 once t * completeness >= this; a truncated sum
+# refuses smaller t.
+TAIL_THRESHOLD = 40.0
+# Default fit windows over finite-difference spectra start no lower than
+# this t, whatever their completeness: as t -> 0 the trace of the lattice
+# operator leaves the continuum short-time expansion.
+_FDM_WINDOW_FLOOR = 1e-2
+
+
+class TraceSource(Protocol):
+    """A heat trace Tr(e^{-t Delta}) valid for t >= t_min.
+
+    Two kinds exist: a ``Spectrum`` (the truncated eigenvalue sum) and a
+    ``FunctionTraceProvider`` (an exact closed form, t_min = 0).
+    """
+
+    t_min: float
+    lam_1: float  # lowest eigenvalue; Tr decays like e^{-t lam_1}
+
+    def value(self, t):
+        """Tr(e^{-t Delta}), elementwise over an array of t."""
+
+    def e1_sum(self, t0: float = 1.0) -> tuple[float, float]:
+        """int_{t0}^inf t^-1 Tr dt and a bound on its error."""
+
+    def tail_bound(self, t: float) -> float:
+        """Bound on the error of value(t)."""
 
 
 @dataclass
@@ -29,7 +62,10 @@ class Spectrum:
     """Ascending Dirichlet eigenvalues with a completeness guarantee.
 
     ``completeness`` is the largest Lambda below which no eigenvalue is
-    missing from ``eigenvalues``.
+    missing from ``eigenvalues``.  As a trace source the spectrum is the
+    truncated sum, admissible for t >= 40/Lambda; ``exact`` is the closed
+    form of its trace where one is known.  Default fit windows start no
+    lower than ``window_floor``.  ``provenance`` is metadata only.
     """
 
     eigenvalues: np.ndarray
@@ -37,6 +73,8 @@ class Spectrum:
     completeness: float
     volume: float
     boundary_length: Optional[float] = None
+    exact: Optional[FunctionTraceProvider] = None
+    window_floor: float = 1e-4
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -50,19 +88,46 @@ class Spectrum:
     def count(self) -> int:
         return int(self.eigenvalues.size)
 
-    def to_csv(self, fh) -> None:
-        w = csv.writer(fh)
-        w.writerow(["index", "eigenvalue", "multiplicity"])
-        lam = self.eigenvalues
-        i = 0
-        idx = 1
-        while i < lam.size:
-            j = i
-            while j + 1 < lam.size and abs(lam[j + 1] - lam[i]) <= 1e-10 * max(1.0, lam[i]):
-                j += 1
-            w.writerow([idx, repr(lam[i]), j - i + 1])
-            idx += j - i + 1
-            i = j + 1
+    @property
+    def trace(self) -> TraceSource:
+        """The exact trace where one is attached, else this truncated sum."""
+        return self if self.exact is None else self.exact
+
+    @property
+    def t_min(self) -> float:
+        return TAIL_THRESHOLD / self.completeness
+
+    @property
+    def lam_1(self) -> float:
+        return float(self.eigenvalues[0])
+
+    def _admit(self, t, stage: str) -> None:
+        if np.any(t < self.t_min):
+            raise NumericalError(
+                stage,
+                f"t={float(np.min(t)):.3g} below minimum admissible "
+                f"t={self.t_min:.3g} (completeness {self.completeness:.3g}); "
+                "no tail extrapolation")
+
+    def value(self, t):
+        """sum_n e^{-t lambda_n}; refuses t below t_min."""
+        t = np.asarray(t, dtype=float)
+        self._admit(t, "trace_at")
+        out = np.exp(-np.outer(t, self.eigenvalues)).sum(axis=1)
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+    def e1_sum(self, t0: float = 1.0) -> tuple[float, float]:
+        """sum_n E_1(t0 lambda_n), exact for the known modes.
+
+        By the Weyl estimate of tail_bound, the omitted modes contribute
+        tail_bound(t0) / (t0 * completeness) < tail_bound(t0).
+        """
+        self._admit(t0, "e1_sum")
+        return float(np.sum(exp1(t0 * self.eigenvalues))), self.tail_bound(t0)
+
+    def tail_bound(self, t: float) -> float:
+        """Weyl estimate of the omitted tail: int_Lambda^inf (Vol/4pi) e^{-t lam}."""
+        return self.volume * math.exp(-t * self.completeness) / (4 * math.pi * t)
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,6 +136,47 @@ class Spectrum:
             "completeness": self.completeness,
             "volume": self.volume,
         }
+
+
+class FunctionTraceProvider:
+    """Exact trace given by a closed-form callable, valid on all of (0, inf)."""
+
+    t_min = 0.0
+
+    def __init__(self, fn, lam_1: float):
+        self._fn = fn
+        self.lam_1 = float(lam_1)
+
+    @classmethod
+    def rectangle(cls, a: float, b: float) -> FunctionTraceProvider:
+        """Theta product S(t/a^2) S(t/b^2) of the a x b rectangle."""
+        if a <= 0 or b <= 0:
+            raise SpecError("rectangle sides must be positive")
+        a, b = float(a), float(b)
+        return cls(lambda t: rect_theta_factor(t / a**2) * rect_theta_factor(t / b**2),
+                   math.pi**2 * (1 / a**2 + 1 / b**2))
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.array([float(self._fn(ti)) for ti in t.ravel()])
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+    def e1_sum(self, t0: float = 1.0) -> tuple[float, float]:
+        return _upper_mellin(self, 0.0, t0), 1e-13
+
+    def tail_bound(self, t: float) -> float:
+        return 1e-15
+
+
+def _upper_mellin(source: TraceSource, s: float, t0: float = 1.0) -> float:
+    """int_{t0}^inf t^{s-1} Tr dt by Gauss panels in x = log t.
+
+    The range ends where e^{-t lam_1} has fallen by another e^{-50}.
+    """
+    t_hi = t0 + (TAIL_THRESHOLD + 10.0) / source.lam_1
+    val, _ = gauss_panels(lambda x: np.exp(s * x) * source.value(np.exp(x)),
+                          math.log(t0), math.log(t_hi), tol=1e-13)
+    return val
 
 
 def weyl_ratio(spec: Spectrum, n: int) -> float:
@@ -96,47 +202,45 @@ def analytic_spectrum(domain: Domain, N: int) -> Spectrum:
     """
     if N < 1:
         raise SpecError("analytic_spectrum requires N >= 1")
-    if domain.kind == "rectangle":
-        build = lambda lam_max: _rect_eigs(domain.params["a"], domain.params["b"], lam_max)
-    elif domain.kind == "disk":
-        build = lambda lam_max: _bessel_eigs(domain.params["R"], lam_max, orders=None)
-    elif domain.kind == "sector":
-        alpha = domain.params["alpha"]
-        build = lambda lam_max: _bessel_eigs(domain.params["R"], lam_max, orders=alpha)
-    else:
-        raise SpecError(f"no closed-form spectrum for kind {domain.kind!r}")
-
     # Weyl-law guess for the cutoff, grown until N eigenvalues are present.
     lam_max = 4 * math.pi * (N + 10) / domain.area * 1.5 + 50.0 / domain.area
     for _ in range(40):
-        lam = build(lam_max)
-        if lam.size >= N:
-            break
+        spec = _closed_form(domain, lam_max)
+        if spec is not None and spec.count >= N:
+            return spec
         lam_max *= 1.6
-    else:
-        raise NumericalError("analytic_spectrum", f"could not collect {N} eigenvalues")
-    return Spectrum(lam, {"source": "analytic", "kind": domain.kind,
-                          "params": domain.params},
-                    completeness=lam_max, volume=domain.area,
-                    boundary_length=domain.perimeter)
+    raise NumericalError("analytic_spectrum", f"could not collect {N} eigenvalues")
 
 
 def spectrum_upto(domain: Domain, lam_max: float) -> Spectrum:
     """All closed-form eigenvalues <= lam_max (completeness = lam_max)."""
+    spec = _closed_form(domain, lam_max)
+    if spec is None:
+        raise SpecError("lam_max below the first eigenvalue")
+    return spec
+
+
+def _closed_form(domain: Domain, lam_max: float) -> Optional[Spectrum]:
+    """Closed-form eigenvalues <= lam_max as a Spectrum, None if there are none.
+
+    Rectangles get their exact theta-product trace attached here.
+    """
+    p, exact = domain.params, None
     if domain.kind == "rectangle":
-        lam = _rect_eigs(domain.params["a"], domain.params["b"], lam_max)
+        lam = _rect_eigs(p["a"], p["b"], lam_max)
+        exact = FunctionTraceProvider.rectangle(p["a"], p["b"])
     elif domain.kind == "disk":
-        lam = _bessel_eigs(domain.params["R"], lam_max, orders=None)
+        lam = _bessel_eigs(p["R"], lam_max, orders=None)
     elif domain.kind == "sector":
-        lam = _bessel_eigs(domain.params["R"], lam_max, orders=domain.params["alpha"])
+        lam = _bessel_eigs(p["R"], lam_max, orders=p["alpha"])
     else:
         raise SpecError(f"no closed-form spectrum for kind {domain.kind!r}")
     if lam.size == 0:
-        raise SpecError("lam_max below the first eigenvalue")
+        return None
     return Spectrum(lam, {"source": "analytic", "kind": domain.kind,
                           "params": domain.params},
                     completeness=lam_max, volume=domain.area,
-                    boundary_length=domain.perimeter)
+                    boundary_length=domain.perimeter, exact=exact)
 
 
 def _rect_eigs(a: float, b: float, lam_max: float) -> np.ndarray:
@@ -294,27 +398,17 @@ def _on_closed_segment(pts: np.ndarray, a, b, tol: float) -> np.ndarray:
 
 
 @dataclass
-class Eigenpair:
-    """Discrete eigenpair; phi is normalized in the weighted inner product
+class DiscreteSpectrum:
+    """The k smallest eigenpairs of one DiscreteOperator.
 
-    <phi, phi>_w = sum_i phi_i^2 w_i h^2 = 1,
-    the discrete analogue of the unit L^2(dVol_u) norm.
+    Column j of ``eigenvectors`` (n, k) belongs to ``eigenvalues[j]`` and is
+    normalized in the weighted inner product <phi, phi>_w = sum_i phi_i^2
+    w_i h^2 = 1, the discrete analogue of the unit L^2(dVol_u) norm.
     """
 
-    lam: float
-    phi: np.ndarray
-
-
-@dataclass
-class DiscreteSpectrum:
-    """Bundle of eigenpairs over one DiscreteOperator."""
-
     op: DiscreteOperator
-    pairs: list[Eigenpair]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([p.lam for p in self.pairs])
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     def completeness(self) -> float:
         """0.8 lambda_k: no eigenvalue of the discrete operator below it is missing.
@@ -324,24 +418,27 @@ class DiscreteSpectrum:
         returns exactly its count.  On the uncertified fallback path it rests
         on the convergence of one shift-invert Lanczos call.
         """
-        return 0.8 * self.pairs[-1].lam
+        return 0.8 * float(self.eigenvalues[-1])
 
     def spectrum(self) -> Spectrum:
         vol = float(np.sum(self.op.w) * self.op.h**2)
         return Spectrum(self.eigenvalues,
                         {"source": "discrete", "h": self.op.h,
                          "grid_nodes": self.op.n_nodes, "u": self.op.u},
-                        completeness=self.completeness(), volume=vol)
+                        completeness=self.completeness(), volume=vol,
+                        window_floor=_FDM_WINDOW_FLOOR)
 
     def weighted_trace(self, psi, t: float) -> float:
-        """Sum e^{-t lam_n} * (discrete quadrature of psi |phi_n|^2 dVol_u)."""
-        psi = as_field(psi)
+        """Sum e^{-t lam_n} <psi phi_n, phi_n>_w; refuses t below 40/completeness."""
+        t_min = TAIL_THRESHOLD / self.completeness()
+        if t < t_min:
+            raise NumericalError(
+                "weighted_trace",
+                f"t={t:.3g} below minimum admissible t={t_min:.3g}")
         nodes, w, h = self.op.nodes, self.op.w, self.op.h
-        pv = psi(nodes[:, 0], nodes[:, 1])
-        lam = self.eigenvalues
-        weights = np.array([float(np.sum(pv * p.phi**2 * w)) * h**2
-                            for p in self.pairs])
-        return float(np.sum(np.exp(-t * lam) * weights))
+        pv = as_field(psi)(nodes[:, 0], nodes[:, 1])
+        weights = (pv * w) @ self.eigenvectors**2 * h**2
+        return float(np.exp(-t * self.eigenvalues) @ weights)
 
 
 def _two_grid_eigs(domain: Domain, metric: Optional[MetricSpec], h: float,
@@ -363,15 +460,12 @@ def richardson_spectrum(domain: Domain, metric: Optional[MetricSpec], h: float,
     lam = (4 * fine.eigenvalues - coarse.eigenvalues) / 3
     lam = np.sort(lam)
     vol = float(np.sum(fine.op.w) * fine.op.h**2)
-    per = None
-    if fine.op.metric is not None:
-        sig, uu = fine.op.metric.sigma, fine.op.u
-        if sig.is_zero() or uu == 0.0:
-            per = domain.perimeter
+    flat = fine.op.metric.sigma.is_zero() or fine.op.u == 0.0
     return Spectrum(lam, {"source": "discrete", "h": h, "richardson": True,
                           "u": fine.op.u},
                     completeness=0.8 * lam[-1], volume=vol,
-                    boundary_length=per)
+                    boundary_length=domain.perimeter if flat else None,
+                    window_floor=_FDM_WINDOW_FLOOR)
 
 
 # Spectrum slicing after Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15
@@ -507,10 +601,5 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     if worst > 1e-8:
         raise NumericalError("solve_eigs",
                              f"residual {worst:.3g} exceeds 1e-8 contract")
-    # back-transform x = W^{-1/2} y and renormalize in the weighted product
-    sqrt_w = np.sqrt(op.w)
-    pairs = []
-    for j in range(k):
-        phi = (Y[:, j] / sqrt_w) / op.h  # <phi,phi>_w = sum y^2 = 1
-        pairs.append(Eigenpair(float(lam[j]), phi))
-    return DiscreteSpectrum(op, pairs)
+    # back-transform x = W^{-1/2} y; <phi, phi>_w = sum y^2 = 1
+    return DiscreteSpectrum(op, lam, Y / np.sqrt(op.w)[:, None] / op.h)

@@ -15,6 +15,14 @@ zeta(0) = a_0 and
 
 with gamma the Euler-Mascheroni constant.  The regularized determinant is
 zdet = exp(-zeta'(0)).
+
+Every function here reads the trace through one protocol,
+``spectrum.TraceSource``: value(t), t_min, lam_1, e1_sum(t0) and
+tail_bound(t).  A source is either exact (a ``FunctionTraceProvider``,
+t_min = 0, which feeds the continuation directly) or a truncated
+``Spectrum`` (t_min = 40/completeness, whose (0, t_min) piece comes from a
+fitted remainder model).  ``provider_for`` returns the source a spectrum
+carries.
 """
 
 from __future__ import annotations
@@ -24,84 +32,19 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import exp1, gamma as gamma_fn
+from scipy.special import gamma as gamma_fn
 
 from .errors import NumericalError, SpecError
-from .geometry import Domain, ExpansionCoefficients, MetricSpec
-from .heattrace import (HeatTraceCurve, TAIL_THRESHOLD, fit_expansion,
-                        trace_curve, default_window)
-from .spectrum import Spectrum
-from .special import EULER_GAMMA, rect_theta_factor, tanh_sinh, gauss_panels
+from .geometry import ExpansionCoefficients
+from .heattrace import (HeatTraceCurve, default_window, fit_expansion,
+                        trace_curve)
+from .spectrum import Spectrum, TraceSource, _upper_mellin
+from .special import EULER_GAMMA, tanh_sinh, gauss_panels
 
 
-# ---------------------------------------------------------------------------
-# Trace providers
-# ---------------------------------------------------------------------------
-
-class ThetaTraceProvider:
-    """Exact rectangle trace S(t/a^2) S(t/b^2), valid on all of (0, inf)."""
-
-    t_min = 0.0
-
-    def __init__(self, a: float, b: float):
-        if a <= 0 or b <= 0:
-            raise SpecError("rectangle sides must be positive")
-        self.a, self.b = float(a), float(b)
-        self.lam_1 = math.pi**2 * (1 / a**2 + 1 / b**2)
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(t)
-        out = np.array([rect_theta_factor(ti / self.a**2)
-                        * rect_theta_factor(ti / self.b**2) for ti in flat])
-        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
-
-
-class FunctionTraceProvider:
-    """Trace given by a closed-form callable valid on (0, inf)."""
-
-    t_min = 0.0
-
-    def __init__(self, fn, lam_1: float):
-        self._fn = fn
-        self.lam_1 = float(lam_1)
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(t)
-        out = np.array([float(self._fn(ti)) for ti in flat])
-        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
-
-
-class SpectrumTraceProvider:
-    """Trace from a (possibly truncated) spectrum; refuses t below 40/Lambda."""
-
-    def __init__(self, spec: Spectrum):
-        self.spec = spec
-        self.t_min = TAIL_THRESHOLD / spec.completeness
-        self.lam_1 = float(spec.eigenvalues[0])
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < self.t_min):
-            raise NumericalError(
-                "trace_provider",
-                f"t below minimum admissible {self.t_min:.3g}")
-        lam = self.spec.eigenvalues
-        flat = np.atleast_1d(t)
-        out = np.exp(-np.outer(flat, lam)).sum(axis=1)
-        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
-
-    def e1_sum(self) -> float:
-        """int_1^inf t^-1 Tr dt = sum E_1(lambda_n), exact for known modes."""
-        return float(np.sum(exp1(self.spec.eigenvalues)))
-
-
-def provider_for(spec: Spectrum):
-    prov = spec.provenance
-    if prov.get("source") == "analytic" and prov.get("kind") == "rectangle":
-        return ThetaTraceProvider(prov["params"]["a"], prov["params"]["b"])
-    return SpectrumTraceProvider(spec)
+def provider_for(spec: Spectrum) -> TraceSource:
+    """The trace source a spectrum carries: exact if known, else truncated."""
+    return spec.trace
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +92,8 @@ def zeta_series(spec: Spectrum, s: float, tol: float = 1e-8) -> float:
 # Continuation
 # ---------------------------------------------------------------------------
 
-def _upper_mellin(provider, s: float) -> float:
-    """int_1^inf t^{s-1} Tr dt by quadrature with an exponential cutoff."""
-    t_hi = (TAIL_THRESHOLD + 10.0) / provider.lam_1 + 1.0
-    if s == 0.0 and isinstance(provider, SpectrumTraceProvider):
-        return provider.e1_sum()
-    # substitute t = e^x for smooth resolution over the decades
-    val, _ = gauss_panels(
-        lambda x: np.exp(s * x) * provider.value(np.exp(x)),
-        0.0, math.log(t_hi), tol=1e-13)
-    return val
-
-
-def _clipped_remainder(provider, coeffs: ExpansionCoefficients, t: np.ndarray) -> np.ndarray:
+def _clipped_remainder(provider: TraceSource, coeffs: ExpansionCoefficients,
+                       t: np.ndarray) -> np.ndarray:
     """Tr(t) minus its three-term expansion, with the roundoff floor zeroed.
 
     Near t -> 0 the true remainder decays exponentially while the computed
@@ -178,11 +110,12 @@ def _clipped_remainder(provider, coeffs: ExpansionCoefficients, t: np.ndarray) -
     return np.where(np.abs(delta) < floor, 0.0, delta)
 
 
-def zeta_continued(provider, coeffs: ExpansionCoefficients, s: float) -> float:
+def zeta_continued(provider: TraceSource, coeffs: ExpansionCoefficients,
+                   s: float) -> float:
     """Evaluate the continued zeta(s) on Re s > -1/2, s not in {1/2, 1}.
 
-    The provider must be valid down to t -> 0 (exact trace); truncated
-    spectra cannot feed the continuation directly.
+    The source must be exact (t_min = 0); truncated spectra cannot feed the
+    continuation directly.
     """
     if s <= -0.5:
         raise SpecError("continuation only established for s > -1/2")
@@ -234,15 +167,16 @@ def _remainder_low_integral(c1: float, c2: float, c3: float, tau: float) -> floa
     return 2 * c1 * rt + c2 * (2 * rt * math.log(tau) - 4 * rt) + c3 * tau
 
 
-def zeta_prime_at_zero(provider, coeffs: ExpansionCoefficients,
+def zeta_prime_at_zero(provider: TraceSource, coeffs: ExpansionCoefficients,
                        fit_curve: Optional[HeatTraceCurve] = None,
                        tol: float = 1e-6) -> ZetaEvaluation:
     """zeta'(0) with an auditable error budget; zdet = exp(-zeta'(0)).
 
-    Exact providers integrate (0, 1] directly.  Truncated providers
-    integrate [t_min, 1] from the spectrum and replace (0, t_min) by the
-    closed-form integral of the fitted remainder model c1 sqrt(t) +
-    c2 sqrt(t) log t + c3 t, whose bootstrap uncertainty enters the budget.
+    Exact sources integrate (0, 1] directly.  A truncated source, a
+    Spectrum, integrates [t_min, 1] from its eigenvalues and replaces
+    (0, t_min) by the closed-form integral of the fitted remainder model
+    c1 sqrt(t) + c2 sqrt(t) log t + c3 t, whose bootstrap uncertainty enters
+    the budget.  int_1^inf t^-1 Tr dt and its error come from e1_sum.
     """
     a_m1, a_mh, a_0 = coeffs.a_m1, coeffs.a_mhalf, coeffs.a_0
     budget: dict[str, float] = {}
@@ -268,10 +202,7 @@ def zeta_prime_at_zero(provider, coeffs: ExpansionCoefficients,
                 f"minimum admissible t {t_min:.3g} >= 1; spectrum too short")
         i_mid, q_err = gauss_panels(low_integrand, t_min, 1.0, tol=1e-12)
         if fit_curve is None:
-            spec = getattr(provider, "spec", None)
-            if spec is None:
-                raise SpecError("truncated provider needs a fit curve")
-            fit_curve = trace_curve(spec, default_window(spec))
+            fit_curve = trace_curve(provider, default_window(provider))
         fit = fit_expansion(fit_curve, "peel-known", known=coeffs)
         c1 = fit.remainder["sqrt(t)"]
         c2 = fit.remainder["sqrt(t)*log(t)"]
@@ -290,13 +221,7 @@ def zeta_prime_at_zero(provider, coeffs: ExpansionCoefficients,
         details["remainder_fit"] = fit.remainder
         details["t_min"] = t_min
 
-    if isinstance(provider, SpectrumTraceProvider):
-        i_high = provider.e1_sum()
-        L = provider.spec.completeness
-        budget["trace_tail"] = provider.spec.volume * math.exp(-L) / (4 * math.pi)
-    else:
-        i_high = _upper_mellin(provider, 0.0)
-        budget["trace_tail"] = 1e-13
+    i_high, budget["trace_tail"] = provider.e1_sum()
 
     zp = i_low + i_high - a_m1 - 2 * a_mh + EULER_GAMMA * a_0
     total = sum(budget.values())
@@ -311,6 +236,6 @@ def zeta_prime_at_zero(provider, coeffs: ExpansionCoefficients,
                           details=details)
 
 
-def log_zdet(provider, coeffs: ExpansionCoefficients, **kw) -> float:
+def log_zdet(provider: TraceSource, coeffs: ExpansionCoefficients, **kw) -> float:
     """log zdet = -zeta'(0)."""
     return -zeta_prime_at_zero(provider, coeffs, **kw).zeta_prime0

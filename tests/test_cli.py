@@ -138,6 +138,23 @@ class TestFailures:
         err = json.loads(out.err)
         assert err["error"]["kind"] == "spec"
 
+    @pytest.mark.parametrize("text", [
+        json.dumps({"kind": "rectangle", "params": {"a": 1.0}}),
+        json.dumps({"kind": "rectangle", "params": {"a": "x", "b": 1.0}}),
+        "{not json",
+        "[1, 2]",
+        json.dumps({"kind": "rectangle", "params": {"a": 1.0, "b": 1.0},
+                    "sigma": {"x": 1}}),
+    ], ids=["missing-param", "non-numeric-param", "malformed-json",
+            "not-an-object", "non-scalar-sigma"])
+    def test_malformed_domain_doc_exits_2(self, text, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        code, out = run_json(["spectrum", "--domain", str(p)], capsys)
+        assert code == 2
+        err = json.loads(out.err)
+        assert err["error"]["kind"] == "spec" and err["error"]["message"]
+
     def test_missing_domain_exits_2(self, capsys):
         code, out = run_json(["spectrum"], capsys)
         assert code == 2

@@ -8,8 +8,7 @@ from spectral_corner import (HeatTraceCurve, NumericalError, SpecError,
                              corner_term, default_window,
                              derivative_identity_residual, fit_expansion,
                              geometric_coefficients, richardson_curve,
-                             solve_eigs, trace_at, trace_curve, weighted_trace)
-from spectral_corner.heattrace import min_admissible_t
+                             solve_eigs, trace_at, trace_curve)
 
 from .oracles import rect_trace
 
@@ -30,7 +29,7 @@ class TestTraceAt:
         with pytest.raises(SpecError):
             trace_at(spec, 0.0)
         with pytest.raises(NumericalError):
-            trace_at(spec, 0.1 * min_admissible_t(spec))
+            trace_at(spec, 0.1 * spec.t_min)
         # rectangles route through the exact theta product at any t > 0
         assert trace_at(analytic_spectrum(square, 10), 1e-6) > 0
 
@@ -61,7 +60,7 @@ class TestCurves:
     def test_default_window_respects_completeness(self, square, disk):
         spec = analytic_spectrum(disk, 500)
         ts = default_window(spec)
-        assert ts[0] >= min_admissible_t(spec) - 1e-15
+        assert ts[0] >= spec.t_min - 1e-15
         assert ts[-1] == pytest.approx(0.1)
         ds = solve_eigs(assemble_fdm(square, None, h=1 / 16), 40,
                         seed=0).spectrum()
@@ -80,10 +79,53 @@ class TestCurves:
     def test_weighted_trace_unit_weight_is_plain_trace(self, square):
         ds = solve_eigs(assemble_fdm(square, None, h=1 / 16), 60, seed=0)
         t = 0.2
-        assert weighted_trace(ds, 1.0, t) == pytest.approx(
+        assert ds.weighted_trace(1.0, t) == pytest.approx(
             float(np.sum(np.exp(-t * ds.eigenvalues))), rel=1e-8)
         with pytest.raises(NumericalError):
-            weighted_trace(ds, 1.0, 1e-4)
+            ds.weighted_trace(1.0, 1e-4)
+        # the matrix product against the per-mode quadrature sum
+        x, y = ds.op.nodes[:, 0], ds.op.nodes[:, 1]
+        psi = 0.2 * x * y
+        per_mode = sum(math.exp(-t * lam) * float(np.sum(psi * phi**2 * ds.op.w))
+                       * ds.op.h**2
+                       for lam, phi in zip(ds.eigenvalues, ds.eigenvectors.T))
+        assert ds.weighted_trace("0.2*x*y", t) == pytest.approx(per_mode, rel=1e-12)
+
+    def test_provenance_does_not_route_the_trace(self, square):
+        # the trace source is fixed where a spectrum is built; relabelling a
+        # discrete spectrum as an analytic rectangle changes nothing
+        spec = solve_eigs(assemble_fdm(square, None, h=1 / 16), 40,
+                          seed=0).spectrum()
+        spec.provenance = {"source": "analytic", "kind": "rectangle",
+                           "params": {"a": 1, "b": 1}}
+        t_min = 40.0 / spec.completeness
+        with pytest.raises(NumericalError):
+            trace_at(spec, 0.5 * t_min)
+        assert default_window(spec)[0] == pytest.approx(max(1e-2, t_min))
+        t = 2 * t_min
+        weyl = spec.volume * math.exp(-t * spec.completeness) / (4 * math.pi * t)
+        assert trace_curve(spec, [t, 0.5]).errors[0] == weyl
+        assert trace_at(spec, t) == float(np.sum(np.exp(-t * spec.eigenvalues)))
+
+
+class TestTraceSources:
+    def test_rectangle_source_matches_truncated_sum(self, square):
+        spec = analytic_spectrum(square, 4000)
+        exact = spec.trace
+        assert exact is not spec and exact.t_min == 0.0
+        assert exact.lam_1 == pytest.approx(spec.lam_1, rel=1e-15)
+        ts = np.array([0.05, 0.2, 1.0])
+        assert np.allclose(exact.value(ts), spec.value(ts), rtol=1e-12, atol=0)
+        e1_exact, err_exact = exact.e1_sum()
+        e1_trunc, err_trunc = spec.e1_sum()
+        assert e1_trunc == pytest.approx(e1_exact, abs=err_exact + err_trunc)
+        assert err_trunc == spec.tail_bound(1.0)
+
+    def test_e1_sum_refuses_below_t_min(self, disk):
+        spec = analytic_spectrum(disk, 200)
+        assert spec.trace is spec
+        with pytest.raises(NumericalError):
+            spec.e1_sum(0.5 * spec.t_min)
 
 
 class TestFits:

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
-from spectral_corner import (SpecError, bessel_j, bessel_zero,
-                             integrate_adaptive, rect_theta_factor)
+from spectral_corner import SpecError, bessel_j, bessel_zero, rect_theta_factor
 from spectral_corner.special import bessel_zeros_upto, gauss_panels, tanh_sinh
 
 from .oracles import theta_side
@@ -66,12 +65,6 @@ class TestBessel:
 
 
 class TestQuadrature:
-    def test_adaptive_on_smooth_integrand(self):
-        val, err = integrate_adaptive(lambda x: np.exp(-x * x), 0.0, 3.0, tol=1e-12)
-        exact = math.sqrt(math.pi) / 2 * math.erf(3.0)
-        assert val == pytest.approx(exact, abs=1e-12)
-        assert err < 1e-10
-
     def test_tanh_sinh_endpoint_singularity(self):
         val, _ = tanh_sinh(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tol=1e-12)
         assert val == pytest.approx(2.0, abs=1e-11)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from spectral_corner import (ExpansionCoefficients, FunctionTraceProvider,
-                             NumericalError, SpecError, ThetaTraceProvider,
-                             analytic_spectrum, geometric_coefficients,
-                             log_zdet, provider_for, rect_theta_factor,
-                             zeta_continued, zeta_prime_at_zero, zeta_series)
-from spectral_corner.zeta import SpectrumTraceProvider
+                             NumericalError, SpecError, analytic_spectrum,
+                             geometric_coefficients, log_zdet, provider_for,
+                             rect_theta_factor, zeta_continued,
+                             zeta_prime_at_zero, zeta_series)
 
 from .oracles import SQUARE_ZETA_PRIME0
 
@@ -40,7 +39,7 @@ class TestContinuationVsSeries:
             with pytest.raises(SpecError):
                 zeta_continued(provider, coeffs, bad_s)
         with pytest.raises(SpecError):
-            zeta_continued(SpectrumTraceProvider(spec), coeffs, 2.0)
+            zeta_continued(spec, coeffs, 2.0)
 
 
 class TestPolesAndZero:
@@ -85,7 +84,7 @@ class TestDeterminant:
         base = zeta_prime_at_zero(provider, coeffs).zeta_prime0
         from spectral_corner import build_domain
         big = build_domain({"kind": "rectangle", "params": {"a": 2.0, "b": 2.0}})
-        ev = zeta_prime_at_zero(ThetaTraceProvider(2.0, 2.0),
+        ev = zeta_prime_at_zero(FunctionTraceProvider.rectangle(2.0, 2.0),
                                 geometric_coefficients(big))
         assert ev.zeta_prime0 == pytest.approx(
             base + 2 * math.log(2.0) * coeffs.a_0, abs=1e-9)
@@ -93,14 +92,13 @@ class TestDeterminant:
     def test_truncated_provider_matches_exact(self, square_setup):
         spec, provider, coeffs = square_setup
         exact = zeta_prime_at_zero(provider, coeffs)
-        approx = zeta_prime_at_zero(SpectrumTraceProvider(spec), coeffs,
-                                    tol=1e-2)
+        approx = zeta_prime_at_zero(spec, coeffs, tol=1e-2)
         gap = abs(approx.zeta_prime0 - exact.zeta_prime0)
         assert gap < max(approx.error_budget["total"], 1e-4)
 
     def test_budget_overflow_raises(self, square):
         spec = analytic_spectrum(square, 300)
         with pytest.raises(NumericalError) as exc:
-            zeta_prime_at_zero(SpectrumTraceProvider(spec),
-                               geometric_coefficients(square), tol=1e-12)
+            zeta_prime_at_zero(spec, geometric_coefficients(square),
+                               tol=1e-12)
         assert exc.value.best_estimate is not None
