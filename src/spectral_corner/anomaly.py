@@ -31,11 +31,14 @@ from .errors import SpecError
 from .fields import ScalarField, as_field
 from .geometry import (Domain, MetricSpec, boundary_integral, corner_term,
                        geometric_coefficients, interior_integral)
-from .spectrum import (FunctionTraceProvider, assemble_fdm, richardson_spectrum,
-                       solve_eigs)
+from .spectrum import FunctionTraceProvider, richardson_spectrum
 from .zeta import zeta_prime_at_zero
 
 _QUAD_TOL = 1e-10
+# Error budget ceiling of each zeta'(0) in the integrated identity.
+_ZETA_BUDGET = 0.05
+# Step of the differentiated form's central difference in u.
+_DU = 1e-3
 
 
 @dataclass
@@ -71,12 +74,9 @@ class PipelineConfig:
     """Knobs for the spectral side of pa_verify."""
 
     h: float = 1 / 64  # coarse grid; Richardson pairs it with h/2
-    richardson: bool = True
     eigs: int = 400
     seed: int = 0
-    du: float = 1e-3  # step of the differentiated-form central difference
     tolerance: Optional[float] = None  # verdict tolerance; route default if None
-    zeta_budget: float = 0.05  # per-evaluation error budget ceiling
     check_differentiated: bool = True
 
 
@@ -139,38 +139,32 @@ def pa_rhs(domain: Domain, sigma, form: str = "integrated",
     raise SpecError(f"unknown anomaly form {form!r}")
 
 
-def _zeta_prime_analytic_rect(domain: Domain, c: float, budget: float):
-    """zeta'(0) of the rectangle under the constant conformal factor c.
+def _zeta_prime(domain: Domain, sigma, u: float, cfg: PipelineConfig,
+                budget: float):
+    """zeta'(0) of g_u = e^{2 u sigma} g_0 with an error budget ceiling.
 
-    e^{2c} g_0 rescales eigenvalues by e^{-2c}, i.e. the spectrum of the
-    rectangle with sides scaled by e^c; the exact theta trace of the scaled
-    rectangle feeds the continuation.
+    When g_u is a constant rescaling e^{2c} g_0 of a rectangle (u = 0, or
+    sigma constant), its eigenvalues are those of the rectangle with sides
+    scaled by e^c, and the exact theta trace of that rectangle feeds the
+    continuation.  Otherwise the Richardson finite-difference spectrum does;
+    the fit window needs completeness >= 4000, so k is sized by the weighted
+    Weyl count and conformal volume changes do not starve the window.
     """
-    a, b = domain.params["a"], domain.params["b"]
-    s = math.exp(c)
-    provider = FunctionTraceProvider.rectangle(a * s, b * s)
-    coeffs = geometric_coefficients(domain, MetricSpec(ScalarField.constant(c), 1.0))
-    return zeta_prime_at_zero(provider, coeffs, tol=budget)
-
-
-def _zeta_prime_discrete(domain: Domain, sigma, u: float, cfg: PipelineConfig,
-                         richardson: bool, budget: Optional[float] = None):
-    metric = MetricSpec(as_field(sigma), u)
-    # the fit window needs completeness >= 4000; size k by the weighted
-    # Weyl count so conformal volume changes do not starve the window
-    if metric.sigma.is_zero() or u == 0.0:
-        vol_w = domain.area
-    else:
-        vol_w = interior_integral(domain, lambda x, y: metric.weight(x, y))
+    if domain.kind == "rectangle" and (u == 0.0 or sigma.is_constant()):
+        c = 0.0 if u == 0.0 else u * float(sigma(0.0, 0.0))
+        s = math.exp(c)
+        source = FunctionTraceProvider.rectangle(domain.params["a"] * s,
+                                                 domain.params["b"] * s)
+        coeffs = geometric_coefficients(
+            domain, MetricSpec(ScalarField.constant(c), 1.0))
+        return zeta_prime_at_zero(source, coeffs, tol=budget)
+    metric = MetricSpec(sigma, u)
+    vol_w = domain.area if metric.is_flat() \
+        else interior_integral(domain, metric.weight)
     k = max(cfg.eigs, int(vol_w * (4000.0 / 0.8) / (4 * math.pi) * 1.15) + 10)
-    if richardson:
-        spec = richardson_spectrum(domain, metric, cfg.h, k, seed=cfg.seed)
-    else:
-        spec = solve_eigs(assemble_fdm(domain, metric, h=cfg.h),
-                          k, seed=cfg.seed).spectrum()
+    spec = richardson_spectrum(domain, metric, cfg.h, k, seed=cfg.seed)
     coeffs = geometric_coefficients(domain, metric)
-    return zeta_prime_at_zero(spec.trace, coeffs,
-                              tol=budget if budget is not None else cfg.zeta_budget)
+    return zeta_prime_at_zero(spec.trace, coeffs, tol=budget)
 
 
 def pa_verify(domain: Domain, sigma, config: Optional[PipelineConfig] = None) -> AnomalyReport:
@@ -188,26 +182,13 @@ def pa_verify(domain: Domain, sigma, config: Optional[PipelineConfig] = None) ->
     cfg = config or PipelineConfig()
     sigma = as_field(sigma)
     rhs, breakdown = pa_rhs(domain, sigma, "integrated")
-    details: dict = {}
-
     analytic = domain.kind == "rectangle" and sigma.is_constant()
-    if analytic:
-        c = float(sigma(0.0, 0.0))
-        z0 = _zeta_prime_analytic_rect(domain, 0.0, cfg.zeta_budget)
-        z1 = _zeta_prime_analytic_rect(domain, c, cfg.zeta_budget)
-        tol = cfg.tolerance if cfg.tolerance is not None else 1e-4
-        details["route"] = "analytic-theta"
-    else:
-        if domain.kind == "rectangle":
-            # the flat base leg of a rectangle has an exact theta trace;
-            # using it removes that leg's discretization bias entirely
-            z0 = _zeta_prime_analytic_rect(domain, 0.0, cfg.zeta_budget)
-        else:
-            z0 = _zeta_prime_discrete(domain, sigma, 0.0, cfg, cfg.richardson)
-        z1 = _zeta_prime_discrete(domain, sigma, 1.0, cfg, cfg.richardson)
-        tol = cfg.tolerance if cfg.tolerance is not None else 2e-2
-        details["route"] = f"fdm-richardson h={cfg.h}" if cfg.richardson \
-            else f"fdm h={cfg.h}"
+    details: dict = {"route": "analytic-theta" if analytic
+                     else f"fdm-richardson h={cfg.h}"}
+    z0 = _zeta_prime(domain, sigma, 0.0, cfg, _ZETA_BUDGET)
+    z1 = _zeta_prime(domain, sigma, 1.0, cfg, _ZETA_BUDGET)
+    tol = cfg.tolerance if cfg.tolerance is not None else \
+        (1e-4 if analytic else 2e-2)
     # log zdet(g_0) - log zdet(g_1) = zeta_1'(0) - zeta_0'(0)
     lhs = z1.zeta_prime0 - z0.zeta_prime0
     details["zeta_prime0"] = {"u=0": z0.zeta_prime0, "u=1": z1.zeta_prime0}
@@ -219,29 +200,23 @@ def pa_verify(domain: Domain, sigma, config: Optional[PipelineConfig] = None) ->
 
     if cfg.check_differentiated:
         diff_rhs, diff_breakdown = pa_rhs(domain, sigma, "differentiated", u=0.0)
+
         def central(step: float) -> float:
-            if analytic:
-                c = float(sigma(0.0, 0.0))
-                zp = _zeta_prime_analytic_rect(domain, step * c, cfg.zeta_budget)
-                zm = _zeta_prime_analytic_rect(domain, -step * c, cfg.zeta_budget)
-            else:
-                # the two legs share the grid, the solver, and the remainder
-                # model; their systematic errors cancel in the difference,
-                # so the per-leg budget ceiling is not binding here
-                zp = _zeta_prime_discrete(domain, sigma, step, cfg,
-                                          cfg.richardson, budget=math.inf)
-                zm = _zeta_prime_discrete(domain, sigma, -step, cfg,
-                                          cfg.richardson, budget=math.inf)
+            # the two legs share the grid, the solver, and the remainder
+            # model; their systematic errors cancel in the difference, so
+            # the per-leg budget ceiling is not binding here
+            zp = _zeta_prime(domain, sigma, step, cfg, math.inf)
+            zm = _zeta_prime(domain, sigma, -step, cfg, math.inf)
             # d/du log zdet = -d/du zeta'(0)
             return -(zp.zeta_prime0 - zm.zeta_prime0) / (2 * step)
 
-        diff_lhs = central(cfg.du)
-        diff_lhs2 = central(2 * cfg.du)
+        diff_lhs = central(_DU)
+        diff_lhs2 = central(2 * _DU)
         details["differentiated"] = {
             "lhs": diff_lhs,
             "rhs": diff_rhs,
             "gap": diff_lhs - diff_rhs,
-            "du": cfg.du,
+            "du": _DU,
             "step_doubled_lhs": diff_lhs2,
             "step_doubled_delta": diff_lhs2 - diff_lhs,
             "breakdown": diff_breakdown,

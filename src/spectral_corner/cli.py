@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -60,15 +59,6 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise SpecError(f"--{name.replace('_', '-')} must be positive")
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("SPECTRAL_CORNER_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _canonical(obj) -> str:
@@ -115,7 +105,8 @@ def _emit(artifact: dict, rows, headers, args) -> None:
         sys.stdout.write(text)
 
 
-def _load_domain_doc(args):
+def _load_domain_doc(args, config):
+    """(domain, sigma) of --domain and --sigma; hashes the document into config."""
     from .errors import SpecError
     from .fields import as_field
     from .geometry import _read_domain_doc, load_domain
@@ -123,10 +114,11 @@ def _load_domain_doc(args):
     if not args.domain:
         raise SpecError("--domain is required for this command")
     doc = _read_domain_doc(args.domain)
+    config["domain_doc"] = doc
     domain, sigma = load_domain(doc)
     if args.sigma is not None:
         sigma = as_field(args.sigma)
-    return doc, domain, sigma
+    return domain, sigma
 
 
 def _spectrum_for(domain, sigma, args):
@@ -135,8 +127,7 @@ def _spectrum_for(domain, sigma, args):
     from .spectrum import analytic_spectrum, richardson_spectrum
 
     metric = MetricSpec(sigma, args.u)
-    flat = sigma.is_zero() or args.u == 0.0
-    if flat and domain.kind in ("rectangle", "disk", "sector"):
+    if metric.is_flat() and domain.kind in ("rectangle", "disk", "sector"):
         return analytic_spectrum(domain, args.eigs)
     return richardson_spectrum(domain, metric, args.grid_h, args.eigs,
                                seed=args.seed)
@@ -153,8 +144,7 @@ def _t_grid(args, spec):
 
 
 def _cmd_spectrum(args, config):
-    doc, domain, sigma = _load_domain_doc(args)
-    config["domain_doc"] = doc
+    domain, sigma = _load_domain_doc(args, config)
     spec = _spectrum_for(domain, sigma, args)
     lam = spec.eigenvalues.tolist()
     artifact = {
@@ -172,8 +162,7 @@ def _cmd_spectrum(args, config):
 
 
 def _cmd_trace(args, config):
-    doc, domain, sigma = _load_domain_doc(args)
-    config["domain_doc"] = doc
+    domain, sigma = _load_domain_doc(args, config)
     from .heattrace import trace_curve
 
     spec = _spectrum_for(domain, sigma, args)
@@ -191,8 +180,7 @@ def _cmd_trace(args, config):
 
 
 def _cmd_fit(args, config):
-    doc, domain, sigma = _load_domain_doc(args)
-    config["domain_doc"] = doc
+    domain, sigma = _load_domain_doc(args, config)
     from .heattrace import fit_expansion, trace_curve
 
     spec = _spectrum_for(domain, sigma, args)
@@ -218,8 +206,7 @@ def _cmd_fit(args, config):
 
 
 def _cmd_compare(args, config):
-    doc, domain, sigma = _load_domain_doc(args)
-    config["domain_doc"] = doc
+    domain, sigma = _load_domain_doc(args, config)
     from .geometry import MetricSpec
     from .heattrace import compare_expansion, trace_curve
 
@@ -237,8 +224,7 @@ def _cmd_compare(args, config):
 
 
 def _zeta_pipeline(args, config):
-    doc, domain, sigma = _load_domain_doc(args)
-    config["domain_doc"] = doc
+    domain, sigma = _load_domain_doc(args, config)
     from .geometry import MetricSpec, geometric_coefficients
     from .zeta import provider_for
 
@@ -288,8 +274,7 @@ def _cmd_zdet(args, config):
 
 
 def _cmd_anomaly(args, config):
-    doc, domain, sigma = _load_domain_doc(args)
-    config["domain_doc"] = doc
+    domain, sigma = _load_domain_doc(args, config)
     from .anomaly import PipelineConfig, pa_verify
 
     cfg = PipelineConfig(h=args.grid_h, eigs=args.eigs, seed=args.seed)
@@ -324,8 +309,7 @@ def _cmd_wedge(args, config):
 
 
 def _cmd_mc(args, config):
-    doc, domain, sigma = _load_domain_doc(args)
-    config["domain_doc"] = doc
+    domain, sigma = _load_domain_doc(args, config)
     from .walker import bridge_trace_estimate
 
     rows = []
@@ -387,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(config: RunConfig) -> int:
     """Execute one command; write artifacts; return the process exit code."""
-    _apply_thread_cap()
     from . import __version__
     from .errors import NumericalError, SpecError
 

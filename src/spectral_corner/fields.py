@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import sympy as sp
 from scipy.interpolate import RectBivariateSpline
+from sympy.core.function import AppliedUndef
 
 from .errors import SpecError
 
@@ -43,6 +44,11 @@ class ScalarField:
         free = self.expr.free_symbols - {_X, _Y}
         if free:
             raise SpecError(f"field expression has unknown symbols: {free}")
+        undefined = self.expr.atoms(AppliedUndef)
+        if undefined:
+            raise SpecError(f"field expression has undefined functions: {undefined}")
+        if self.expr.has(sp.I, sp.oo, -sp.oo, sp.zoo, sp.nan):
+            raise SpecError(f"field expression must be real and finite: {self.expr}")
         self._fn = {}
 
     @classmethod

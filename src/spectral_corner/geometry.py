@@ -15,9 +15,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import NumericalError, SpecError
 from .fields import ScalarField, as_field
-from .special import gauss_rule
+from .special import gauss_panels, gauss_rule
 
 TWO_PI = 2.0 * math.pi
 
@@ -205,8 +205,14 @@ def load_domain(source) -> tuple[Domain, "ScalarField"]:
     return build_domain(doc), as_field(doc.get("sigma"))
 
 
+def _finite(*values) -> None:
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise SpecError("domain parameters must be finite")
+
+
 def _build_rectangle(params) -> Domain:
     a, b = float(params["a"]), float(params["b"])
+    _finite(a, b)
     if a <= 0 or b <= 0:
         raise SpecError("rectangle sides must be positive")
     verts = np.array([[0.0, 0.0], [a, 0.0], [a, b], [0.0, b]])
@@ -220,6 +226,7 @@ def _build_rectangle(params) -> Domain:
 
 def _build_disk(params) -> Domain:
     radius = float(params["R"])
+    _finite(radius)
     if radius <= 0:
         raise SpecError("disk radius must be positive")
     pieces = [ArcPiece((0.0, 0.0), radius, 0.0, TWO_PI)]
@@ -229,6 +236,7 @@ def _build_disk(params) -> Domain:
 
 def _build_sector(params) -> Domain:
     alpha, radius = float(params["alpha"]), float(params["R"])
+    _finite(alpha, radius)
     if alpha <= 0 or radius <= 0:
         raise SpecError("sector needs alpha > 0 and R > 0")
     end = np.array([radius * math.cos(alpha * math.pi),
@@ -253,6 +261,7 @@ def _build_polygon(params, slits) -> Domain:
     verts = np.asarray(params["vertices"], dtype=float)
     if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
         raise SpecError("polygon needs at least 3 vertices of shape (n, 2)")
+    _finite(verts)
     area2 = _signed_area2(verts)
     if area2 < 0:  # normalize to CCW
         verts = verts[::-1].copy()
@@ -273,6 +282,7 @@ def _build_polygon(params, slits) -> Domain:
             sl = np.asarray(poly, dtype=float)
             if sl.ndim != 2 or sl.shape[0] < 2:
                 raise SpecError("each slit must be a polyline of >= 2 points")
+            _finite(sl)
             extra_pieces, extra_corners, extra_len = _attach_slit(verts, pieces, sl)
             pieces.extend(extra_pieces)
             corners.extend(extra_corners)
@@ -411,27 +421,17 @@ def boundary_integral(domain: Domain, fn: Callable, tol: float = _QUAD_TOL) -> f
     """Integrate fn(x, y, nx, ny, curvature) over the boundary (prime ends).
 
     fn must accept numpy arrays.  Composite Gauss-Legendre per piece with
-    panel doubling; deterministic reduction order over pieces.
+    panel doubling (``gauss_panels``); deterministic reduction order over
+    pieces.
     """
-    x0, w0 = gauss_rule(20)
     total = 0.0
     for piece in domain.pieces:
-        prev = None
-        n = 1
-        while n <= 1024:
-            edges = np.linspace(0.0, 1.0, n + 1)
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            halfs = 0.5 * (edges[1:] - edges[:-1])
-            t = (mids[:, None] + halfs[:, None] * x0[None, :]).ravel()
-            w = (halfs[:, None] * w0[None, :]).ravel()
+        def f(t):
             pts, normals, speed, curv = piece.sample(t)
             vals = fn(pts[:, 0], pts[:, 1], normals[:, 0], normals[:, 1], curv)
-            value = float(np.sum(np.asarray(vals) * speed * w))
-            if prev is not None and abs(value - prev) < 0.5 * tol * max(1.0, abs(value)):
-                break
-            prev = value
-            n *= 2
-        total += value
+            return np.asarray(vals) * speed
+
+        total += gauss_panels(f, 0.0, 1.0, tol=tol / 2, max_panels=1024)[0]
     return total
 
 
@@ -479,7 +479,9 @@ def _tensor_integral(fn, ax, bx, ay, by, tol, jac=None) -> float:
             return value
         prev = value
         n *= 2
-    return prev
+    raise NumericalError("interior_integral",
+                         f"tensor Gauss rule did not converge below {tol:.3g} "
+                         "with 128 x 128 panels", best_estimate=prev)
 
 
 def _polar_integral(fn, radius, th0, th1, tol) -> float:
@@ -503,7 +505,9 @@ def _polygon_integral(fn, verts, tol) -> float:
             return value
         prev = value
         level += 1
-    return prev
+    raise NumericalError("interior_integral",
+                         f"triangle Gauss rule did not converge below {tol:.3g} "
+                         "after 5 subdivisions", best_estimate=prev)
 
 
 def _ear_clip(verts: np.ndarray) -> list[np.ndarray]:
@@ -585,9 +589,13 @@ class MetricSpec:
     def flat(cls) -> "MetricSpec":
         return cls(ScalarField.constant(0.0), 0.0)
 
+    def is_flat(self) -> bool:
+        """True when g_u is the flat base metric (sigma = 0 or u = 0)."""
+        return self.sigma.is_zero() or self.u == 0.0
+
     def weight(self, x, y):
         """Conformal weight exp(2 u sigma)."""
-        if self.u == 0.0 or self.sigma.is_zero():
+        if self.is_flat():
             return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
         return np.exp(2.0 * self.u * self.sigma(x, y))
 
@@ -604,13 +612,11 @@ class ConformalData:
     boundary_curvature_shift: Callable  # k_u dl_u/dl_0 - k_0 = u * d_n sigma
 
 
-def conformal_transform(domain: Domain, metric: MetricSpec, u: Optional[float] = None,
+def conformal_transform(domain: Domain, metric: MetricSpec,
                         tol: float = _QUAD_TOL) -> ConformalData:
     """Compute Vol_u, l_u and the transformed curvature densities."""
-    if u is None:
-        u = metric.u
-    sigma = metric.sigma
-    if sigma.is_zero() or u == 0.0:
+    sigma, u = metric.sigma, metric.u
+    if metric.is_flat():
         vol, per = domain.area, domain.perimeter
     else:
         vol = interior_integral(domain, lambda x, y: np.exp(2 * u * sigma(x, y)), tol)
@@ -653,7 +659,7 @@ def geometric_coefficients(domain: Domain, metric: Optional[MetricSpec] = None,
         metric = MetricSpec.flat()
     psi = as_field(psi) if psi is not None else ScalarField.constant(1.0)
     sigma, u = metric.sigma, metric.u
-    flat = sigma.is_zero() or u == 0.0
+    flat = metric.is_flat()
     psi_const_one = isinstance(psi, ScalarField) and psi.expr == 1
 
     if flat and psi_const_one:

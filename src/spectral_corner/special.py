@@ -166,7 +166,7 @@ def tanh_sinh(
 
     f must accept numpy arrays.  Returns (value, error_estimate).
     Suited to integrands that are smooth inside (a, b) but may have
-    integrable endpoint singularities.
+    integrable endpoint singularities; a non-finite value at any node raises.
     """
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise SpecError("tanh_sinh requires a finite interval a < b")
@@ -191,7 +191,12 @@ def tanh_sinh(
         keep = (x > a) & (x < b) & (w > 0)
         x, w = x[keep], w[keep]
         vals = np.asarray(f(x), dtype=float)
-        vals = np.where(np.isfinite(vals), vals, 0.0)
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            raise NumericalError(
+                "tanh_sinh",
+                f"integrand not finite at {int(np.count_nonzero(bad))} nodes, "
+                f"first at x={float(x[bad][0]):.17g}")
         return float(np.sum(vals * w))
 
     h = 1.0

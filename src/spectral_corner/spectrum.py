@@ -302,13 +302,18 @@ class DiscreteOperator:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    @property
+    def volume(self) -> float:
+        """Weighted lattice volume sum_i w_i h^2, the discrete Vol_u."""
+        return float(np.sum(self.w) * self.h**2)
+
     def symmetrized(self) -> sps.csr_matrix:
         d = 1.0 / np.sqrt(self.w)
         return sps.diags(d) @ self.A @ sps.diags(d)
 
 
 def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
-                 u: Optional[float] = None, h: float = 1 / 64) -> DiscreteOperator:
+                 h: float = 1 / 64) -> DiscreteOperator:
     """Assemble the finite-difference operator on a lattice of spacing h.
 
     Supported: rectangles and (slit-)polygons whose slits lie on grid lines.
@@ -318,13 +323,8 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     if any(c.alpha > 2 + 1e-12 for c in domain.corners):
         raise SpecError("FDM unsupported for cone corners (alpha > 2); "
                         "use the analytic sector route")
-    if domain.kind == "rectangle":
-        verts = np.array([[0.0, 0.0], [domain.params["a"], 0.0],
-                          [domain.params["a"], domain.params["b"]],
-                          [0.0, domain.params["b"]]])
-    elif domain.vertices is not None:
-        verts = domain.vertices
-    else:
+    verts = domain.vertices
+    if verts is None:
         raise SpecError(f"FDM unsupported for kind {domain.kind!r}")
 
     x0, y0 = verts.min(axis=0)
@@ -378,14 +378,11 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
 
     if metric is None:
         metric = MetricSpec.flat()
-    if u is None:
-        u = metric.u
-    sigma = metric.sigma
-    if sigma.is_zero() or u == 0.0:
+    if metric.is_flat():
         w = np.ones(n)
     else:
-        w = np.exp(2.0 * u * sigma(nodes[:, 0], nodes[:, 1]))
-    return DiscreteOperator(domain, h, nodes, A, w, u, metric)
+        w = np.exp(2.0 * metric.u * metric.sigma(nodes[:, 0], nodes[:, 1]))
+    return DiscreteOperator(domain, h, nodes, A, w, metric.u, metric)
 
 
 def _on_closed_segment(pts: np.ndarray, a, b, tol: float) -> np.ndarray:
@@ -413,19 +410,17 @@ class DiscreteSpectrum:
     def completeness(self) -> float:
         """0.8 lambda_k: no eigenvalue of the discrete operator below it is missing.
 
-        ``solve_eigs`` proves this by Sylvester inertia: its windows count
-        every eigenvalue below an edge at or above lambda_k, and each window
-        returns exactly its count.  On the uncertified fallback path it rests
-        on the convergence of one shift-invert Lanczos call.
+        ``solve_eigs`` proves this by Sylvester inertia on every path that
+        returns: its windows count every eigenvalue below an edge at or
+        above lambda_k, and each window returns exactly its count.
         """
         return 0.8 * float(self.eigenvalues[-1])
 
     def spectrum(self) -> Spectrum:
-        vol = float(np.sum(self.op.w) * self.op.h**2)
         return Spectrum(self.eigenvalues,
                         {"source": "discrete", "h": self.op.h,
                          "grid_nodes": self.op.n_nodes, "u": self.op.u},
-                        completeness=self.completeness(), volume=vol,
+                        completeness=self.completeness(), volume=self.op.volume,
                         window_floor=_FDM_WINDOW_FLOOR)
 
     def weighted_trace(self, psi, t: float) -> float:
@@ -459,12 +454,11 @@ def richardson_spectrum(domain: Domain, metric: Optional[MetricSpec], h: float,
     coarse, fine = _two_grid_eigs(domain, metric, h, k, seed)
     lam = (4 * fine.eigenvalues - coarse.eigenvalues) / 3
     lam = np.sort(lam)
-    vol = float(np.sum(fine.op.w) * fine.op.h**2)
-    flat = fine.op.metric.sigma.is_zero() or fine.op.u == 0.0
     return Spectrum(lam, {"source": "discrete", "h": h, "richardson": True,
                           "u": fine.op.u},
-                    completeness=0.8 * lam[-1], volume=vol,
-                    boundary_length=domain.perimeter if flat else None,
+                    completeness=0.8 * lam[-1], volume=fine.op.volume,
+                    boundary_length=domain.perimeter if fine.op.metric.is_flat()
+                    else None,
                     window_floor=_FDM_WINDOW_FLOOR)
 
 
@@ -477,15 +471,11 @@ _WINDOW = 40
 # the ones nearest its midpoint, the extra ones give Lanczos a spectral gap.
 _EXTRA = 6
 # A shift that yields no inertia certificate moves by this share of its
-# window once before the solver falls back to a single uncertified call.
+# window once; if that fails too the solve fails.
 _NUDGE = 1e-3
 # Window halvings allowed while a window holds more than 2 * _WINDOW modes,
 # as windows near the middle of a coarse grid's spectrum do, or all n.
 _MAX_HALVINGS = 50
-
-
-class _NoCertificate(Exception):
-    """Sylvester inertia could not be certified at a shift."""
 
 
 def _shifted_lu(B: sps.csc_matrix, mu: float):
@@ -515,10 +505,12 @@ def _certified_lu(B: sps.csc_matrix, mu: float, nudge: float):
         got = _shifted_lu(B, shift)
         if got is not None:
             return (shift, *got)
-    raise _NoCertificate(f"no inertia certificate at {mu:.6g}")
+    raise NumericalError("solve_eigs",
+                         f"no inertia certificate at shift {mu:.10g} "
+                         f"or at its nudge {mu + nudge:.10g}")
 
 
-def _eigsh(B, nev: int, sigma: float, v0: np.ndarray, OPinv=None):
+def _eigsh(B, nev: int, sigma: float, v0: np.ndarray, OPinv):
     try:
         return spsla.eigsh(B, k=nev, sigma=sigma, which="LM", v0=v0, tol=0,
                            OPinv=OPinv)
@@ -531,8 +523,7 @@ def _sliced_eigsh(B: sps.csc_matrix, k: int, vol_w: float,
     """Eigenpairs of B window by window until inertia counts k below an edge.
 
     Each window's Lanczos run must find exactly the number of eigenvalues
-    inertia counts between its edges.  Raises _NoCertificate when an edge
-    cannot be certified.
+    inertia counts between its edges.
     """
     n = B.shape[0]
     width = 4 * math.pi * _WINDOW / vol_w
@@ -546,7 +537,9 @@ def _sliced_eigsh(B: sps.csc_matrix, k: int, vol_w: float,
                 break
             hi = 0.5 * (lo + hi)
         else:
-            raise _NoCertificate(f"window above {lo:.6g} never thinned out")
+            raise NumericalError(
+                "solve_eigs", f"window above edge {lo:.10g} never thinned "
+                f"out after {_MAX_HALVINGS} halvings")
         m = below_hi - below_lo
         if m:
             mid, lu, _ = _certified_lu(B, 0.5 * (lo + hi), _NUDGE * (hi - lo))
@@ -577,9 +570,10 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     factorization of B - edge I; each window then runs shift-invert Lanczos
     at its midpoint and must return exactly the counted number of modes.
     Windows advance until the count reaches k, so no eigenvalue below
-    lambda_k is missing.  If an edge cannot be certified even after a small
-    nudge, the solver falls back to one uncertified shift-invert Lanczos call
-    at sigma = 0 for all k modes.  Every window draws its starting vector from
+    lambda_k is missing.  An edge that cannot be certified is nudged once by
+    a small share of its window; if it still has no certificate, or a window
+    never thins out to at most 80 modes, ``NumericalError("solve_eigs")``
+    names the shift.  Every window draws its starting vector from
     ``default_rng(seed)``.
 
     Residuals ||A x - lam W x|| / ||x|| are checked against 1e-8 * lam.
@@ -588,14 +582,7 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     if not (1 <= k <= n - 1):
         raise SpecError(f"solve_eigs requires 1 <= k <= {n - 1}")
     B = op.symmetrized().tocsc()
-    vol_w = float(np.sum(op.w) * op.h**2)
-    try:
-        lam, Y = _sliced_eigsh(B, k, vol_w, np.random.default_rng(seed))
-    except _NoCertificate:
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        lam, Y = _eigsh(B, k, 0.0, v0)
-        order = np.argsort(lam)
-        lam, Y = lam[order], Y[:, order]
+    lam, Y = _sliced_eigsh(B, k, op.volume, np.random.default_rng(seed))
     resid = np.linalg.norm(B @ Y - Y * lam[None, :], axis=0)
     worst = float(np.max(resid / np.maximum(lam, 1e-300)))
     if worst > 1e-8:

@@ -145,8 +145,16 @@ class TestFailures:
         "[1, 2]",
         json.dumps({"kind": "rectangle", "params": {"a": 1.0, "b": 1.0},
                     "sigma": {"x": 1}}),
+        json.dumps({"kind": "rectangle", "params": {"a": "nan", "b": 1.0}}),
+        json.dumps({"kind": "rectangle", "params": {"a": 1.0, "b": 1.0},
+                    "sigma": "foo(x)"}),
+        json.dumps({"kind": "rectangle", "params": {"a": 1.0, "b": 1.0},
+                    "sigma": "zoo"}),
+        json.dumps({"kind": "rectangle", "params": {"a": 1.0, "b": 1.0},
+                    "sigma": "x+I"}),
     ], ids=["missing-param", "non-numeric-param", "malformed-json",
-            "not-an-object", "non-scalar-sigma"])
+            "not-an-object", "non-scalar-sigma", "nan-param",
+            "undefined-function-sigma", "infinite-sigma", "complex-sigma"])
     def test_malformed_domain_doc_exits_2(self, text, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(text)

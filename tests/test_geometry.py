@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_corner import (MetricSpec, ScalarField, SpecError,
+from spectral_corner import (MetricSpec, NumericalError, ScalarField, SpecError,
                              boundary_integral, build_domain,
                              conformal_transform, corner_term,
                              geometric_coefficients, interior_integral,
@@ -133,6 +133,31 @@ class TestIntegrals:
         got = interior_integral(dom, lambda x, y: np.exp(x - y))
         ref = riemann_interior(dom, lambda x, y: np.exp(x - y), n=1200)
         assert got == pytest.approx(ref, rel=1e-3)
+
+    # A jump off every panel edge keeps the doubling from converging; each
+    # rule then raises with its last value instead of returning it.
+    @staticmethod
+    def _step(x, y, *_):
+        return (x > 1 / 3).astype(float)
+
+    def test_tensor_rule_that_never_converges_raises(self, square):
+        with pytest.raises(NumericalError) as info:
+            interior_integral(square, self._step)
+        assert info.value.stage == "interior_integral"
+        assert info.value.best_estimate == pytest.approx(2 / 3, abs=1e-2)
+
+    def test_triangle_rule_that_never_converges_raises(self):
+        dom = build_domain({"kind": "polygon", "params": {
+            "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}})
+        with pytest.raises(NumericalError) as info:
+            interior_integral(dom, self._step)
+        assert info.value.stage == "interior_integral"
+        assert info.value.best_estimate == pytest.approx(2 / 3, abs=1e-2)
+
+    def test_boundary_rule_that_never_converges_raises(self, square):
+        with pytest.raises(NumericalError) as info:
+            boundary_integral(square, self._step)
+        assert info.value.stage == "gauss_panels"
 
 
 class TestGeometricCoefficients:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
-from spectral_corner import SpecError, bessel_j, bessel_zero, rect_theta_factor
+from spectral_corner import (NumericalError, SpecError, bessel_j, bessel_zero,
+                             rect_theta_factor)
 from spectral_corner.special import bessel_zeros_upto, gauss_panels, tanh_sinh
 
 from .oracles import theta_side
@@ -80,3 +81,8 @@ class TestQuadrature:
     def test_invalid_interval_rejected(self):
         with pytest.raises(SpecError):
             tanh_sinh(lambda x: x, 1.0, 0.0, tol=1e-10)
+
+    def test_tanh_sinh_non_finite_integrand_raises(self):
+        with pytest.raises(NumericalError) as info:
+            tanh_sinh(lambda x: np.where(x < 0.25, np.nan, 1.0), 0.0, 1.0)
+        assert info.value.stage == "tanh_sinh"

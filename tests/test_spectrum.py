@@ -130,8 +130,7 @@ class TestSpectrumSlicing:
             == np.count_nonzero(dense < cut)
         np.testing.assert_allclose(ds.eigenvalues, dense[:self.K], rtol=1e-10)
 
-    def test_fallback_matches_sliced(self, slit_op, monkeypatch):
-        sliced = solve_eigs(slit_op, self.K, seed=0).eigenvalues
+    def test_uncertified_edge_names_stage(self, slit_op, monkeypatch):
         calls = []
         eigsh = spectrum_mod.spsla.eigsh
 
@@ -141,9 +140,11 @@ class TestSpectrumSlicing:
 
         monkeypatch.setattr(spectrum_mod, "_shifted_lu", lambda B, mu: None)
         monkeypatch.setattr(spectrum_mod.spsla, "eigsh", counted)
-        fallback = solve_eigs(slit_op, self.K, seed=0).eigenvalues
-        assert calls == [0.0]
-        np.testing.assert_allclose(fallback, sliced, rtol=1e-10)
+        with pytest.raises(NumericalError) as info:
+            solve_eigs(slit_op, self.K, seed=0)
+        assert info.value.stage == "solve_eigs"
+        assert "no inertia certificate at shift" in str(info.value)
+        assert calls == []
 
     def test_nudged_edges_stay_certified(self, slit_op, monkeypatch):
         # every shift's first factorization fails, its nudged retry succeeds
