@@ -36,9 +36,14 @@ class ScalarField:
                 expr = sp.sympify(expr, locals={"x": _X, "y": _Y})
             except (sp.SympifyError, SyntaxError) as exc:
                 raise SpecError(f"cannot parse field expression: {expr!r}") from exc
+        elif isinstance(expr, bool):
+            raise SpecError(f"field must be a scalar expression, got {expr!r}")
         elif isinstance(expr, (int, float)):
             expr = sp.Float(expr)
-        self.expr = sp.sympify(expr)
+        try:
+            self.expr = sp.sympify(expr)
+        except (sp.SympifyError, SyntaxError, TypeError, ValueError) as exc:
+            raise SpecError(f"cannot parse field expression: {expr!r}") from exc
         if not isinstance(self.expr, sp.Expr):
             raise SpecError(f"field must be a scalar expression, got {expr!r}")
         free = self.expr.free_symbols - {_X, _Y}

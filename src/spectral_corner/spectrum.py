@@ -35,6 +35,9 @@ TAIL_THRESHOLD = 40.0
 # this t, whatever their completeness: as t -> 0 the trace of the lattice
 # operator leaves the continuum short-time expansion.
 _FDM_WINDOW_FLOOR = 1e-2
+# analytic_spectrum gives up once its cutoff's Weyl count exceeds this many
+# times N + 10 (eight growth steps past the first guess).
+_WEYL_CAP = 64
 
 
 class TraceSource(Protocol):
@@ -205,6 +208,13 @@ def analytic_spectrum(domain: Domain, N: int) -> Spectrum:
     # Weyl-law guess for the cutoff, grown until N eigenvalues are present.
     lam_max = 4 * math.pi * (N + 10) / domain.area * 1.5 + 50.0 / domain.area
     for _ in range(40):
+        if domain.area * lam_max / (4 * math.pi) > _WEYL_CAP * (N + 10):
+            # a sliver whose first eigenvalue lies far above the Weyl guess:
+            # the cutoff that reaches it holds billions of eigenvalues
+            raise NumericalError(
+                "analytic_spectrum",
+                f"domain too thin: no {N} eigenvalues within {_WEYL_CAP} "
+                "times the Weyl count")
         spec = _closed_form(domain, lam_max)
         if spec is not None and spec.count >= N:
             return spec
@@ -295,8 +305,7 @@ class DiscreteOperator:
     nodes: np.ndarray  # (n, 2) interior node coordinates
     A: sps.csr_matrix
     w: np.ndarray  # diagonal conformal weights at nodes
-    u: float
-    metric: Optional[MetricSpec] = None
+    metric: MetricSpec
 
     @property
     def n_nodes(self) -> int:
@@ -381,8 +390,14 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     if metric.is_flat():
         w = np.ones(n)
     else:
-        w = np.exp(2.0 * metric.u * metric.sigma(nodes[:, 0], nodes[:, 1]))
-    return DiscreteOperator(domain, h, nodes, A, w, metric.u, metric)
+        with np.errstate(all="ignore"):
+            w = np.exp(2.0 * metric.u * metric.sigma(nodes[:, 0], nodes[:, 1]))
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise SpecError(
+                f"sigma {metric.sigma!r} at u={metric.u:g} gives a conformal "
+                "weight exp(2 u sigma) that is not finite and positive at "
+                "every grid node")
+    return DiscreteOperator(domain, h, nodes, A, w, metric)
 
 
 def _on_closed_segment(pts: np.ndarray, a, b, tol: float) -> np.ndarray:
@@ -419,7 +434,7 @@ class DiscreteSpectrum:
     def spectrum(self) -> Spectrum:
         return Spectrum(self.eigenvalues,
                         {"source": "discrete", "h": self.op.h,
-                         "grid_nodes": self.op.n_nodes, "u": self.op.u},
+                         "grid_nodes": self.op.n_nodes, "u": self.op.metric.u},
                         completeness=self.completeness(), volume=self.op.volume,
                         window_floor=_FDM_WINDOW_FLOOR)
 
@@ -455,7 +470,7 @@ def richardson_spectrum(domain: Domain, metric: Optional[MetricSpec], h: float,
     lam = (4 * fine.eigenvalues - coarse.eigenvalues) / 3
     lam = np.sort(lam)
     return Spectrum(lam, {"source": "discrete", "h": h, "richardson": True,
-                          "u": fine.op.u},
+                          "u": fine.op.metric.u},
                     completeness=0.8 * lam[-1], volume=fine.op.volume,
                     boundary_length=domain.perimeter if fine.op.metric.is_flat()
                     else None,

@@ -14,8 +14,11 @@ which this module estimates by exact conditional-Gaussian midpoint
 refinement of the bridge, a per-segment boundary-crossing correction
 exp(-d1 d2 / ds) for excursions between knots, and explicit
 segment-intersection kills against slit polylines (either side of a slit is
-absorbing).  The random stream is counter-based and keyed by (seed, batch),
-so results are bit-identical regardless of batching or threading.
+absorbing).  The random stream is counter-based and keyed by (seed, batch)
+over batches of the fixed size ``_BATCH``, so an estimate is fixed by the
+domain, t, n, steps and seed.  Each batch is scored in row blocks of
+``_BLOCK`` paths that fit in cache; the per-path arithmetic does not depend
+on the block, so neither do the results.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from .errors import SpecError
 from .geometry import ArcPiece, Domain, Segment
 
 _BATCH = 32768
+# Paths scored together inside a batch: 1024 paths of 65 knots keep every
+# per-block temporary near half a megabyte.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -77,34 +83,52 @@ def _boundary_geometry(domain: Domain):
     return segs, arcs
 
 
-def _dist_to_boundary(pts: np.ndarray, segs, arcs) -> np.ndarray:
-    """Unsigned distance from each point to the nearest boundary piece."""
-    d = np.full(pts.shape[0], np.inf)
+def _dist_to_boundary(x: np.ndarray, y: np.ndarray, segs, arcs) -> np.ndarray:
+    """Unsigned distance from the points (x, y) to the nearest boundary piece.
+
+    x and y are contiguous coordinate planes.  A wall's projection parameter
+    is still the matrix product over interleaved points: numpy hands it to
+    BLAS, which fuses one multiply-add, so an elementwise dot would round
+    differently on slanted walls.  The offsets are taken through a complex
+    view because a (N, 2) - (2,) subtraction loops two elements at a time.
+    """
+    d = np.full(x.shape[0], np.inf)
+    if segs:
+        pts = np.stack([x, y], axis=1).view(np.complex128)[:, 0]
     for p0, p1 in segs:
         ab = p1 - p0
-        L2 = float(ab @ ab)
-        s = np.clip(((pts - p0) @ ab) / L2, 0.0, 1.0)
-        proj = p0 + s[:, None] * ab
-        d = np.minimum(d, np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1]))
+        s = (pts - complex(p0[0], p0[1])).view(np.float64).reshape(-1, 2) @ ab
+        s /= float(ab @ ab)
+        np.clip(s, 0.0, 1.0, out=s)
+        ex = s * ab[0]
+        ex += p0[0]
+        np.subtract(x, ex, out=ex)
+        s *= ab[1]
+        s += p0[1]
+        np.subtract(y, s, out=s)
+        np.minimum(d, np.hypot(ex, s, out=ex), out=d)
     for center, radius in arcs:
-        r = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
-        d = np.minimum(d, np.abs(radius - r))
+        r = np.hypot(x - center[0], y - center[1])
+        np.minimum(d, np.abs(radius - r, out=r), out=d)
     return d
 
 
-def _segments_cross_many(a0, a1, b0, b1) -> np.ndarray:
-    """Vectorized proper-crossing test of segments [a0,a1] vs one [b0,b1]."""
-    def orient(p, q, r):
-        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) \
-            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
+def _slit_crossings(x: np.ndarray, y: np.ndarray, b0, b1) -> np.ndarray:
+    """Rows of the knot planes x, y (paths, knots) that properly cross [b0, b1].
 
-    b0 = np.broadcast_to(b0, a0.shape)
-    b1 = np.broadcast_to(b1, a0.shape)
-    d1 = orient(b0, b1, a0)
-    d2 = orient(b0, b1, a1)
-    d3 = orient(a0, a1, b0)
-    d4 = orient(a0, a1, b1)
-    return ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+    A path segment can cross only if its two knots fall on different sides
+    of the slit line (orientation > 0 at exactly one end), so the
+    orientations of the slit ends against the path segment are taken on
+    those segments alone.
+    """
+    bx, by = b1[0] - b0[0], b1[1] - b0[1]
+    side = (bx * (y - b0[1]) - by * (x - b0[0])) > 0
+    rows, cols = np.nonzero(side[:, :-1] != side[:, 1:])
+    ax, ay = x[rows, cols], y[rows, cols]
+    dx, dy = x[rows, cols + 1] - ax, y[rows, cols + 1] - ay
+    d3 = dx * (b0[1] - ay) - dy * (b0[0] - ax)
+    d4 = dx * (b1[1] - ay) - dy * (b1[0] - ax)
+    return rows[(d3 > 0) != (d4 > 0)]
 
 
 def _sample_interior(domain: Domain, rng, m: int) -> np.ndarray:
@@ -142,18 +166,44 @@ def _bridge_offsets(rng, m: int, steps: int, t: float) -> np.ndarray:
 
     Conditional on the two bracketing knots a duration tau apart, the
     midpoint is Gaussian around their mean with per-coordinate variance
-    tau/2 (variance rate 2 for the -Delta generator).
+    tau/2 (variance rate 2 for the -Delta generator).  Knots are handled
+    as complex numbers x + iy so that strided slices loop over knots, not
+    over coordinate pairs; the arithmetic is the real one.
     """
     z = np.zeros((m, steps + 1, 2))
+    knots = z.view(np.complex128)[..., 0]
+    noise = np.empty(m * steps)
     stride = steps
     while stride > 1:
         half = stride // 2
-        idx = np.arange(0, steps, stride)
+        mean = knots[:, 0:steps:stride] + knots[:, stride::stride]
+        mid = mean.view(np.float64)
+        mid *= 0.5
+        draw = noise[:mid.size].reshape(mid.shape)
+        rng.standard_normal(out=draw)
         tau = t * stride / steps
-        mean = 0.5 * (z[:, idx] + z[:, idx + stride])
-        z[:, idx + half] = mean + rng.standard_normal(mean.shape) * math.sqrt(tau / 2)
+        draw *= math.sqrt(tau / 2)
+        mid += draw
+        knots[:, half::stride] = mean
         stride = half
     return z
+
+
+def _block_weights(domain: Domain, xy: np.ndarray, ds: float, segs, arcs,
+                   slit_segs) -> np.ndarray:
+    """Survival weight of each path of a block, given the coordinate planes
+    xy (2, paths, knots) of its knots."""
+    _, nb, knots = xy.shape
+    flat = xy.reshape(2, -1)
+    alive = domain.contains(flat.T).reshape(nb, knots).all(axis=1)
+    dist = _dist_to_boundary(flat[0], flat[1], segs, arcs).reshape(nb, knots)
+    # survival of the unsampled excursion on every inter-knot segment
+    log_keep = np.log1p(-np.exp(-dist[:, :-1] * dist[:, 1:] / ds)
+                        .clip(max=1.0 - 1e-16)).sum(axis=1)
+    weight = np.where(alive, np.exp(log_keep), 0.0)
+    for b0, b1 in slit_segs:
+        weight[_slit_crossings(xy[0], xy[1], b0, b1)] = 0.0
+    return weight
 
 
 def bridge_trace_estimate(domain: Domain, t: float, n: int, steps: int = 64,
@@ -189,23 +239,14 @@ def bridge_trace_estimate(domain: Domain, t: float, n: int, steps: int = 64,
         rng = np.random.Generator(np.random.Philox(
             key=np.array([seed, batch_index], dtype=np.uint64)))
         starts = _sample_interior(domain, rng, m)
-        paths = starts[:, None, :] + _bridge_offsets(rng, m, steps, t)
-        flat = paths.reshape(-1, 2)
-        inside = domain.contains(flat).reshape(m, steps + 1)
-        alive = inside.all(axis=1)
-
-        dist = _dist_to_boundary(flat, segs, arcs).reshape(m, steps + 1)
-        # survival of the unsampled excursion on every inter-knot segment
-        log_keep = np.log1p(-np.exp(-dist[:, :-1] * dist[:, 1:] / ds)
-                            .clip(max=1.0 - 1e-16)).sum(axis=1)
-        weight = np.where(alive, np.exp(log_keep), 0.0)
-
-        for b0, b1 in slit_segs:
-            crossed = _segments_cross_many(
-                paths[:, :-1], paths[:, 1:],
-                np.asarray(b0, dtype=float), np.asarray(b1, dtype=float))
-            weight[crossed.any(axis=1)] = 0.0
-
+        offsets = _bridge_offsets(rng, m, steps, t)
+        weight = np.empty(m)
+        for r0 in range(0, m, _BLOCK):
+            block = slice(r0, min(r0 + _BLOCK, m))
+            xy = np.empty((2, block.stop - r0, steps + 1))
+            np.add(starts[block].T[:, :, None], offsets[block].transpose(2, 0, 1),
+                   out=xy)
+            weight[block] = _block_weights(domain, xy, ds, segs, arcs, slit_segs)
         total += float(weight.sum())
         total_sq += float((weight ** 2).sum())
         done += m

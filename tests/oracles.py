@@ -104,3 +104,53 @@ def _bessel_zeros_upto(nu, x_max):
             zeros.append(brentq(lambda x: jv(nu, x), xs[i], xs[i + 1],
                                 xtol=1e-14, rtol=8.9e-16))
     return np.asarray(zeros)
+
+
+# ---------------------------------------------------------------------------
+# Straightforward whole-array forms of the Brownian-bridge walker's kernels.
+# The walker computes the same floating-point operations on cache-sized
+# blocks and coordinate planes; its results must match these bit for bit.
+# ---------------------------------------------------------------------------
+
+def bridge_offsets(rng, m, steps, t):
+    """Midpoint-refined bridge offsets (m, steps+1, 2) by fancy indexing."""
+    z = np.zeros((m, steps + 1, 2))
+    stride = steps
+    while stride > 1:
+        half = stride // 2
+        idx = np.arange(0, steps, stride)
+        tau = t * stride / steps
+        mean = 0.5 * (z[:, idx] + z[:, idx + stride])
+        z[:, idx + half] = mean + rng.standard_normal(mean.shape) * math.sqrt(tau / 2)
+        stride = half
+    return z
+
+
+def dist_to_boundary(pts, segs, arcs):
+    """Distance from each row of pts (N, 2) to the nearest wall or arc."""
+    d = np.full(pts.shape[0], np.inf)
+    for p0, p1 in segs:
+        ab = p1 - p0
+        L2 = float(ab @ ab)
+        s = np.clip(((pts - p0) @ ab) / L2, 0.0, 1.0)
+        proj = p0 + s[:, None] * ab
+        d = np.minimum(d, np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1]))
+    for center, radius in arcs:
+        r = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
+        d = np.minimum(d, np.abs(radius - r))
+    return d
+
+
+def segments_cross_many(a0, a1, b0, b1):
+    """Proper-crossing test of each segment [a0, a1] against one [b0, b1]."""
+    def orient(p, q, r):
+        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) \
+            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
+
+    b0 = np.broadcast_to(b0, a0.shape)
+    b1 = np.broadcast_to(b1, a0.shape)
+    d1 = orient(b0, b1, a0)
+    d2 = orient(b0, b1, a1)
+    d3 = orient(a0, a1, b0)
+    d4 = orient(a0, a1, b1)
+    return ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spectral_corner import SpecError
 from spectral_corner.cli import RunConfig, main, run
@@ -152,9 +154,14 @@ class TestFailures:
                     "sigma": "zoo"}),
         json.dumps({"kind": "rectangle", "params": {"a": 1.0, "b": 1.0},
                     "sigma": "x+I"}),
+        json.dumps({"kind": "rectangle", "params": {"a": 1.0, "b": 1.0},
+                    "sigma": True}),
+        json.dumps({"kind": "rectangle", "params": {"a": 1.0, "b": 1.0},
+                    "sigma": {"": 1}}),
     ], ids=["missing-param", "non-numeric-param", "malformed-json",
             "not-an-object", "non-scalar-sigma", "nan-param",
-            "undefined-function-sigma", "infinite-sigma", "complex-sigma"])
+            "undefined-function-sigma", "infinite-sigma", "complex-sigma",
+            "boolean-sigma", "unparseable-key-sigma"])
     def test_malformed_domain_doc_exits_2(self, text, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(text)
@@ -162,6 +169,16 @@ class TestFailures:
         assert code == 2
         err = json.loads(out.err)
         assert err["error"]["kind"] == "spec" and err["error"]["message"]
+
+    @pytest.mark.parametrize("sigma", ["sqrt(x-0.5)", "log(x-0.5)"])
+    def test_non_real_sigma_exits_2(self, sigma, square_doc, capsys):
+        code, out = run_json(["spectrum", "--domain", square_doc, "--sigma",
+                              sigma, "--u", "1", "--grid-h", "0.0625",
+                              "--eigs", "20"], capsys)
+        assert code == 2
+        err = json.loads(out.err)
+        assert err["error"]["kind"] == "spec"
+        assert "x - 0.5" in err["error"]["message"]
 
     def test_missing_domain_exits_2(self, capsys):
         code, out = run_json(["spectrum"], capsys)
@@ -180,10 +197,73 @@ class TestFailures:
         assert err["error"]["kind"] == "numerical"
         assert err["error"]["stage"]
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "sector", "params": {"alpha": 1e-9, "R": 1.0}},
+        {"kind": "rectangle", "params": {"a": 1e-9, "b": 3.0}},
+    ], ids=["sector", "rectangle"])
+    def test_sliver_domain_exits_3(self, doc, tmp_path, capsys):
+        # the first eigenvalue lies far above the Weyl guess of the cutoff
+        p = tmp_path / "sliver.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_json(["spectrum", "--domain", str(p), "--eigs", "4"],
+                             capsys)
+        assert code == 3
+        assert json.loads(out.err)["error"]["stage"] == "analytic_spectrum"
+
     def test_bad_flag_values_exit_2(self, square_doc, capsys):
         code, out = run_json(["trace", "--domain", square_doc,
                               "--tol", "-1"], capsys)
         assert code == 2
+
+
+# Domain documents for the fuzz test: each kind with its own parameter
+# names, any value of which may be junk, plus bogus kinds and shapes.
+_NUMBER = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3),
+                    st.sampled_from([0.5, 1.0, 1e-9]))
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                  st.sampled_from(["nan", "inf", "-inf", "1.0", "x"]),
+                  st.lists(_NUMBER, max_size=3),
+                  st.lists(st.lists(_NUMBER, max_size=3), max_size=3),
+                  st.dictionaries(st.text(max_size=2), _NUMBER, max_size=2))
+_POINT = st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=2, max_size=2)
+_VERTICES = st.one_of(st.lists(_POINT, min_size=3, max_size=5), _JUNK)
+_SLITS = st.one_of(st.lists(st.lists(_POINT, min_size=2, max_size=3),
+                            max_size=2), _JUNK)
+_VALUE = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), _NUMBER, _JUNK)
+_PARAMS = {"rectangle": {"a": _VALUE, "b": _VALUE},
+           "disk": {"R": _VALUE},
+           "sector": {"alpha": _VALUE, "R": _VALUE},
+           "polygon": {"vertices": _VERTICES},
+           "slit-polygon": {"vertices": _VERTICES, "slits": _SLITS}}
+_SIGMA = st.one_of(st.sampled_from(
+    ["0.2*x*y", "sqrt(x-0.5)", "log(x)", "1/x", "foo(x)", "zoo", "x+I",
+     "exp(1000*x)", ""]), _JUNK)
+_KIND_DOC = st.sampled_from(sorted(_PARAMS)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind),
+         "params": st.one_of(st.fixed_dictionaries(_PARAMS[kind]),
+                             st.fixed_dictionaries({}, optional=_PARAMS[kind]),
+                             _JUNK)},
+        optional={"sigma": _SIGMA}))
+_DOC = st.one_of(_KIND_DOC, _KIND_DOC, _KIND_DOC,
+                 st.fixed_dictionaries({"kind": _JUNK},
+                                       optional={"params": _JUNK}),
+                 _JUNK)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_DOC)
+    def test_malformed_documents_exit_0_2_or_3(self, doc, tmp_path, capsys):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_json(["spectrum", "--domain", str(p), "--u", "1",
+                              "--eigs", "4", "--grid-h", "0.25"], capsys)
+        assert code in (0, 2, 3)
+        if code:
+            err = json.loads(out.err)
+            assert err["error"]["kind"] == {2: "spec", 3: "numerical"}[code]
 
 
 class TestRunConfig:

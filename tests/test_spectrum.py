@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spectral_corner import (MetricSpec, NumericalError, ScalarField,
-                             analytic_spectrum, assemble_fdm, bessel_zero,
+                             SpecError, analytic_spectrum, assemble_fdm, bessel_zero,
                              richardson_spectrum, solve_eigs, spectrum_upto,
                              weyl_ratio)
 from spectral_corner import spectrum as spectrum_mod
@@ -97,6 +97,15 @@ class TestDiscreteOperator:
                                    math.exp(-2 * c) * flat.eigenvalues,
                                    rtol=1e-9)
 
+    @pytest.mark.parametrize("sigma", ["sqrt(x-0.5)", "log(x-0.5)"])
+    def test_non_real_or_vanishing_weight_is_rejected(self, square, sigma,
+                                                      recwarn):
+        # sqrt gives NaN weights left of x = 1/2, log a zero weight on it
+        with pytest.raises(SpecError, match=r"sigma .*x - 0\.5"):
+            assemble_fdm(square, MetricSpec(ScalarField(sigma), 1.0),
+                         h=1 / 16)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_fdm_dilation_scaling(self, square):
         lam = solve_eigs(assemble_fdm(square, None, h=1 / 24), 4,
                          seed=0).eigenvalues
@@ -165,7 +174,7 @@ class TestSpectrumSlicing:
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
         assert a.spectrum().provenance == b.spectrum().provenance \
             == {"source": "discrete", "h": 1 / 16, "grid_nodes": slit_op.n_nodes,
-                "u": slit_op.u}
+                "u": slit_op.metric.u}
 
     def test_window_count_mismatch_names_stage(self, slit_op, monkeypatch):
         shifted_lu = spectrum_mod._shifted_lu
