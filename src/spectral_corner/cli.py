@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -118,7 +119,35 @@ def _load_domain_doc(args, config):
     domain, sigma = load_domain(doc)
     if args.sigma is not None:
         sigma = as_field(args.sigma)
+    x, y = _interior_samples(domain)
+    try:
+        with np.errstate(all="ignore"):
+            values = sigma(x, y)
+    except (NameError, TypeError, NotImplementedError) as exc:
+        # a function numpy has no counterpart for
+        raise SpecError(f"sigma {sigma!r} cannot be evaluated: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise SpecError(f"sigma {sigma!r} is not real and finite everywhere "
+                        "inside the domain")
     return domain, sigma
+
+
+def _interior_samples(domain, n: int = 24):
+    """Cell midpoints of an n x n lattice inside the domain, as (x, y).
+
+    Polygons use their bounding box; disks and sectors (cones included)
+    use polar coordinates about the centre or apex.
+    """
+    s = (np.arange(n) + 0.5) / n
+    if domain.vertices is not None:
+        lo, hi = domain.vertices.min(axis=0), domain.vertices.max(axis=0)
+        x, y = np.meshgrid(lo[0] + s * (hi[0] - lo[0]), lo[1] + s * (hi[1] - lo[1]))
+        pts = np.column_stack([x.ravel(), y.ravel()])
+        pts = pts[domain.contains(pts)]
+        return pts[:, 0], pts[:, 1]
+    r, th = np.meshgrid(domain.params["R"] * s,
+                        domain.params.get("alpha", 2.0) * np.pi * s)
+    return (r * np.cos(th)).ravel(), (r * np.sin(th)).ravel()
 
 
 def _spectrum_for(domain, sigma, args):
@@ -376,21 +405,15 @@ def run(config: RunConfig) -> int:
 
     hashed = {k: v for k, v in sorted(dataclasses.asdict(config).items())
               if k not in ("out",) and v is not None}
-    try:
-        artifact, rows, headers = _COMMANDS[config.command](config, hashed)
-    except SpecError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": "spec", "message": str(exc)}}) + "\n")
-        return 2
-    except NumericalError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": "numerical", "stage": exc.stage,
-                       "message": str(exc)}}) + "\n")
-        return 3
-    except FileNotFoundError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": "spec", "message": str(exc)}}) + "\n")
-        return 2
+    # warnings go into the error document, so stderr stays one JSON document
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            artifact, rows, headers = _COMMANDS[config.command](config, hashed)
+        except (SpecError, FileNotFoundError) as exc:
+            return _fail(2, {"kind": "spec", "message": str(exc)}, caught)
+        except NumericalError as exc:
+            return _fail(3, {"kind": "numerical", "stage": exc.stage,
+                             "message": str(exc)}, caught)
     artifact["version"] = __version__
     artifact["command"] = config.command
     artifact["input_hash"] = _input_hash(hashed)
@@ -406,10 +429,17 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
     except SpecError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": "spec", "message": str(exc)}}) + "\n")
-        return 2
+        return _fail(2, {"kind": "spec", "message": str(exc)})
     return run(config)
+
+
+def _fail(code: int, error: dict, caught=()) -> int:
+    """Write the error, with any warnings caught, as JSON to stderr."""
+    messages = list(dict.fromkeys(str(w.message) for w in caught))
+    if messages:
+        error["warnings"] = messages
+    sys.stderr.write(json.dumps({"error": error}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -3,6 +3,11 @@
 Bessel functions of fractional order and their zeros, the one-dimensional
 theta-type sum used for exact rectangle heat traces, and quadrature
 rules.  All functions here are pure.
+
+Bessel zeros for many orders are found in one vectorised solve: a
+sign-change scan over one flat grid holding every order brackets each
+zero, and safeguarded Halley steps, two jv calls each, refine all
+brackets together, each zero stopping on its own.
 """
 
 from __future__ import annotations
@@ -43,57 +48,82 @@ def bessel_j(nu: float, x) -> float | np.ndarray:
     return out if np.ndim(x) else float(out)
 
 
-def _bessel_j_prime(nu: float, x: np.ndarray) -> np.ndarray:
-    if nu == 0:
-        return -_sci_special.jv(1, x)
-    return 0.5 * (_sci_special.jv(nu - 1.0, x) - _sci_special.jv(nu + 1.0, x))
-
-
 # Consecutive positive zeros of J_nu are separated by at least ~3.1 for any
 # nu >= 0 (spacing tends to pi from below for nu < 1/2, from above otherwise),
-# so a scan step of 1.5 cannot skip a sign change.
+# so a scan step of 1.5 puts every zero in its own bracket and skips none.
+# All orders share one flat scan grid, evaluated in a single jv call.
 _SCAN_STEP = 1.5
 
-
-def _refine_zeros(nu: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bisection then safeguarded Newton on brackets [lo, hi] of J_nu."""
-    flo = _sci_special.jv(nu, lo)
-    for _ in range(8):
-        mid = 0.5 * (lo + hi)
-        fmid = _sci_special.jv(nu, mid)
-        take_lo = (flo * fmid) > 0
-        lo = np.where(take_lo, mid, lo)
-        flo = np.where(take_lo, fmid, flo)
-        hi = np.where(take_lo, hi, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(6):
-        f = _sci_special.jv(nu, x)
-        fp = _bessel_j_prime(nu, x)
-        step = f / fp
-        x_new = x - step
-        # fall back to the bracket midpoint if Newton escapes
-        bad = (x_new <= lo) | (x_new >= hi)
-        x = np.where(bad, 0.5 * (lo + hi), x_new)
-        if np.max(np.abs(step)) < 1e-14 * np.max(x):
-            break
-    return x
+# Halley steps allowed per zero before the solve gives up and raises.
+_MAX_STEPS = 40
 
 
-def bessel_zeros_upto(nu: float, x_max: float) -> np.ndarray:
-    """All positive zeros of J_nu in (0, x_max], ascending, ~1e-12 relative."""
-    if nu < 0:
+def bessel_zeros_upto(nu, x_max: float) -> np.ndarray:
+    """All positive zeros of J_nu in (0, x_max], to ~1e-15 relative.
+
+    nu is one order or a 1-D array of orders.  The zeros come back as one
+    flat array, grouped by order in the order given and ascending within
+    each order.  Each zero is bracketed by a sign change on the step-1.5
+    scan, seeded at the regula-falsi point of its bracket, and refined by
+    safeguarded Halley steps until its own step is below 1e-14 x; a zero
+    still moving after _MAX_STEPS steps raises NumericalError.
+    """
+    nus = np.atleast_1d(np.asarray(nu, dtype=float))
+    if nus.ndim != 1:
+        raise SpecError("bessel_zeros_upto requires a scalar or 1-D array of orders")
+    if not np.all(nus >= 0):
         raise SpecError("bessel_zeros_upto requires nu >= 0")
-    start = max(nu, 1e-8)
-    if start >= x_max:
-        return np.empty(0)
-    grid = np.arange(start, x_max + _SCAN_STEP, _SCAN_STEP)
-    vals = _sci_special.jv(nu, grid)
+    start = np.maximum(nus, 1e-8)
+    # scan points start + i * step, i < n, up to the first point >= x_max
+    n = np.where(start < x_max, np.ceil((x_max + _SCAN_STEP - start) / _SCAN_STEP),
+                 0).astype(np.int64)
+    order = np.repeat(np.arange(nus.size), n)
+    first = np.repeat(np.cumsum(n) - n, n)
+    grid = start[order] + (np.arange(order.size) - first) * _SCAN_STEP
+    vals = _sci_special.jv(nus[order], grid)
     sign = np.signbit(vals)
-    idx = np.nonzero(sign[1:] != sign[:-1])[0]
-    if idx.size == 0:
-        return np.empty(0)
-    zeros = _refine_zeros(nu, grid[idx], grid[idx + 1])
+    idx = np.nonzero((sign[1:] != sign[:-1]) & (order[1:] == order[:-1]))[0]
+    zeros = _halley_zeros(nus[order[idx]], grid[idx], grid[idx + 1],
+                          vals[idx], vals[idx + 1])
     return zeros[zeros <= x_max]
+
+
+def _halley_zeros(nu, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Zeros of J_nu, one in each sign-change bracket [lo, hi].
+
+    J' = (nu/x) J_nu - J_{nu+1}, and J'' follows from Bessel's equation,
+    so a step costs two jv calls.  Each step shrinks the bracket to the
+    side of the evaluated point that keeps the sign change; a Halley
+    step that leaves the bracket falls back to its midpoint.
+    """
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    # rounding can put the regula-falsi point on or past an end
+    x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+    active = np.arange(x.size)
+    for _ in range(_MAX_STEPS):
+        v, xa = nu[active], x[active]
+        f = _sci_special.jv(v, xa)
+        fp = v / xa * f - _sci_special.jv(v + 1.0, xa)
+        fpp = -fp / xa - (1.0 - (v / xa) ** 2) * f
+        same = np.signbit(f) == np.signbit(f_lo[active])
+        lo[active] = np.where(same, xa, lo[active])
+        f_lo[active] = np.where(same, f, f_lo[active])
+        hi[active] = np.where(same, hi[active], xa)
+        step = 2.0 * f * fp / (2.0 * fp * fp - f * fpp)
+        x_new = xa - step
+        la, ha = lo[active], hi[active]
+        done = np.abs(step) < 1e-14 * xa
+        escaped = ~((x_new > la) & (x_new < ha))
+        x[active] = np.where(done, np.clip(x_new, la, ha),
+                             np.where(escaped, 0.5 * (la + ha), x_new))
+        active = active[~done]
+        if active.size == 0:
+            return x
+    i = active[0]
+    raise NumericalError(
+        "bessel_zeros_upto",
+        f"{active.size} zeros unconverged after {_MAX_STEPS} Halley steps; "
+        f"first for nu={nu[i]!r} in bracket [{lo[i]!r}, {hi[i]!r}]")
 
 
 def bessel_zero(nu: float, k: int) -> float:

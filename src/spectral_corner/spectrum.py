@@ -38,6 +38,9 @@ _FDM_WINDOW_FLOOR = 1e-2
 # analytic_spectrum gives up once its cutoff's Weyl count exceeds this many
 # times N + 10 (eight growth steps past the first guess).
 _WEYL_CAP = 64
+# Spectrum.value builds exp(-t lambda) for as many t at a time as fit in
+# this many entries (32 MB), so memory does not grow with len(t) * count.
+_VALUE_BLOCK = 1 << 22
 
 
 class TraceSource(Protocol):
@@ -116,7 +119,12 @@ class Spectrum:
         """sum_n e^{-t lambda_n}; refuses t below t_min."""
         t = np.asarray(t, dtype=float)
         self._admit(t, "trace_at")
-        out = np.exp(-np.outer(t, self.eigenvalues)).sum(axis=1)
+        flat, lam = t.ravel(), self.eigenvalues
+        rows = max(1, _VALUE_BLOCK // lam.size)
+        out = np.empty(flat.size)
+        for i in range(0, flat.size, rows):
+            # each row is summed as a whole, so its bits do not depend on rows
+            out[i:i + rows] = np.exp(-np.outer(flat[i:i + rows], lam)).sum(axis=1)
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def e1_sum(self, t0: float = 1.0) -> tuple[float, float]:
@@ -266,25 +274,20 @@ def _rect_eigs(a: float, b: float, lam_max: float) -> np.ndarray:
 
 
 def _bessel_eigs(radius: float, lam_max: float, orders) -> np.ndarray:
-    """Bessel-zero eigenvalues; orders=None -> disk, orders=alpha -> sector."""
+    """Bessel-zero eigenvalues; orders=None -> disk, orders=alpha -> sector.
+
+    Only orders nu <= x_max can have a zero below x_max, since j_{nu,1} > nu.
+    """
     x_max = radius * math.sqrt(lam_max)
-    out = []
-    k = 0 if orders is None else 1
-    while True:
-        nu = float(k) if orders is None else k / orders
-        if nu > x_max:  # first zero of J_nu exceeds nu
-            break
-        zeros = bessel_zeros_upto(nu, x_max)
-        if zeros.size == 0:
-            break
-        lam = (zeros / radius) ** 2
-        out.append(lam)
-        if orders is None and k >= 1:
-            out.append(lam)  # angular multiplicity 2 on the disk
-        k += 1
-    if not out:
-        return np.empty(0)
-    return np.sort(np.concatenate(out))
+    if orders is None:
+        # angular multiplicity 2 on the disk for nu >= 1
+        nus = np.arange(1, math.floor(x_max) + 1, dtype=float)
+        z = bessel_zeros_upto(nus, x_max)
+        zeros = np.concatenate([bessel_zeros_upto(0.0, x_max), z, z])
+    else:
+        nus = np.arange(1, math.floor(orders * x_max) + 2) / orders
+        zeros = bessel_zeros_upto(nus[nus <= x_max], x_max)
+    return np.sort((zeros / radius) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import spectral_corner
 from spectral_corner import SpecError
 from spectral_corner.cli import RunConfig, main, run
 
@@ -179,6 +184,40 @@ class TestFailures:
         err = json.loads(out.err)
         assert err["error"]["kind"] == "spec"
         assert "x - 0.5" in err["error"]["message"]
+
+    @pytest.mark.parametrize("sigma, shown", [("sqrt(x-0.5)", "sqrt(x - 0.5)"),
+                                              ("zeta(x)", "zeta(x)")])
+    def test_anomaly_rejects_sigma_before_integrals(self, sigma, shown,
+                                                    square_doc, capsys):
+        code, out = run_json(["anomaly", "--domain", square_doc, "--sigma",
+                              sigma, "--u", "1", "--grid-h", "0.0625",
+                              "--eigs", "20"], capsys)
+        assert code == 2
+        err = json.loads(out.err)["error"]
+        assert err["kind"] == "spec" and "warnings" not in err
+        assert f"sigma ScalarField({shown})" in err["message"]
+
+    @pytest.mark.parametrize("doc, argv, code", [
+        (SQUARE_DOC, ["anomaly", "--sigma", "sqrt(x-0.5)"], 2),
+        (SQUARE_DOC, ["anomaly", "--sigma", "exp(700*x*y)"], 3),
+        (DISK_DOC, ["trace", "--t-min", "1e-6", "--t-max", "1e-5"], 3),
+    ], ids=["non-real-sigma", "overflowing-sigma", "t-below-admissible"])
+    def test_stderr_is_one_json_document(self, doc, argv, code, tmp_path):
+        # as a process, so that warnings reach stderr unless the CLI keeps
+        # them out; the overflowing sigma warns before the integrals fail
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        src = str(Path(spectral_corner.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectral_corner.cli", *argv, "--domain",
+             str(p), "--u", "1", "--grid-h", "0.0625", "--eigs", "20"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == code
+        err = json.loads(proc.stderr)["error"]
+        assert err["kind"] == {2: "spec", 3: "numerical"}[code]
+        if "exp(700*x*y)" in argv:
+            assert "overflow encountered in square" in err["warnings"]
 
     def test_missing_domain_exits_2(self, capsys):
         code, out = run_json(["spectrum"], capsys)

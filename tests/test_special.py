@@ -9,8 +9,10 @@ from scipy.special import jn_zeros
 
 from spectral_corner import (NumericalError, SpecError, bessel_j, bessel_zero,
                              rect_theta_factor)
+from spectral_corner import special
 from spectral_corner.special import bessel_zeros_upto, gauss_panels, tanh_sinh
 
+from .oracles import _bessel_zeros_upto as brentq_zeros_upto
 from .oracles import theta_side
 
 
@@ -56,6 +58,52 @@ class TestBessel:
         for k, z in enumerate(zs, start=1):
             assert z == pytest.approx(bessel_zero(1.5, k), abs=1e-10)
         assert np.all(zs < 40.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.3])
+    def test_batched_sector_orders_match_brentq_oracle(self, alpha):
+        x_max = 120.0
+        k_max = math.floor(alpha * x_max)
+        # the lowest orders (nu < 1/2 from alpha = 3 on), a spread, and the
+        # highest orders nu <= x_max, whose first zero lies beyond x_max
+        ks = np.unique(np.concatenate([
+            [1, 2, 3], np.linspace(1, k_max, 12).round(), [k_max - 1, k_max]]))
+        nus = ks / alpha
+        nus = nus[nus <= x_max]
+        got = bessel_zeros_upto(nus, x_max)
+        ref = [brentq_zeros_upto(nu, x_max) for nu in nus]
+        assert got.size == sum(r.size for r in ref)
+        want = np.concatenate(ref)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_batched_call_is_bit_identical_to_scalar_calls(self):
+        nus = np.concatenate([[0.0, 1e-3, 0.25, 0.5], np.arange(1, 75) / 1.3,
+                              [59.9, 60.0, 61.5]])
+        batched = bessel_zeros_upto(nus, 60.0)
+        single = np.concatenate([bessel_zeros_upto(float(nu), 60.0) for nu in nus])
+        assert batched.tobytes() == single.tobytes()
+
+    def test_zeros_upto_edge_orders(self):
+        assert bessel_zeros_upto(5.0, 5.0).size == 0
+        assert bessel_zeros_upto(np.empty(0), 50.0).size == 0
+        with pytest.raises(SpecError):
+            bessel_zeros_upto(np.array([1.0, -0.5]), 10.0)
+        with pytest.raises(SpecError):
+            bessel_zeros_upto(np.ones((2, 2)), 10.0)
+
+    def test_halley_step_leaving_the_bracket_falls_back(self):
+        # a seed at the right end of [1, 4] sends the first Halley step past
+        # 4, towards j_{0,2} = 5.52; the midpoint keeps the solve on j_{0,1}
+        lo, hi = np.array([1.0]), np.array([4.0])
+        zero = special._halley_zeros(np.zeros(1), lo, hi, np.array([0.77]),
+                                     np.array([-1e-12]))
+        assert zero[0] == pytest.approx(jn_zeros(0, 1)[0], rel=1e-15)
+
+    def test_unconverged_zero_raises(self, monkeypatch):
+        monkeypatch.setattr(special, "_MAX_STEPS", 1)
+        with pytest.raises(NumericalError) as info:
+            bessel_zeros_upto(np.array([0.5, 2.5]), 30.0)
+        assert info.value.stage == "bessel_zeros_upto"
+        assert "nu=" in str(info.value) and "bracket [" in str(info.value)
 
     @settings(max_examples=40, deadline=None)
     @given(nu=st.floats(1.0, 8.0), x=st.floats(0.5, 35.0))

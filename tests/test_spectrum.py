@@ -56,6 +56,17 @@ class TestAnalyticSpectra:
         scaled = analytic_spectrum(disk.scaled(2.0), 50).eigenvalues
         np.testing.assert_allclose(scaled, base / 4.0, rtol=1e-12)
 
+    def test_value_in_blocks_matches_one_piece_sum(self, disk, monkeypatch):
+        spec = analytic_spectrum(disk, 997)
+        lam = spec.eigenvalues
+        t = np.geomspace(spec.t_min, 1.0, 50)
+        one_piece = np.exp(-np.outer(t, lam)).sum(axis=1)
+        # three rows of t per block: 17 blocks, the last one short
+        monkeypatch.setattr(spectrum_mod, "_VALUE_BLOCK", 3 * lam.size + 5)
+        assert spec.value(t).tobytes() == one_piece.tobytes()
+        assert spec.value(t.reshape(5, 10)).tobytes() == one_piece.tobytes()
+        assert spec.value(t[7]) == one_piece[7]
+
 
 class TestDiscreteOperator:
     # k = 150 spans several slicing windows and the square's degenerate
