@@ -25,7 +25,7 @@ from .heattrace import (ExpansionFit, HeatTraceCurve, compare_expansion,
                         default_window, derivative_identity_residual,
                         fit_expansion, richardson_curve, trace_at,
                         trace_curve)
-from .special import bessel_j, bessel_zero, rect_theta_factor
+from .special import bessel_j, rect_theta_factor
 from .spectrum import (DiscreteOperator, DiscreteSpectrum,
                        FunctionTraceProvider, Spectrum, TraceSource,
                        analytic_spectrum, assemble_fdm, richardson_spectrum,
@@ -47,7 +47,7 @@ __all__ = [
     "PipelineConfig", "ScalarField", "Segment", "SliverShape", "SpecError",
     "Spectrum", "TraceSource", "WedgeBallQuery", "ZetaEvaluation",
     "a_remainder", "a_remainder_bound", "analytic_spectrum", "as_field",
-    "assemble_fdm", "bessel_j", "bessel_zero", "boundary_integral",
+    "assemble_fdm", "bessel_j", "boundary_integral",
     "bridge_trace_estimate", "build_domain", "compare_expansion",
     "conformal_transform", "corner_term", "default_window",
     "derivative_identity_residual", "fit_expansion",

@@ -123,9 +123,9 @@ def _load_domain_doc(args, config):
     try:
         with np.errstate(all="ignore"):
             values = sigma(x, y)
-    except (NameError, TypeError, NotImplementedError) as exc:
-        # a function numpy has no counterpart for
-        raise SpecError(f"sigma {sigma!r} cannot be evaluated: {exc}") from exc
+    except SpecError as exc:
+        # a function numpy cannot evaluate on arrays
+        raise SpecError(f"sigma {exc}") from exc
     if not np.all(np.isfinite(values)):
         raise SpecError(f"sigma {sigma!r} is not real and finite everywhere "
                         "inside the domain")

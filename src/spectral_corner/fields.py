@@ -28,7 +28,12 @@ _DERIVED = {
 
 
 class ScalarField:
-    """Smooth scalar field given by a closed-form expression in x and y."""
+    """Smooth scalar field given by a closed-form expression in x and y.
+
+    Evaluating a field, or one of its derivatives, whose expression numpy
+    cannot evaluate on arrays (zeta, besselj, factorial, gamma, ...) raises
+    SpecError naming the expression.
+    """
 
     def __init__(self, expr):
         if isinstance(expr, str):
@@ -61,13 +66,18 @@ class ScalarField:
         return cls(sp.Float(c))
 
     def _eval(self, key, x, y):
-        if key not in self._fn:
-            self._fn[key] = sp.lambdify((_X, _Y), _DERIVED[key](self.expr),
-                                        modules="numpy")
-        fn = self._fn[key]
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = fn(x, y)
+        try:
+            if key not in self._fn:
+                self._fn[key] = sp.lambdify((_X, _Y), _DERIVED[key](self.expr),
+                                            modules="numpy")
+            out = self._fn[key](x, y)
+        except (NameError, TypeError, NotImplementedError) as exc:
+            # sympy has no numpy counterpart for a function in the expression
+            # (or in its derivative), or falls back to one on scalars only
+            what = "" if key == "f" else f" ({key})"
+            raise SpecError(f"{self!r}{what} cannot be evaluated: {exc}") from exc
         return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(x.shape, y.shape)).copy()
 
     def __call__(self, x, y):

@@ -7,7 +7,17 @@ rules.  All functions here are pure.
 Bessel zeros for many orders are found in one vectorised solve: a
 sign-change scan over one flat grid holding every order brackets each
 zero, and safeguarded Halley steps, two jv calls each, refine all
-brackets together, each zero stopping on its own.
+brackets together, each zero stopping on its own.  Each order's scan
+starts at a proven lower bound for its first zero, not at nu, so the
+turning-point region where J_nu is positive and tiny costs no scan points.
+
+A zero stops right after a Halley step delta that stays inside its
+bracket and has |delta|^3 <= 1e-15 x.  Halley's error after a step is
+about C delta^3 with C = (f''/f')^2 / 4 - f'''/(6 f').  At a zero of J_nu,
+f''/f' = -1/x and f'''/f' = -1 + (nu^2 + 2)/x^2, so
+C = 1/6 - (2 nu^2 + 1)/(12 x^2), and |C| < 1/6 since x > max(nu, 2.4).
+The step just applied thus leaves an error below 1e-15 x / 6, and no
+further step is spent only to confirm it.
 """
 
 from __future__ import annotations
@@ -54,6 +64,12 @@ def bessel_j(nu: float, x) -> float | np.ndarray:
 # All orders share one flat scan grid, evaluated in a single jv call.
 _SCAN_STEP = 1.5
 
+# j_{nu,1} > nu + 1.85575... nu^(1/3), where 1.85575... = -a_1 2^(-1/3) and
+# a_1 = -2.33811 is the first zero of Ai (Qu & Wong, Trans. AMS 351, 1999).
+# Each order's scan starts at this bound, past the turning-point region
+# where J_nu is positive and tiny, rather than at nu.
+_FIRST_ZERO_SLACK = 1.8557
+
 # Halley steps allowed per zero before the solve gives up and raises.
 _MAX_STEPS = 40
 
@@ -64,16 +80,21 @@ def bessel_zeros_upto(nu, x_max: float) -> np.ndarray:
     nu is one order or a 1-D array of orders.  The zeros come back as one
     flat array, grouped by order in the order given and ascending within
     each order.  Each zero is bracketed by a sign change on the step-1.5
-    scan, seeded at the regula-falsi point of its bracket, and refined by
-    safeguarded Halley steps until its own step is below 1e-14 x; a zero
-    still moving after _MAX_STEPS steps raises NumericalError.
+    scan, which starts at nu + 1.8557 nu^(1/3), below j_{nu,1}.  It is
+    seeded at the regula-falsi point of its bracket and refined by
+    safeguarded Halley steps.  It stops after a step delta that stays in
+    its bracket with |delta|^3 <= 1e-15 x, which by Halley's cubic error
+    bound (see the module docstring) leaves it within 1e-15 x / 6 of the
+    zero.  A step that leaves the bracket falls back to the midpoint and
+    never stops a zero, however small it is.  A zero still moving after
+    _MAX_STEPS steps raises NumericalError.
     """
     nus = np.atleast_1d(np.asarray(nu, dtype=float))
     if nus.ndim != 1:
         raise SpecError("bessel_zeros_upto requires a scalar or 1-D array of orders")
     if not np.all(nus >= 0):
         raise SpecError("bessel_zeros_upto requires nu >= 0")
-    start = np.maximum(nus, 1e-8)
+    start = _scan_start(nus)
     # scan points start + i * step, i < n, up to the first point >= x_max
     n = np.where(start < x_max, np.ceil((x_max + _SCAN_STEP - start) / _SCAN_STEP),
                  0).astype(np.int64)
@@ -88,13 +109,19 @@ def bessel_zeros_upto(nu, x_max: float) -> np.ndarray:
     return zeros[zeros <= x_max]
 
 
+def _scan_start(nu: np.ndarray) -> np.ndarray:
+    """Where each order's scan starts: a strict lower bound for j_{nu,1}."""
+    return np.maximum(nu + _FIRST_ZERO_SLACK * np.cbrt(nu), 1e-8)
+
+
 def _halley_zeros(nu, lo, hi, f_lo, f_hi) -> np.ndarray:
     """Zeros of J_nu, one in each sign-change bracket [lo, hi].
 
     J' = (nu/x) J_nu - J_{nu+1}, and J'' follows from Bessel's equation,
     so a step costs two jv calls.  Each step shrinks the bracket to the
     side of the evaluated point that keeps the sign change; a Halley
-    step that leaves the bracket falls back to its midpoint.
+    step that leaves the bracket falls back to its midpoint.  A zero stops
+    once a step in its bracket has |step|^3 <= 1e-15 x.
     """
     x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     # rounding can put the regula-falsi point on or past an end
@@ -112,10 +139,11 @@ def _halley_zeros(nu, lo, hi, f_lo, f_hi) -> np.ndarray:
         step = 2.0 * f * fp / (2.0 * fp * fp - f * fpp)
         x_new = xa - step
         la, ha = lo[active], hi[active]
-        done = np.abs(step) < 1e-14 * xa
-        escaped = ~((x_new > la) & (x_new < ha))
-        x[active] = np.where(done, np.clip(x_new, la, ha),
-                             np.where(escaped, 0.5 * (la + ha), x_new))
+        inside = (x_new > la) & (x_new < ha)
+        # a converged step may round onto an end of a bracket that has
+        # closed to adjacent floats around the zero
+        done = (x_new >= la) & (x_new <= ha) & (np.abs(step) ** 3 <= 1e-15 * xa)
+        x[active] = np.where(inside | done, x_new, 0.5 * (la + ha))
         active = active[~done]
         if active.size == 0:
             return x
@@ -124,27 +152,6 @@ def _halley_zeros(nu, lo, hi, f_lo, f_hi) -> np.ndarray:
         "bessel_zeros_upto",
         f"{active.size} zeros unconverged after {_MAX_STEPS} Halley steps; "
         f"first for nu={nu[i]!r} in bracket [{lo[i]!r}, {hi[i]!r}]")
-
-
-def bessel_zero(nu: float, k: int) -> float:
-    """k-th positive zero of J_nu, k >= 1, to ~1e-12 relative."""
-    if k < 1:
-        raise SpecError("bessel_zero requires k >= 1")
-    if nu < 0:
-        raise SpecError("bessel_zero requires nu >= 0")
-    # McMahon-style upper estimate for where the k-th zero lives, padded.
-    beta = (k + 0.5 * nu - 0.25) * math.pi
-    x_max = max(beta + nu + 10.0, nu + 1.9 * max(nu, 1.0) ** (1 / 3) + 5.0)
-    zeros = bessel_zeros_upto(nu, x_max)
-    while zeros.size < k:
-        x_max *= 1.5
-        zeros = bessel_zeros_upto(nu, x_max)
-        if x_max > 1e8:
-            raise NumericalError(
-                "bessel_zero",
-                f"bracketing failure for nu={nu}, k={k}; searched up to x={x_max:.3g}",
-            )
-    return float(zeros[k - 1])
 
 
 # ---------------------------------------------------------------------------

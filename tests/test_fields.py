@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_corner import GridField, ScalarField, SpecError, as_field
+from spectral_corner import (GridField, MetricSpec, ScalarField, SpecError,
+                             as_field, assemble_fdm, geometric_coefficients)
 
 
 class TestScalarField:
@@ -37,6 +38,24 @@ class TestScalarField:
             ScalarField("x + unknown_symbol")
         with pytest.raises(SpecError):
             ScalarField("x +* y")
+
+    @pytest.mark.parametrize("expr", ["zeta(x)", "besselj(0, x)",
+                                      "factorial(x)", "gamma(x)"])
+    def test_expression_numpy_cannot_evaluate_raises_spec_error(self, expr,
+                                                                square):
+        # sympy parses these, but numpy has no array form of the function
+        metric = MetricSpec(ScalarField(expr), 1.0)
+        with pytest.raises(SpecError, match=r"ScalarField\(.*\) cannot be evaluated"):
+            assemble_fdm(square, metric, h=1 / 8)
+        with pytest.raises(SpecError, match=r"ScalarField\(.*\) cannot be evaluated"):
+            geometric_coefficients(square, metric)
+
+    def test_derivative_numpy_cannot_evaluate_raises_spec_error(self, square):
+        # |x - 1/2| evaluates, but its derivatives do not
+        metric = MetricSpec(ScalarField("Abs(x - 0.5)"), 1.0)
+        assemble_fdm(square, metric, h=1 / 8)
+        with pytest.raises(SpecError, match=r"ScalarField\(Abs\(x - 0.5\)\) \((dx|lap)\)"):
+            geometric_coefficients(square, metric)
 
     @settings(max_examples=30, deadline=None)
     @given(a=st.floats(-2, 2), b=st.floats(-2, 2), c=st.floats(-2, 2),
