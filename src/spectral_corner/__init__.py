@@ -23,8 +23,7 @@ from .geometry import (ArcPiece, ConformalData, Corner, Domain,
                        load_domain)
 from .heattrace import (ExpansionFit, HeatTraceCurve, compare_expansion,
                         default_window, derivative_identity_residual,
-                        fit_expansion, richardson_curve, trace_at,
-                        trace_curve)
+                        fit_expansion, trace_at, trace_curve)
 from .special import bessel_j, rect_theta_factor
 from .spectrum import (DiscreteOperator, DiscreteSpectrum,
                        FunctionTraceProvider, Spectrum, TraceSource,
@@ -53,8 +52,7 @@ __all__ = [
     "derivative_identity_residual", "fit_expansion",
     "geometric_coefficients", "halfplane_sliver_trace",
     "interior_integral", "load_domain", "log_zdet", "pa_rhs", "pa_verify",
-    "provider_for", "rect_theta_factor", "richardson_curve",
-    "richardson_spectrum", "solve_eigs", "spectrum_upto", "trace_at",
+    "provider_for", "rect_theta_factor", "richardson_spectrum", "solve_eigs", "spectrum_upto", "trace_at",
     "trace_curve", "wedge_ball_trace", "weyl_ratio", "zeta_continued",
     "zeta_prime_at_zero", "zeta_series", "__version__",
 ]

@@ -4,7 +4,8 @@ Tr(e^{-t Delta}) of a spectrum comes from its one trace source,
 ``Spectrum.trace``: the exact closed form where the spectrum carries one
 (rectangles, a theta product at machine precision for every t > 0), else
 the truncated eigenvalue sum, which refuses t below 40/completeness.
-Finite-difference spectra add Richardson extrapolation over grid halving.
+Finite-difference spectra are Richardson-extrapolated over grid halving
+by ``spectrum.richardson_spectrum``, eigenvalue by eigenvalue.
 Fits extract (a_{-1}, a_{-1/2}, a_0) and are compared against the
 geometric prediction.
 """
@@ -21,8 +22,7 @@ from .errors import NumericalError, SpecError
 from .fields import as_field
 from .geometry import (Domain, ExpansionCoefficients, MetricSpec,
                        geometric_coefficients)
-from .spectrum import (Spectrum, TAIL_THRESHOLD, _two_grid_eigs, assemble_fdm,
-                       solve_eigs)
+from .spectrum import Spectrum, TAIL_THRESHOLD, assemble_fdm, solve_eigs
 
 
 @dataclass
@@ -75,18 +75,6 @@ def default_window(spec: Spectrum, points: int = 25) -> np.ndarray:
             f"empty fit window: minimum admissible t {lo:.3g} >= {hi:.3g}; "
             "compute more eigenvalues")
     return np.geomspace(lo, hi, points)
-
-
-def richardson_curve(domain: Domain, metric: Optional[MetricSpec], h: float,
-                     ts: np.ndarray, k: int, seed: int = 0) -> HeatTraceCurve:
-    """Richardson-extrapolated trace curve (4 T_{h/2} - T_h)/3 over grids h, h/2."""
-    coarse, fine = _two_grid_eigs(domain, metric, h, k, seed)
-    sc, sf = coarse.spectrum(), fine.spectrum()
-    ts = np.asarray(ts, dtype=float)
-    vc, vf = trace_at(sc, ts), trace_at(sf, ts)
-    vals = (4 * vf - vc) / 3
-    errs = np.abs(vf - vc) / 3 + np.array([sf.tail_bound(t) for t in ts])
-    return HeatTraceCurve(ts, vals, errs, f"discrete-richardson h={h}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ opening angle alpha*pi > 0 (alpha > 2 is a cone sector).  Polygonal and slit
 domains with a conformal weight exp(2 u sigma) use a 5-point finite
 difference discretization and a spectrum-slicing shift-invert Lanczos
 eigensolver whose eigenvalue counts are certified by Sylvester inertia.
+Its windows run on forked worker processes, one per usable CPU, with the
+same bits for any number of workers.
 
 Every spectrum is a trace source (``TraceSource``): the truncated sum over
 its eigenvalues.  Rectangle spectra also carry their exact theta-product
@@ -14,7 +16,14 @@ spectrum has, and ``_closed_form`` is the one place that choice is made.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import mmap
+import multiprocessing as mp
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -454,13 +463,6 @@ class DiscreteSpectrum:
         return float(np.exp(-t * self.eigenvalues) @ weights)
 
 
-def _two_grid_eigs(domain: Domain, metric: Optional[MetricSpec], h: float,
-                   k: int, seed: int) -> tuple[DiscreteSpectrum, DiscreteSpectrum]:
-    """k smallest eigenpairs on grids h and h/2, the legs of a Richardson step."""
-    return (solve_eigs(assemble_fdm(domain, metric, h=h), k, seed=seed),
-            solve_eigs(assemble_fdm(domain, metric, h=h / 2), k, seed=seed))
-
-
 def richardson_spectrum(domain: Domain, metric: Optional[MetricSpec], h: float,
                         k: int, seed: int = 0) -> Spectrum:
     """Eigenvalue-wise Richardson extrapolation (4 lam_{h/2} - lam_h)/3.
@@ -469,7 +471,8 @@ def richardson_spectrum(domain: Domain, metric: Optional[MetricSpec], h: float,
     to O(h^4) away from slit tips (reduced order near tips is measured, not
     assumed).
     """
-    coarse, fine = _two_grid_eigs(domain, metric, h, k, seed)
+    coarse = solve_eigs(assemble_fdm(domain, metric, h=h), k, seed=seed)
+    fine = solve_eigs(assemble_fdm(domain, metric, h=h / 2), k, seed=seed)
     lam = (4 * fine.eigenvalues - coarse.eigenvalues) / 3
     lam = np.sort(lam)
     return Spectrum(lam, {"source": "discrete", "h": h, "richardson": True,
@@ -536,17 +539,14 @@ def _eigsh(B, nev: int, sigma: float, v0: np.ndarray, OPinv):
         raise NumericalError("solve_eigs", f"eigensolver failed: {exc}") from exc
 
 
-def _sliced_eigsh(B: sps.csc_matrix, k: int, vol_w: float,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of B window by window until inertia counts k below an edge.
-
-    Each window's Lanczos run must find exactly the number of eigenvalues
-    inertia counts between its edges.
-    """
+def _window_edges(B: sps.csc_matrix, k: int,
+                  vol_w: float) -> list[tuple[float, float, int]]:
+    """Windows (lo, hi, m) with m eigenvalues of B in [lo, hi), certified by
+    inertia, until an edge has at least k eigenvalues below it."""
     n = B.shape[0]
     width = 4 * math.pi * _WINDOW / vol_w
     lo, below_lo = 0.0, 0  # B is positive definite
-    lams, vecs = [], []
+    windows = []
     while below_lo < k:
         hi = lo + width
         for _ in range(_MAX_HALVINGS):
@@ -558,25 +558,135 @@ def _sliced_eigsh(B: sps.csc_matrix, k: int, vol_w: float,
             raise NumericalError(
                 "solve_eigs", f"window above edge {lo:.10g} never thinned "
                 f"out after {_MAX_HALVINGS} halvings")
-        m = below_hi - below_lo
-        if m:
-            mid, lu, _ = _certified_lu(B, 0.5 * (lo + hi), _NUDGE * (hi - lo))
-            OPinv = spsla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-            lam, Y = _eigsh(B, min(m + _EXTRA, n - 1), mid,
-                            rng.standard_normal(n), OPinv)
-            inside = (lam >= lo) & (lam < hi)
-            found = int(np.count_nonzero(inside))
-            if found != m:
-                raise NumericalError(
-                    "solve_eigs",
-                    f"window [{lo:.10g}, {hi:.10g}): inertia counts {m} "
-                    f"eigenvalues, Lanczos found {found}")
-            lams.append(lam[inside])
-            vecs.append(Y[:, inside])
+        windows.append((lo, hi, below_hi - below_lo))
         lo, below_lo = hi, below_hi
+    return windows
+
+
+def _solve_window(B: sps.csc_matrix, windows: list, v0s: list, cols: list,
+                  out: np.ndarray, i: int) -> np.ndarray:
+    """Eigenvalues of window i; its eigenvectors go to out[:, cols[i]:...].
+
+    Lanczos must find exactly the m eigenvalues inertia counts in [lo, hi).
+    """
+    n = B.shape[0]
+    lo, hi, m = windows[i]
+    mid, lu, _ = _certified_lu(B, 0.5 * (lo + hi), _NUDGE * (hi - lo))
+    OPinv = spsla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    lam, Y = _eigsh(B, min(m + _EXTRA, n - 1), mid, v0s[i], OPinv)
+    inside = (lam >= lo) & (lam < hi)
+    found = int(np.count_nonzero(inside))
+    if found != m:
+        raise NumericalError(
+            "solve_eigs",
+            f"window [{lo:.10g}, {hi:.10g}): inertia counts {m} "
+            f"eigenvalues, Lanczos found {found}")
+    out[:, cols[i]:cols[i] + m] = Y[:, inside]
+    return lam[inside]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _pool_size(windows: int) -> int:
+    """Worker processes for the window solves; 1 runs them in this process.
+
+    Workers are forked, so they inherit the operator without pickling.  A
+    daemonic process (itself a multiprocessing worker) may not fork them,
+    and a process running other Python threads does not: a forked child
+    inherits every lock those threads hold and could wait on one forever.
+    """
+    if (windows < 2 or "fork" not in mp.get_all_start_methods()
+            or mp.current_process().daemon or threading.active_count() > 1):
+        return 1
+    return min(_usable_cpus(), windows)
+
+
+# Thread-count setters of the OpenBLAS builds numpy and scipy ship or link.
+_OPENBLAS_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads",
+                     "scipy_openblas_set_num_threads64_")
+
+
+def _one_blas_thread() -> None:
+    """Run every loaded OpenBLAS on one thread in this process.
+
+    The workers already fill the usable CPUs, and an OpenBLAS thread pool in
+    each one oversubscribes them: on a 2-vCPU Xeon, two workers with two
+    BLAS threads each took 3.4 s for the windows of the h = 1/64 anomaly
+    operator, one process 1.8 s.  OpenBLAS reads its thread count from the
+    environment only when it loads, so the loaded builds are found in
+    /proc/self/maps and set through their own entry points.  Without
+    /proc, or for another BLAS, this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh
+                     if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, name) for name in _OPENBLAS_SETTERS
+                       if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+# The arguments of _solve_window but i, inherited by each forked worker.
+_worker_job = None
+
+
+def _adopt_job(job) -> None:
+    global _worker_job
+    _worker_job = job
+    _one_blas_thread()
+
+
+def _solve_job_window(i: int) -> np.ndarray:
+    return _solve_window(*_worker_job, i)
+
+
+def _sliced_eigsh(B: sps.csc_matrix, k: int, vol_w: float,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of B window by window until inertia counts k below an edge.
+
+    The edges are certified here first; the windows are then independent
+    and run on a pool of forked workers, one per usable CPU, taking the
+    next window as they finish one.  Every window returns exactly its
+    inertia count, so its eigenvector columns are known up front: workers
+    write them into one shared buffer and send back only eigenvalues.  The
+    merge is in window order, so the result has the same bits for any
+    number of workers.
+    """
+    n = B.shape[0]
+    windows = [w for w in _window_edges(B, k, vol_w) if w[2]]
+    v0s = [rng.standard_normal(n) for _ in windows]
+    cols = np.cumsum([0] + [m for _, _, m in windows]).tolist()
+    workers = _pool_size(len(windows))
+    if workers == 1:
+        out = np.empty((n, cols[-1]))
+        lams = [_solve_window(B, windows, v0s, cols, out, i)
+                for i in range(len(windows))]
+    else:
+        # an anonymous MAP_SHARED mapping: the workers' writes land here
+        out = np.ndarray((n, cols[-1]), buffer=mmap.mmap(-1, 8 * n * cols[-1]))
+        job = (B, windows, v0s, cols, out)
+        try:
+            with ProcessPoolExecutor(workers, mp.get_context("fork"),
+                                     _adopt_job, (job,)) as pool:
+                lams = list(pool.map(_solve_job_window, range(len(windows))))
+        except BrokenProcessPool as exc:
+            raise NumericalError("solve_eigs",
+                                 f"the window pool broke: {exc}") from exc
     lam = np.concatenate(lams)
     order = np.argsort(lam)[:k]
-    return lam[order], np.hstack(vecs)[:, order]
+    return lam[order], out[:, order]
 
 
 def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
@@ -592,7 +702,15 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     a small share of its window; if it still has no certificate, or a window
     never thins out to at most 80 modes, ``NumericalError("solve_eigs")``
     names the shift.  Every window draws its starting vector from
-    ``default_rng(seed)``.
+    ``default_rng(seed)`` in window order.
+
+    The edges are certified in this process; the windows then run on a
+    pool of forked workers, one per usable CPU (``os.sched_getaffinity``),
+    each taking the next window when it finishes one.  They run here
+    instead when there is one usable CPU or one window, when the platform
+    cannot fork, when this process is itself a daemonic multiprocessing
+    worker, or when it runs other Python threads.  Results merge in window order, so eigenvalues and
+    eigenvectors have the same bits for any number of workers.
 
     Residuals ||A x - lam W x|| / ||x|| are checked against 1e-8 * lam.
     """

@@ -154,3 +154,19 @@ def segments_cross_many(a0, a1, b0, b1):
     d3 = orient(a0, a1, b0)
     d4 = orient(a0, a1, b1)
     return ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+
+
+def block_weights(domain, paths, ds, segs, arcs, slit_segs):
+    """Survival weight of each path (paths, knots, 2): every path is scored,
+    then a path with a knot outside the domain or crossing a slit gets 0."""
+    nb, knots, _ = paths.shape
+    pts = paths.reshape(-1, 2)
+    alive = domain.contains(pts).reshape(nb, knots).all(axis=1)
+    dist = dist_to_boundary(pts, segs, arcs).reshape(nb, knots)
+    log_keep = np.log1p(-np.exp(-dist[:, :-1] * dist[:, 1:] / ds)
+                        .clip(max=1.0 - 1e-16)).sum(axis=1)
+    weight = np.where(alive, np.exp(log_keep), 0.0)
+    for b0, b1 in slit_segs:
+        cross = segments_cross_many(paths[:, :-1], paths[:, 1:], b0, b1)
+        weight[cross.any(axis=1)] = 0.0
+    return weight

@@ -7,7 +7,7 @@ from spectral_corner import (HeatTraceCurve, NumericalError, SpecError,
                              analytic_spectrum, assemble_fdm, compare_expansion,
                              corner_term, default_window,
                              derivative_identity_residual, fit_expansion,
-                             geometric_coefficients, richardson_curve,
+                             geometric_coefficients, richardson_spectrum,
                              solve_eigs, trace_at, trace_curve)
 
 from .oracles import rect_trace
@@ -66,14 +66,14 @@ class TestCurves:
                         seed=0).spectrum()
         assert default_window(ds)[0] >= 1e-2
 
-    def test_richardson_curve_beats_single_grid(self, square):
+    def test_richardson_trace_beats_single_grid(self, square):
         ts = np.linspace(0.05, 0.2, 6)
         exact = np.array([float(rect_trace(1.0, 1.0, t)) for t in ts])
-        rich = richardson_curve(square, None, 1 / 16, ts, 120, seed=0)
+        rich = richardson_spectrum(square, None, 1 / 16, 120, seed=0).value(ts)
         plain = solve_eigs(assemble_fdm(square, None, h=1 / 16), 120,
                            seed=0).spectrum()
         plain_vals = np.array([trace_at(plain, t) for t in ts])
-        assert np.max(np.abs(rich.values - exact)) \
+        assert np.max(np.abs(rich - exact)) \
             < 0.05 * np.max(np.abs(plain_vals - exact))
 
     def test_weighted_trace_unit_weight_is_plain_trace(self, square):

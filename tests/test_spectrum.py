@@ -1,5 +1,8 @@
 import itertools
 import math
+import multiprocessing
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -197,8 +200,84 @@ class TestSpectrumSlicing:
             return lu, below + 1
 
         monkeypatch.setattr(spectrum_mod, "_shifted_lu", overcount)
+        # the failing window runs in a worker wherever fork is available
+        monkeypatch.setattr(spectrum_mod, "_usable_cpus", lambda: 2)
         with pytest.raises(NumericalError) as info:
             solve_eigs(slit_op, self.K, seed=0)
         assert info.value.stage == "solve_eigs"
         assert "window [0, " in str(info.value)
         assert "inertia counts" in str(info.value) and "found" in str(info.value)
+
+
+def _eigenpair_bytes(op, k):
+    ds = solve_eigs(op, k, seed=0)
+    return ds.eigenvalues.tobytes(), ds.eigenvectors.tobytes()
+
+
+def _solve_in_daemon(op, k, queue):
+    try:
+        queue.put((spectrum_mod._pool_size(3), _eigenpair_bytes(op, k)))
+    except Exception as exc:  # report it, or the caller waits out its timeout
+        queue.put((None, repr(exc)))
+
+
+_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+class TestParallelWindows:
+    """The windows run on a forked pool with the same bits for any worker count."""
+
+    @pytest.fixture(scope="class")
+    def ops(self, slit_square):
+        # three windows at k = 100, and ten on the finer grid at k = 517
+        return {100: assemble_fdm(slit_square, None, h=1 / 16),
+                517: assemble_fdm(slit_square, None, h=1 / 32)}
+
+    def test_window_counts(self, ops):
+        for k, op in ops.items():
+            windows = spectrum_mod._window_edges(op.symmetrized().tocsc(), k,
+                                                 op.volume)
+            assert len(windows) == (3 if k == 100 else 10)
+
+    @pytest.mark.parametrize("k", [100, 517])
+    def test_same_bits_for_any_worker_count(self, ops, k, monkeypatch):
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(spectrum_mod, "_usable_cpus", lambda: workers)
+            got.append(_eigenpair_bytes(ops[k], k))
+        assert got[0] == got[1] == got[2]
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_daemonic_caller_runs_serially(self, ops, monkeypatch):
+        monkeypatch.setattr(spectrum_mod, "_usable_cpus", lambda: 2)
+        ref = _eigenpair_bytes(ops[100], 100)
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        proc = ctx.Process(target=_solve_in_daemon,
+                           args=(ops[100], 100, queue), daemon=True)
+        proc.start()
+        workers, got = queue.get(timeout=120)
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+        assert workers == 1
+        assert got == ref
+
+    def test_threaded_caller_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(spectrum_mod, "_usable_cpus", lambda: 2)
+        assert spectrum_mod._pool_size(3) == (2 if _FORK else 1)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            assert spectrum_mod._pool_size(3) == 1
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+
+    def test_numerical_error_pickles(self):
+        err = NumericalError("solve_eigs", "window [0, 1): no", best_estimate=2.5)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is NumericalError
+        assert (back.stage, back.message, back.best_estimate, str(back)) \
+            == ("solve_eigs", "window [0, 1): no", 2.5, str(err))

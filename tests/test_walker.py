@@ -100,6 +100,33 @@ class TestKernels:
         ref = oracles.segments_cross_many(xy[:, :-1], xy[:, 1:], b0, b1)
         assert hit.tolist() == ref.any(axis=1).tolist()
 
+    @pytest.mark.parametrize("shift", [0.0, 2.0])
+    def test_block_weights_match_oracle(self, slit_square, shift):
+        # at t = 0.05 about half the paths leave the slit square; shifted by
+        # 2 every path is dead
+        t, m, steps = 0.05, 1000, 64
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([3, 0], dtype=np.uint64)))
+        paths = walker._sample_interior(slit_square, rng, m)[:, None, :] \
+            + walker._bridge_offsets(rng, m, steps, t) + shift
+        segs, arcs = walker._boundary_geometry(slit_square)
+        slit_segs = [(sl[0], sl[1]) for sl in slit_square.slits]
+        xy = np.ascontiguousarray(paths.transpose(2, 0, 1))
+        got = walker._block_weights(slit_square, xy, t / steps, segs, arcs,
+                                    slit_segs)
+        ref = oracles.block_weights(slit_square, paths, t / steps, segs, arcs,
+                                    slit_segs)
+        assert got.tobytes() == ref.tobytes()
+        outside = ~slit_square.contains(paths.reshape(-1, 2)).reshape(
+            m, steps + 1).all(axis=1)
+        assert np.all(got[outside] == 0.0)
+        if shift == 0.0:
+            assert 0.2 * m < np.count_nonzero(outside) < 0.8 * m
+            assert np.count_nonzero(got[~outside] == 0.0) > 0  # slit kills
+            assert np.all(got[~outside] <= 1.0)
+        else:
+            assert outside.all()
+
 
 class TestEstimates:
     def test_free_kernel_upper_bound(self, square, disk):
