@@ -15,10 +15,9 @@ artifacts.
 
 from .anomaly import AnomalyReport, PipelineConfig, pa_rhs, pa_verify
 from .errors import NumericalError, SpecError
-from .fields import GridField, ScalarField, as_field
-from .geometry import (ArcPiece, ConformalData, Corner, Domain,
-                       ExpansionCoefficients, MetricSpec, Segment,
-                       boundary_integral, build_domain, conformal_transform,
+from .fields import ScalarField, as_field
+from .geometry import (ArcPiece, Corner, Domain, ExpansionCoefficients,
+                       MetricSpec, Segment, boundary_integral, build_domain,
                        corner_term, geometric_coefficients, interior_integral,
                        load_domain)
 from .heattrace import (ExpansionFit, HeatTraceCurve, compare_expansion,
@@ -28,10 +27,9 @@ from .special import bessel_j, rect_theta_factor
 from .spectrum import (DiscreteOperator, DiscreteSpectrum,
                        FunctionTraceProvider, Spectrum, TraceSource,
                        analytic_spectrum, assemble_fdm, richardson_spectrum,
-                       solve_eigs, spectrum_upto, weyl_ratio)
+                       solve_eigs, weyl_ratio)
 from .walker import BridgeEstimate, bridge_trace_estimate
-from .wedge import (SliverShape, WedgeBallQuery, a_remainder,
-                    a_remainder_bound, halfplane_sliver_trace,
+from .wedge import (WedgeBallQuery, a_remainder, a_remainder_bound,
                     wedge_ball_trace)
 from .zeta import (ZetaEvaluation, log_zdet, provider_for, zeta_continued,
                    zeta_prime_at_zero, zeta_series)
@@ -39,20 +37,19 @@ from .zeta import (ZetaEvaluation, log_zdet, provider_for, zeta_continued,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnomalyReport", "ArcPiece", "BridgeEstimate", "ConformalData",
-    "Corner", "DiscreteOperator", "DiscreteSpectrum", "Domain",
+    "AnomalyReport", "ArcPiece", "BridgeEstimate", "Corner",
+    "DiscreteOperator", "DiscreteSpectrum", "Domain",
     "ExpansionCoefficients", "ExpansionFit", "FunctionTraceProvider",
-    "GridField", "HeatTraceCurve", "MetricSpec", "NumericalError",
-    "PipelineConfig", "ScalarField", "Segment", "SliverShape", "SpecError",
-    "Spectrum", "TraceSource", "WedgeBallQuery", "ZetaEvaluation",
-    "a_remainder", "a_remainder_bound", "analytic_spectrum", "as_field",
-    "assemble_fdm", "bessel_j", "boundary_integral",
-    "bridge_trace_estimate", "build_domain", "compare_expansion",
-    "conformal_transform", "corner_term", "default_window",
+    "HeatTraceCurve", "MetricSpec", "NumericalError", "PipelineConfig",
+    "ScalarField", "Segment", "SpecError", "Spectrum", "TraceSource",
+    "WedgeBallQuery", "ZetaEvaluation", "a_remainder", "a_remainder_bound",
+    "analytic_spectrum", "as_field", "assemble_fdm", "bessel_j",
+    "boundary_integral", "bridge_trace_estimate", "build_domain",
+    "compare_expansion", "corner_term", "default_window",
     "derivative_identity_residual", "fit_expansion",
-    "geometric_coefficients", "halfplane_sliver_trace",
-    "interior_integral", "load_domain", "log_zdet", "pa_rhs", "pa_verify",
-    "provider_for", "rect_theta_factor", "richardson_spectrum", "solve_eigs", "spectrum_upto", "trace_at",
-    "trace_curve", "wedge_ball_trace", "weyl_ratio", "zeta_continued",
+    "geometric_coefficients", "interior_integral", "load_domain",
+    "log_zdet", "pa_rhs", "pa_verify", "provider_for", "rect_theta_factor",
+    "richardson_spectrum", "solve_eigs", "trace_at", "trace_curve",
+    "wedge_ball_trace", "weyl_ratio", "zeta_continued",
     "zeta_prime_at_zero", "zeta_series", "__version__",
 ]

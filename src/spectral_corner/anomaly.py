@@ -1,24 +1,25 @@
 """Conformal anomaly of the zeta-regularized determinant.
 
 For the conformal family g_u = e^{2 u sigma} g_0 over a flat polygonal base,
-the determinant anomaly has the closed geometric form
-
-  log zdet(g_0) - log zdet(g_1)
-    = (1/12pi) int |grad sigma|^2 dVol_0 + (1/6pi) int sigma K_0 dVol_0
-      + (1/6pi) int sigma k_0 dl_0 + (1/4pi) int d_n sigma dl_0
-      + (1/12) sum_j sigma(p_j) (1 - alpha_j^2)/alpha_j,
-
-and its u-derivative is
+the u-derivative of the determinant is minus twice the sigma-weighted
+constant trace coefficient a_0(u, sigma):
 
   d/du log zdet(g_u) = -(1/6pi) int sigma K_u dVol_u
                        - (1/6pi) int sigma k_u dl_u
                        - (1/4pi) int d_{n_u} sigma dl_u
-                       - (1/12) sum_j sigma(p_j)(1 - alpha_j^2)/alpha_j,
+                       - (1/12) sum_j sigma(p_j)(1 - alpha_j^2)/alpha_j
+                     = -2 a_0(u, sigma).
 
-which equals -2 times the sigma-weighted constant trace coefficient
-a_0(u, sigma).  pa_rhs evaluates these functionals by quadrature; pa_verify
-computes the spectral side (zeta'(0) for both metrics) through the spectrum
-and zeta modules and reports the gap.
+a_0 is affine in u, and Green's formula makes its slope the Dirichlet energy
+D = (1/12pi) int |grad sigma|^2 dVol_0, so one unit step integrates to
+
+  log zdet(g_u) - log zdet(g_{u+1}) = D + 2 a_0(u, sigma)
+                                    = D - d/du log zdet(g_u).
+
+pa_rhs evaluates both forms on geometry.geometric_coefficients, the one
+statement of the conformal rules; pa_verify computes the spectral side
+(zeta'(0) for both metrics) through the spectrum and zeta modules and
+reports the gap.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Optional
 
 from .errors import SpecError
 from .fields import ScalarField, as_field
-from .geometry import (Domain, MetricSpec, boundary_integral, corner_term,
-                       geometric_coefficients, interior_integral)
+from .geometry import (A0_TERMS, Domain, MetricSpec, geometric_coefficients,
+                       interior_integral)
 from .spectrum import FunctionTraceProvider, richardson_spectrum
 from .zeta import zeta_prime_at_zero
 
@@ -84,59 +85,36 @@ def pa_rhs(domain: Domain, sigma, form: str = "integrated",
            u: float = 0.0, tol: float = _QUAD_TOL) -> tuple[float, dict]:
     """Geometric side of the anomaly identity, with a per-term breakdown.
 
-    form="integrated" evaluates log zdet(g_u) - log zdet(g_{u+1}), i.e. one
-    unit step of the conformal family starting from the (generally curved)
-    base g_u; u = 0 gives the flat-base identity.  form="differentiated"
-    evaluates d/du log zdet(g_u) at the given u.  The ambient flat metric
-    has K = 0; straight edges carry k = 0 and arcs k = 1/R; base-g_u
-    quantities are produced by the conformal transformation rules
-    K_u dVol_u = u (Delta_0 sigma) dVol_0, k_u dl_u = (k_0 + u d_n sigma)
-    dl_0, and the conformal invariance of the Dirichlet energy and of
-    d_n sigma dl.
+    form="differentiated" evaluates d/du log zdet(g_u) = -2 a_0(u, sigma),
+    the sigma-weighted constant trace coefficient of g_u from
+    geometric_coefficients, with -2 times each of its terms.
+    form="integrated" evaluates log zdet(g_u) - log zdet(g_{u+1}), one unit
+    step of the conformal family from the (generally curved) base g_u; u = 0
+    gives the flat-base identity.  Since a_0(u, sigma) is affine in u and
+    Green's formula turns its slope into D = (1/12pi) int |grad sigma|^2
+    dVol_0, the step is
+
+      integrated(u) = D - differentiated(u) = D + 2 a_0(u, sigma),
+
+    summed term by term: D first, then the four a_0 terms.
     """
     sigma = as_field(sigma)
     if form == "integrated":
-        if sigma.is_zero():
-            dirichlet = 0.0
-            curv = 0.0
-            bcurv = 0.0
-            normal = 0.0
-        else:
-            dirichlet = interior_integral(
-                domain, lambda x, y: sigma.grad_sq(x, y), tol) / (12 * math.pi)
-            curv = 0.0 if u == 0.0 else u * interior_integral(
-                domain, lambda x, y: sigma(x, y) * sigma.pos_laplacian(x, y),
-                tol) / (6 * math.pi)
-            bcurv = boundary_integral(
-                domain,
-                lambda x, y, nx, ny, k: sigma(x, y)
-                * (k + u * sigma.normal_derivative(x, y, nx, ny)),
-                tol) / (6 * math.pi)
-            normal = boundary_integral(
-                domain,
-                lambda x, y, nx, ny, k: sigma.normal_derivative(x, y, nx, ny),
-                tol) / (4 * math.pi)
-        corner = sum(float(sigma(*c.location)) * corner_term(c.alpha)
-                     for c in domain.corners) * 2.0
-        breakdown = {
-            "dirichlet_energy": dirichlet,
-            "interior_curvature": curv,
-            "boundary_curvature": bcurv,
-            "normal_derivative": normal,
-            "corner_sum": corner,
-        }
-        return dirichlet + curv + bcurv + normal + corner, breakdown
+        dirichlet = 0.0 if sigma.is_zero() else interior_integral(
+            domain, lambda x, y: sigma.grad_sq(x, y), tol) / (12 * math.pi)
+    elif form != "differentiated":
+        raise SpecError(f"unknown anomaly form {form!r}")
+    coeffs = geometric_coefficients(domain, MetricSpec(sigma, u), psi=sigma,
+                                    tol=tol)
     if form == "differentiated":
-        coeffs = geometric_coefficients(domain, MetricSpec(sigma, u), psi=sigma, tol=tol)
-        b = coeffs.breakdown
-        breakdown = {
-            "interior_curvature": -2.0 * b["interior_curvature"],
-            "boundary_curvature": -2.0 * b["boundary_curvature"],
-            "normal_derivative": -2.0 * b["normal_derivative"],
-            "corner_sum": -2.0 * b["corner_sum"],
-        }
-        return -2.0 * coeffs.a_0, breakdown
-    raise SpecError(f"unknown anomaly form {form!r}")
+        return -2.0 * coeffs.a_0, {name: -2.0 * coeffs.breakdown[name]
+                                   for name in A0_TERMS}
+    breakdown = {"dirichlet_energy": dirichlet}
+    total = dirichlet
+    for name in A0_TERMS:
+        breakdown[name] = 2.0 * coeffs.breakdown[name]
+        total += breakdown[name]
+    return total, breakdown
 
 
 def _zeta_prime(domain: Domain, sigma, u: float, cfg: PipelineConfig,

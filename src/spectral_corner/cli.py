@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -56,10 +57,19 @@ class RunConfig:
             raise SpecError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise SpecError(f"output format must be csv or json, got {self.format!r}")
+        for name in ("u", "tol", "t_min", "t_max", "grid_h"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise SpecError(f"--{name.replace('_', '-')} must be finite")
         for name in ("tol", "t_min", "t_max", "grid_h"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise SpecError(f"--{name.replace('_', '-')} must be positive")
+        for name in ("alpha", "eps", "t", "s"):
+            if not all(math.isfinite(v) for v in getattr(self, name) or ()):
+                raise SpecError(f"every --{name} value must be finite")
+        if self.t_points < 1:
+            raise SpecError("--t-points must be at least 1")
 
 
 def _canonical(obj) -> str:

@@ -1,16 +1,14 @@
-"""Scalar fields on planar domains: expression trees and grid samples.
+"""Scalar fields on planar domains given by closed-form expressions.
 
 Fields supply values and the first/second derivatives needed by the
 geometric integrals (notably the flat positive Laplacian of the conformal
-factor).  Expression fields differentiate symbolically; grid fields use
-4th-order finite differences.
+factor), differentiated symbolically.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import sympy as sp
-from scipy.interpolate import RectBivariateSpline
 from sympy.core.function import AppliedUndef
 
 from .errors import SpecError
@@ -110,90 +108,9 @@ class ScalarField:
         return f"ScalarField({self.expr})"
 
 
-class GridField:
-    """Scalar field sampled on a uniform grid over [x0, x1] x [y0, y1].
-
-    First and second derivatives are formed by 4th-order central finite
-    differences on the grid (one-sided 4th-order stencils at edges), and all
-    quantities are interpolated with cubic splines for off-grid evaluation.
-    Needs at least a 7 x 7 grid.
-    """
-
-    def __init__(self, x_nodes, y_nodes, values):
-        x = np.asarray(x_nodes, dtype=float)
-        y = np.asarray(y_nodes, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if v.shape != (x.size, y.size):
-            raise SpecError("GridField values must have shape (len(x), len(y))")
-        if x.size < 7 or y.size < 7:
-            raise SpecError("GridField needs at least 7 nodes per axis")
-        hx = np.diff(x)
-        hy = np.diff(y)
-        if not (np.allclose(hx, hx[0]) and np.allclose(hy, hy[0])):
-            raise SpecError("GridField requires uniform grids")
-        self._x, self._y, self._v = x, y, v
-        dvx = _fd4(v, hx[0], axis=0)
-        dvy = _fd4(v, hy[0], axis=1)
-        d2vx = _fd4(dvx, hx[0], axis=0)
-        d2vy = _fd4(dvy, hy[0], axis=1)
-        self._sp = {
-            "f": RectBivariateSpline(x, y, v),
-            "dx": RectBivariateSpline(x, y, dvx),
-            "dy": RectBivariateSpline(x, y, dvy),
-            "dxx": RectBivariateSpline(x, y, d2vx),
-            "dyy": RectBivariateSpline(x, y, d2vy),
-        }
-
-    def _eval(self, key, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        xb = np.broadcast_to(x, shape).ravel()
-        yb = np.broadcast_to(y, shape).ravel()
-        return self._sp[key](xb, yb, grid=False).reshape(shape)
-
-    def __call__(self, x, y):
-        return self._eval("f", x, y)
-
-    def dx(self, x, y):
-        return self._eval("dx", x, y)
-
-    def dy(self, x, y):
-        return self._eval("dy", x, y)
-
-    def grad_sq(self, x, y):
-        return self.dx(x, y) ** 2 + self.dy(x, y) ** 2
-
-    def pos_laplacian(self, x, y):
-        return -(self._eval("dxx", x, y) + self._eval("dyy", x, y))
-
-    def normal_derivative(self, x, y, nx, ny):
-        return self.dx(x, y) * np.asarray(nx) + self.dy(x, y) * np.asarray(ny)
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self._v == 0.0))
-
-    def is_constant(self) -> bool:
-        return bool(np.all(self._v == self._v.flat[0]))
-
-
-def _fd4(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """4th-order first derivative along an axis of a uniformly gridded array."""
-    v = np.moveaxis(v, axis, 0)
-    d = np.empty_like(v)
-    d[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
-    # one-sided 4th-order stencils at the four edge rows
-    c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-    d[0] = sum(ci * v[i] for i, ci in enumerate(c))
-    d[1] = sum(ci * v[i + 1] for i, ci in enumerate(c))
-    d[-1] = -sum(ci * v[-1 - i] for i, ci in enumerate(c))
-    d[-2] = -sum(ci * v[-2 - i] for i, ci in enumerate(c))
-    return np.moveaxis(d, 0, axis)
-
-
-def as_field(obj) -> "ScalarField | GridField":
+def as_field(obj) -> ScalarField:
     """Coerce strings, numbers, sympy expressions, or fields to a field."""
-    if isinstance(obj, (ScalarField, GridField)):
+    if isinstance(obj, ScalarField):
         return obj
     if obj is None:
         return ScalarField.constant(0.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -444,7 +444,7 @@ def interior_integral(domain: Domain, fn: Callable, tol: float = _QUAD_TOL) -> f
     """
     if domain.kind == "rectangle":
         a, b = domain.params["a"], domain.params["b"]
-        return _tensor_integral(fn, 0, a, 0, b, tol, jac=None)
+        return _tensor_integral(fn, 0, a, 0, b, tol)
     if domain.kind == "disk":
         radius = domain.params["R"]
         return _polar_integral(fn, radius, 0.0, TWO_PI, tol)
@@ -457,7 +457,7 @@ def interior_integral(domain: Domain, fn: Callable, tol: float = _QUAD_TOL) -> f
     raise SpecError(f"interior integral unsupported for kind {domain.kind!r}")
 
 
-def _tensor_integral(fn, ax, bx, ay, by, tol, jac=None) -> float:
+def _tensor_integral(fn, ax, bx, ay, by, tol) -> float:
     x0, w0 = gauss_rule(20)
     prev = None
     n = 2
@@ -472,8 +472,6 @@ def _tensor_integral(fn, ax, bx, ay, by, tol, jac=None) -> float:
         ws_y = (yh[:, None] * w0[None, :]).ravel()
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         vals = np.asarray(fn(X, Y), dtype=float)
-        if jac is not None:
-            vals = vals * jac(X, Y)
         value = float(ws_x @ vals @ ws_y)
         if prev is not None and abs(value - prev) < tol * max(1.0, abs(value)):
             return value
@@ -600,40 +598,9 @@ class MetricSpec:
         return np.exp(2.0 * self.u * self.sigma(x, y))
 
 
-@dataclass
-class ConformalData:
-    """u-dependent geometric quantities of g_u over a given domain."""
-
-    u: float
-    volume: float
-    boundary_length: float
-    gauss_curvature: Callable  # K_u(x, y)
-    curvature_density: Callable  # K_u dVol_u / dVol_0 = u * lap0(sigma) for flat base
-    boundary_curvature_shift: Callable  # k_u dl_u/dl_0 - k_0 = u * d_n sigma
-
-
-def conformal_transform(domain: Domain, metric: MetricSpec,
-                        tol: float = _QUAD_TOL) -> ConformalData:
-    """Compute Vol_u, l_u and the transformed curvature densities."""
-    sigma, u = metric.sigma, metric.u
-    if metric.is_flat():
-        vol, per = domain.area, domain.perimeter
-    else:
-        vol = interior_integral(domain, lambda x, y: np.exp(2 * u * sigma(x, y)), tol)
-        per = boundary_integral(
-            domain, lambda x, y, nx, ny, k: np.exp(u * sigma(x, y)), tol)
-
-    def gauss_curv(x, y):
-        # K_u = exp(-2 u sigma) * u * lap0(sigma) on a flat base
-        return np.exp(-2 * u * sigma(x, y)) * u * sigma.pos_laplacian(x, y)
-
-    def curv_density(x, y):
-        return u * sigma.pos_laplacian(x, y)
-
-    def boundary_curv_shift(x, y, nx, ny):
-        return u * sigma.normal_derivative(x, y, nx, ny)
-
-    return ConformalData(u, vol, per, gauss_curv, curv_density, boundary_curv_shift)
+# The breakdown keys whose sum is a_0, in summation order.
+A0_TERMS = ("interior_curvature", "boundary_curvature", "normal_derivative",
+            "corner_sum")
 
 
 @dataclass
@@ -654,13 +621,18 @@ def geometric_coefficients(domain: Domain, metric: Optional[MetricSpec] = None,
     a_{-1/2} = -(1/(8 sqrt(pi))) int_bdy psi dl_u
     a_0      = (1/12pi) int psi K_u dVol_u + (1/12pi) int_bdy psi k_u dl_u
                + (1/8pi) int_bdy d_n psi dl_u + (1/24) sum psi(p_j)(1-a_j^2)/a_j
+
+    This is the package's one statement of the conformal rules over the flat
+    base: K_u dVol_u = u (Delta_0 sigma) dVol_0 with the positive Laplacian,
+    k_u dl_u = (k_0 + u d_n sigma) dl_0, and d_{n_u} psi dl_u = d_n psi dl_0.
+    The anomaly module builds both of its forms on these integrals.
     """
     if metric is None:
         metric = MetricSpec.flat()
     psi = as_field(psi) if psi is not None else ScalarField.constant(1.0)
     sigma, u = metric.sigma, metric.u
     flat = metric.is_flat()
-    psi_const_one = isinstance(psi, ScalarField) and psi.expr == 1
+    psi_const_one = psi.expr == 1
 
     if flat and psi_const_one:
         vol = domain.area

@@ -239,14 +239,6 @@ def analytic_spectrum(domain: Domain, N: int) -> Spectrum:
     raise NumericalError("analytic_spectrum", f"could not collect {N} eigenvalues")
 
 
-def spectrum_upto(domain: Domain, lam_max: float) -> Spectrum:
-    """All closed-form eigenvalues <= lam_max (completeness = lam_max)."""
-    spec = _closed_form(domain, lam_max)
-    if spec is None:
-        raise SpecError("lam_max below the first eigenvalue")
-    return spec
-
-
 def _closed_form(domain: Domain, lam_max: float) -> Optional[Spectrum]:
     """Closed-form eigenvalues <= lam_max as a Spectrum, None if there are none.
 
@@ -709,8 +701,9 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     each taking the next window when it finishes one.  They run here
     instead when there is one usable CPU or one window, when the platform
     cannot fork, when this process is itself a daemonic multiprocessing
-    worker, or when it runs other Python threads.  Results merge in window order, so eigenvalues and
-    eigenvectors have the same bits for any number of workers.
+    worker, or when it runs other Python threads.  Results merge in window
+    order, so eigenvalues and eigenvectors have the same bits for any number
+    of workers.
 
     Residuals ||A x - lam W x|| / ||x|| are checked against 1e-8 * lam.
     """

@@ -41,17 +41,6 @@ class WedgeBallQuery:
             raise SpecError("WedgeBallQuery needs alpha, eps, t > 0")
 
 
-@dataclass(frozen=True)
-class SliverShape:
-    eps: float
-    h: float
-    b: float
-
-    def __post_init__(self):
-        if not (0 < self.h < self.eps) or self.b < 0:
-            raise SpecError("SliverShape needs 0 < h < eps and b >= 0")
-
-
 def a_remainder_bound(q: WedgeBallQuery) -> float:
     """The printed exponential bound on |A(t)| for the query's angle range."""
     a, e2t = q.alpha, q.eps**2 / q.t
@@ -133,44 +122,3 @@ def wedge_ball_trace(q: WedgeBallQuery) -> float:
     edge_term = -(eps**2 / (2.0 * math.pi * t)) * edge_int
     corner = (1.0 - alpha**2) / (24.0 * alpha)
     return area_term + edge_term + corner + a_remainder(q)
-
-
-def halfplane_sliver_trace(shape: SliverShape, t: float, mode: str = "displayed") -> float:
-    """Heat trace of the half plane {x2 > 0} restricted to a sliver S(eps, h, b).
-
-    S = {0 < x2 < h, -b < x1 < sqrt(eps^2 - x2^2)}: a width-b strip glued to
-    the region between the wall and the arc of the radius-eps ball, cut at
-    height h.  "displayed" evaluates the closed form
-
-      hb/(4 pi t) - (b+eps)/(8 sqrt(pi t))
-        + (eps^2/4 pi t) int_0^{h/eps} (1 - e^{-(u eps)^2/t}) sqrt(1-u^2) du,
-
-    whose boundary deficit is sized for assembly against a vertex ball;
-    "exact" integrates the half-plane diagonal kernel over S directly, which
-    reproduces the closed form term by term except that the standalone
-    region only owes -b/(8 sqrt(pi t)) on the wall.  Hence
-
-      exact - displayed = eps/(8 sqrt(pi t)) + O((b+eps) t^{-1/2} e^{-c h^2/t}),
-
-    the identity the cross-check mode is tested against.
-    """
-    if t <= 0:
-        raise SpecError("halfplane_sliver_trace requires t > 0")
-    eps, h, b = shape.eps, shape.h, shape.b
-    if mode == "displayed":
-        def f(u):
-            return (1.0 - np.exp(-(u * eps) ** 2 / t)) \
-                * np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-
-        arc_int, _ = tanh_sinh(f, 0.0, h / eps, tol=1e-13)
-        return h * b / (4 * math.pi * t) - (b + eps) / (8 * math.sqrt(math.pi * t)) \
-            + eps**2 / (4 * math.pi * t) * arc_int
-    if mode == "exact":
-        def g(y):
-            y = np.asarray(y, dtype=float)
-            width = b + np.sqrt(np.clip(eps**2 - y * y, 0.0, None))
-            return (1.0 - np.exp(-y * y / t)) * width
-
-        val, _ = tanh_sinh(g, 0.0, h, tol=1e-13)
-        return val / (4 * math.pi * t)
-    raise SpecError(f"unknown sliver mode {mode!r}")

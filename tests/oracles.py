@@ -170,3 +170,41 @@ def block_weights(domain, paths, ds, segs, arcs, slit_segs):
         cross = segments_cross_many(paths[:, :-1], paths[:, 1:], b0, b1)
         weight[cross.any(axis=1)] = 0.0
     return weight
+
+
+def pa_rhs_integrated(domain, sigma, u=0.0, tol=1e-10):
+    """The integrated anomaly log zdet(g_u) - log zdet(g_{u+1}), term by term.
+
+    A second, independent statement of the conformal rules
+    K_u dVol_u = u Delta_0 sigma dVol_0 and k_u dl_u = (k_0 + u d_n sigma) dl_0,
+    written out directly over the package's quadrature: it checks how
+    pa_rhs assembles the terms, not the quadrature itself.
+    """
+    from spectral_corner import (boundary_integral, corner_term,
+                                 interior_integral)
+
+    if sigma.is_zero():
+        dirichlet = curv = bcurv = normal = 0.0
+    else:
+        dirichlet = interior_integral(
+            domain, lambda x, y: sigma.grad_sq(x, y), tol) / (12 * math.pi)
+        curv = 0.0 if u == 0.0 else u * interior_integral(
+            domain, lambda x, y: sigma(x, y) * sigma.pos_laplacian(x, y),
+            tol) / (6 * math.pi)
+        bcurv = boundary_integral(
+            domain,
+            lambda x, y, nx, ny, k: sigma(x, y)
+            * (k + u * sigma.normal_derivative(x, y, nx, ny)),
+            tol) / (6 * math.pi)
+        normal = boundary_integral(
+            domain,
+            lambda x, y, nx, ny, k: sigma.normal_derivative(x, y, nx, ny),
+            tol) / (4 * math.pi)
+    corner = 0.0
+    for c in domain.corners:
+        corner += float(sigma(*c.location)) * corner_term(c.alpha)
+    corner *= 2.0
+    breakdown = {"dirichlet_energy": dirichlet, "interior_curvature": curv,
+                 "boundary_curvature": bcurv, "normal_derivative": normal,
+                 "corner_sum": corner}
+    return dirichlet + curv + bcurv + normal + corner, breakdown

@@ -4,8 +4,24 @@ import numpy as np
 import pytest
 
 from spectral_corner import (PipelineConfig, ScalarField, SpecError,
-                             boundary_integral, interior_integral, pa_rhs,
-                             pa_verify)
+                             boundary_integral, build_domain,
+                             interior_integral, pa_rhs, pa_verify)
+
+from .conftest import SLIT_SQUARE_DOC, make_sector
+from .oracles import pa_rhs_integrated
+
+L_POLYGON_DOC = {"kind": "polygon", "params": {"vertices": [
+    [0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]}}
+ORACLE_DOMAINS = {
+    "square": lambda: build_domain({"kind": "rectangle",
+                                    "params": {"a": 1.0, "b": 1.0}}),
+    "disk": lambda: build_domain({"kind": "disk", "params": {"R": 1.0}}),
+    "sector-1.5": lambda: make_sector(1.5),
+    "cone-3": lambda: make_sector(3.0),
+    "slit-square": lambda: build_domain(SLIT_SQUARE_DOC),
+    "L-polygon": lambda: build_domain(L_POLYGON_DOC),
+}
+ORACLE_SIGMAS = ("0", "0.3", "0.2*x*y", "0.3*x", "0.1*(x**2 - y)")
 
 
 class TestGeometricSide:
@@ -64,6 +80,37 @@ class TestGeometricSide:
     def test_unknown_form_rejected(self, square):
         with pytest.raises(SpecError):
             pa_rhs(square, "x", form="integral")
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+    def test_integrated_form_matches_oracle(self, name):
+        # the integrated form is D + 2 a_0(u, sigma); at u = 0 and 1 every
+        # term has the reference's bits, at other u the interior curvature
+        # multiplies by u before the quadrature instead of after it
+        dom = ORACLE_DOMAINS[name]()
+        for expr in ORACLE_SIGMAS:
+            sigma = ScalarField(expr)
+            for u in (0.0, 1.0):
+                rhs, breakdown = pa_rhs(dom, sigma, u=u)
+                ref, ref_breakdown = pa_rhs_integrated(dom, sigma, u=u)
+                assert list(breakdown) == list(ref_breakdown)
+                assert [v.hex() for v in (rhs, *breakdown.values())] == \
+                    [v.hex() for v in (ref, *ref_breakdown.values())], (expr, u)
+            rhs, breakdown = pa_rhs(dom, sigma, u=-0.3)
+            ref, ref_breakdown = pa_rhs_integrated(dom, sigma, u=-0.3)
+            assert rhs == pytest.approx(ref, rel=1e-14, abs=0.0), expr
+            for key, value in ref_breakdown.items():
+                assert breakdown[key] == pytest.approx(value, rel=1e-14,
+                                                       abs=0.0), (expr, key)
+
+    @pytest.mark.parametrize("u", [0.0, 1.0, -0.3])
+    def test_integrated_is_energy_minus_differentiated(self, square, u):
+        sigma = ScalarField("0.1*(x**2 - y)")
+        rhs, breakdown = pa_rhs(square, sigma, u=u)
+        diff, diff_breakdown = pa_rhs(square, sigma, "differentiated", u=u)
+        assert rhs == pytest.approx(breakdown["dirichlet_energy"] - diff,
+                                    rel=1e-14, abs=1e-16)
+        for key, value in diff_breakdown.items():
+            assert breakdown[key] == -value
 
 
 class TestSpectralVerification:

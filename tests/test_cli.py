@@ -254,6 +254,29 @@ class TestFailures:
                               "--tol", "-1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--t-min", "nan", "--t-max", "0.1"],
+        ["trace", "--t-min", "inf", "--t-max", "inf"],
+        ["trace", "--t-points", "-1"],
+        ["trace", "--t-points", "0"],
+        ["spectrum", "--grid-h", "nan", "--sigma", "x", "--u", "1"],
+        ["zdet", "--tol", "nan"],
+        ["mc", "--t", "0.1", "nan"],
+        ["wedge", "--alpha", "nan"],
+        ["wedge", "--alpha", "inf"],
+        ["wedge", "--alpha", "0.5", "--eps", "inf"],
+        ["zeta", "--s", "nan"],
+    ], ids=["t-min-nan", "t-range-inf", "t-points-negative", "t-points-zero",
+            "grid-h-nan", "tol-nan", "mc-t-nan", "alpha-nan",
+            "alpha-inf", "eps-inf", "s-nan"])
+    def test_non_finite_or_empty_numbers_exit_2(self, argv, square_doc,
+                                                capsys):
+        code, out = run_json([*argv, "--domain", square_doc, "--eigs", "20"],
+                             capsys)
+        assert code == 2
+        err = json.loads(out.err)["error"]
+        assert err["kind"] == "spec" and err["message"]
+
 
 # Domain documents for the fuzz test: each kind with its own parameter
 # names, any value of which may be junk, plus bogus kinds and shapes.
@@ -321,3 +344,8 @@ class TestRunConfig:
             RunConfig(command="trace", format="xml")
         with pytest.raises(SpecError):
             RunConfig(command="trace", grid_h=-0.1)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_u_rejected(self, u):
+        with pytest.raises(SpecError, match="--u must be finite"):
+            RunConfig(command="spectrum", sigma="x", u=u)

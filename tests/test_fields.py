@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_corner import (GridField, MetricSpec, ScalarField, SpecError,
-                             as_field, assemble_fdm, geometric_coefficients)
+import spectral_corner
+from spectral_corner import (MetricSpec, ScalarField, SpecError, as_field,
+                             assemble_fdm, geometric_coefficients)
 
 
 class TestScalarField:
@@ -67,41 +73,22 @@ class TestScalarField:
         assert f.pos_laplacian(x, y) == pytest.approx(-2 * a - 2 * c, abs=1e-9)
 
 
-class TestGridField:
-    @staticmethod
-    def _sampled(fn, n=65):
-        xs = np.linspace(0.0, 1.0, n)
-        ys = np.linspace(0.0, 1.0, n)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return GridField(xs, ys, fn(X, Y))
-
-    def test_matches_smooth_function(self):
-        g = self._sampled(lambda x, y: np.sin(x) * np.cos(y))
-        assert g(0.37, 0.61) == pytest.approx(
-            np.sin(0.37) * np.cos(0.61), abs=1e-7)
-        assert g.dx(0.37, 0.61) == pytest.approx(
-            np.cos(0.37) * np.cos(0.61), abs=1e-6)
-        assert g.pos_laplacian(0.37, 0.61) == pytest.approx(
-            2 * np.sin(0.37) * np.cos(0.61), abs=1e-4)
-
-    def test_flags(self):
-        g0 = self._sampled(lambda x, y: np.zeros_like(x), n=7)
-        assert g0.is_zero() and g0.is_constant()
-        g1 = self._sampled(lambda x, y: np.full_like(x, 2.5), n=7)
-        assert g1.is_constant() and not g1.is_zero()
-
-    def test_rejects_small_or_nonuniform_grids(self):
-        xs = np.linspace(0, 1, 5)
-        with pytest.raises(SpecError):
-            GridField(xs, xs, np.zeros((5, 5)))
-        bad = np.array([0.0, 0.1, 0.25, 0.4, 0.55, 0.7, 1.0])
-        with pytest.raises(SpecError):
-            GridField(bad, bad, np.zeros((7, 7)))
-
-
 class TestAsField:
     def test_coercions(self):
         assert as_field(None).is_zero()
         assert as_field(1.5)(0.0, 0.0) == pytest.approx(1.5)
         f = as_field("x - y")
         assert as_field(f) is f
+
+
+class TestImport:
+    def test_package_leaves_scipy_interpolate_unloaded(self):
+        # a fresh process, so no other test has loaded it already
+        src = str(Path(spectral_corner.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, spectral_corner; "
+             "print('scipy.interpolate' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

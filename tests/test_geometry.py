@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_corner import (MetricSpec, NumericalError, ScalarField, SpecError,
-                             boundary_integral, build_domain,
-                             conformal_transform, corner_term,
+                             boundary_integral, build_domain, corner_term,
                              geometric_coefficients, interior_integral,
                              load_domain)
 
@@ -225,17 +224,20 @@ class TestGeometricCoefficients:
 
 
 class TestConformalTransform:
+    """Vol_u = 4 pi a_{-1} and l_u = -8 sqrt(pi) a_{-1/2} of g_u."""
+
     def test_volume_and_length_vs_riemann(self, square):
         sigma = ScalarField("0.2*x*y")
-        data = conformal_transform(square, MetricSpec(sigma, 1.0))
+        c = geometric_coefficients(square, MetricSpec(sigma, 1.0))
         vol = riemann_interior(square, lambda x, y: np.exp(0.4 * x * y), n=1000)
-        assert data.volume == pytest.approx(vol, rel=1e-6)
+        assert 4 * math.pi * c.a_m1 == pytest.approx(vol, rel=1e-6)
         xs = np.linspace(0, 1, 200001)
         per = 2.0 + 2 * np.trapezoid(np.exp(0.2 * xs), xs)
-        assert data.boundary_length == pytest.approx(per, rel=1e-8)
+        assert -8 * math.sqrt(math.pi) * c.a_mhalf == pytest.approx(per, rel=1e-8)
 
     def test_flat_limit(self, square):
-        data = conformal_transform(square, MetricSpec(ScalarField("x*y"), 0.0))
-        assert data.volume == pytest.approx(square.area)
-        assert data.boundary_length == pytest.approx(square.perimeter)
-        assert data.curvature_density(0.3, 0.7) == pytest.approx(0.0)
+        c = geometric_coefficients(square, MetricSpec(ScalarField("x*y"), 0.0))
+        assert 4 * math.pi * c.a_m1 == pytest.approx(square.area)
+        assert -8 * math.sqrt(math.pi) * c.a_mhalf == pytest.approx(square.perimeter)
+        assert c.breakdown["interior_curvature"] == 0.0
+

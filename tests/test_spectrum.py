@@ -10,8 +10,7 @@ from scipy.special import jn_zeros
 
 from spectral_corner import (MetricSpec, NumericalError, ScalarField,
                              SpecError, analytic_spectrum, assemble_fdm,
-                             richardson_spectrum, solve_eigs, spectrum_upto,
-                             weyl_ratio)
+                             richardson_spectrum, solve_eigs, weyl_ratio)
 from spectral_corner import spectrum as spectrum_mod
 
 from .conftest import make_sector
@@ -43,12 +42,13 @@ class TestAnalyticSpectra:
         assert spec.eigenvalues[0] == pytest.approx(
             brentq_zeros_upto(1.0 / 3.0, 5.0)[0] ** 2, rel=1e-12)
 
-    def test_spectrum_upto_is_complete(self, square):
-        spec = spectrum_upto(square, 500.0)
+    def test_analytic_spectrum_is_complete(self, square):
+        spec = analytic_spectrum(square, 50)
         pi2 = math.pi ** 2
+        top = int(math.sqrt(spec.completeness / pi2)) + 1
         brute = sorted(pi2 * (m * m + n * n)
-                       for m in range(1, 30) for n in range(1, 30)
-                       if pi2 * (m * m + n * n) <= 500.0)
+                       for m in range(1, top + 1) for n in range(1, top + 1)
+                       if pi2 * (m * m + n * n) <= spec.completeness)
         np.testing.assert_allclose(spec.eigenvalues, brute, rtol=1e-12)
 
     def test_weyl_ratio_tends_to_one(self, square, disk):

@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from spectral_corner import (SliverShape, SpecError, WedgeBallQuery,
-                             a_remainder, a_remainder_bound,
-                             halfplane_sliver_trace, wedge_ball_trace)
+from spectral_corner import (SpecError, WedgeBallQuery, a_remainder,
+                             a_remainder_bound, wedge_ball_trace)
 
 from .oracles import (halfplane_ball_trace, quarterplane_ball_trace,
                       sector_ball_trace)
@@ -67,35 +64,3 @@ class TestBallTrace:
         got = wedge_ball_trace(WedgeBallQuery(3.0, 1.0, 0.02))
         ref = sector_ball_trace(3.0, 1.0, 0.02)
         assert got == pytest.approx(ref, abs=1e-4)
-
-
-class TestSliver:
-    def test_exact_vs_displayed_identity(self):
-        # exact - displayed = eps/(8 sqrt(pi t)) up to terms exponentially
-        # small in h^2/t
-        for eps, h, b, t in ((1.0, 0.8, 0.5, 0.05), (0.5, 0.4, 0.0, 0.02),
-                             (1.0, 0.9, 1.0, 0.03)):
-            shape = SliverShape(eps, h, b)
-            gap = halfplane_sliver_trace(shape, t, "exact") \
-                - halfplane_sliver_trace(shape, t, "displayed")
-            wall = eps / (8 * math.sqrt(math.pi * t))
-            floor = 5 * (b + eps) / math.sqrt(t) * math.exp(-h * h / t) + 1e-13
-            assert abs(gap - wall) <= floor
-
-    def test_strip_term_scales_with_width(self):
-        t = 0.01
-        thin = halfplane_sliver_trace(SliverShape(1.0, 0.9, 0.0), t)
-        wide = halfplane_sliver_trace(SliverShape(1.0, 0.9, 2.0), t)
-        # adding a width-b strip contributes hb/(4 pi t) - b/(8 sqrt(pi t))
-        expected = 0.9 * 2.0 / (4 * math.pi * t) - 2.0 / (8 * math.sqrt(math.pi * t))
-        assert wide - thin == pytest.approx(expected, abs=1e-10)
-
-    def test_invalid_shapes_and_modes(self):
-        with pytest.raises(SpecError):
-            SliverShape(1.0, 1.5, 0.0)
-        with pytest.raises(SpecError):
-            SliverShape(1.0, 0.5, -0.1)
-        with pytest.raises(SpecError):
-            halfplane_sliver_trace(SliverShape(1.0, 0.5, 0.0), -0.1)
-        with pytest.raises(SpecError):
-            halfplane_sliver_trace(SliverShape(1.0, 0.5, 0.0), 0.1, "bogus")
