@@ -32,7 +32,7 @@ from .errors import SpecError
 from .fields import ScalarField, as_field
 from .geometry import (A0_TERMS, Domain, MetricSpec, geometric_coefficients,
                        interior_integral)
-from .spectrum import FunctionTraceProvider, richardson_spectrum
+from .spectrum import COMPLETE_SHARE, FunctionTraceProvider, richardson_spectrum
 from .zeta import zeta_prime_at_zero
 
 _QUAD_TOL = 1e-10
@@ -139,7 +139,8 @@ def _zeta_prime(domain: Domain, sigma, u: float, cfg: PipelineConfig,
     metric = MetricSpec(sigma, u)
     vol_w = domain.area if metric.is_flat() \
         else interior_integral(domain, metric.weight)
-    k = max(cfg.eigs, int(vol_w * (4000.0 / 0.8) / (4 * math.pi) * 1.15) + 10)
+    k = max(cfg.eigs,
+            int(vol_w * (4000.0 / COMPLETE_SHARE) / (4 * math.pi) * 1.15) + 10)
     spec = richardson_spectrum(domain, metric, cfg.h, k, seed=cfg.seed)
     coeffs = geometric_coefficients(domain, metric)
     return zeta_prime_at_zero(spec.trace, coeffs, tol=budget)

@@ -18,11 +18,14 @@ import io
 import json
 import math
 import sys
+import typing
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from .errors import NumericalError, SpecError
 
 
 @dataclass
@@ -42,17 +45,14 @@ class RunConfig:
     tol: Optional[float] = None
     out: Optional[str] = None
     format: str = "json"
-    # per-command extras (wedge / mc / zeta)
-    alpha: Optional[list] = None
-    eps: list = field(default_factory=lambda: [1.0])
-    t: list = field(default_factory=lambda: [0.1])
+    alpha: Optional[list[float]] = None
+    eps: list[float] = field(default_factory=lambda: [1.0])
+    t: list[float] = field(default_factory=lambda: [0.1])
     samples: int = 100000
     steps: int = 64
-    s: list = field(default_factory=lambda: [2.0])
+    s: list[float] = field(default_factory=lambda: [2.0])
 
     def __post_init__(self):
-        from .errors import SpecError
-
         if self.command not in _COMMANDS:
             raise SpecError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
@@ -118,7 +118,6 @@ def _emit(artifact: dict, rows, headers, args) -> None:
 
 def _load_domain_doc(args, config):
     """(domain, sigma) of --domain and --sigma; hashes the document into config."""
-    from .errors import SpecError
     from .fields import as_field
     from .geometry import _read_domain_doc, load_domain
 
@@ -172,14 +171,17 @@ def _spectrum_for(domain, sigma, args):
                                seed=args.seed)
 
 
-def _t_grid(args, spec):
-    import numpy as np
+def _curve(args, config):
+    """(domain, sigma, heat trace) on --t-min..--t-max, else the default window."""
+    from .heattrace import default_window, trace_curve
 
-    from .heattrace import default_window
-
+    domain, sigma = _load_domain_doc(args, config)
+    spec = _spectrum_for(domain, sigma, args)
     if args.t_min is not None and args.t_max is not None:
-        return np.geomspace(args.t_min, args.t_max, args.t_points)
-    return default_window(spec, points=args.t_points)
+        t = np.geomspace(args.t_min, args.t_max, args.t_points)
+    else:
+        t = default_window(spec, points=args.t_points)
+    return domain, sigma, trace_curve(spec, t)
 
 
 def _cmd_spectrum(args, config):
@@ -201,11 +203,7 @@ def _cmd_spectrum(args, config):
 
 
 def _cmd_trace(args, config):
-    domain, sigma = _load_domain_doc(args, config)
-    from .heattrace import trace_curve
-
-    spec = _spectrum_for(domain, sigma, args)
-    curve = trace_curve(spec, _t_grid(args, spec))
+    curve = _curve(args, config)[2]
     artifact = {
         "result": {
             "t": curve.t.tolist(),
@@ -219,12 +217,9 @@ def _cmd_trace(args, config):
 
 
 def _cmd_fit(args, config):
-    domain, sigma = _load_domain_doc(args, config)
-    from .heattrace import fit_expansion, trace_curve
+    from .heattrace import fit_expansion
 
-    spec = _spectrum_for(domain, sigma, args)
-    curve = trace_curve(spec, _t_grid(args, spec))
-    fit = fit_expansion(curve, "fit-all", seed=args.seed)
+    fit = fit_expansion(_curve(args, config)[2], "fit-all", seed=args.seed)
     half = {k: 0.5 * (v[1] - v[0]) for k, v in fit.confidence.items()}
     artifact = {
         "result": {
@@ -245,12 +240,10 @@ def _cmd_fit(args, config):
 
 
 def _cmd_compare(args, config):
-    domain, sigma = _load_domain_doc(args, config)
     from .geometry import MetricSpec
-    from .heattrace import compare_expansion, trace_curve
+    from .heattrace import compare_expansion
 
-    spec = _spectrum_for(domain, sigma, args)
-    curve = trace_curve(spec, _t_grid(args, spec))
+    domain, sigma, curve = _curve(args, config)
     tolerances = {"a_m1": args.tol, "a_mhalf": args.tol, "a_0": args.tol} \
         if args.tol else None
     report = compare_expansion(domain, MetricSpec(sigma, args.u), None, curve,
@@ -330,6 +323,8 @@ def _cmd_wedge(args, config):
     from .wedge import WedgeBallQuery, a_remainder, a_remainder_bound, \
         wedge_ball_trace
 
+    if not args.alpha:
+        raise SpecError("--alpha is required for this command")
     rows = []
     for alpha in args.alpha:
         for eps in args.eps:
@@ -362,63 +357,73 @@ def _cmd_mc(args, config):
     return artifact, rows, ["t", "estimate", "stderr", "n", "steps", "seed"]
 
 
+# The RunConfig fields each command reads, one flag each; every command also
+# takes --out and --format.  A flag's type and default come from its field.
+_SPECTRUM_FLAGS = ("domain", "sigma", "u", "grid_h", "eigs", "seed")
+_TRACE_FLAGS = _SPECTRUM_FLAGS + ("t_min", "t_max", "t_points")
 _COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "trace": _cmd_trace,
-    "fit": _cmd_fit,
-    "compare": _cmd_compare,
-    "zeta": _cmd_zeta,
-    "zdet": _cmd_zdet,
-    "anomaly": _cmd_anomaly,
-    "wedge": _cmd_wedge,
-    "mc": _cmd_mc,
+    "spectrum": (_cmd_spectrum, _SPECTRUM_FLAGS),
+    "trace": (_cmd_trace, _TRACE_FLAGS),
+    "fit": (_cmd_fit, _TRACE_FLAGS),
+    "compare": (_cmd_compare, _TRACE_FLAGS + ("tol",)),
+    "zeta": (_cmd_zeta, _SPECTRUM_FLAGS + ("tol", "s")),
+    "zdet": (_cmd_zdet, _SPECTRUM_FLAGS + ("tol",)),
+    "anomaly": (_cmd_anomaly, ("domain", "sigma", "grid_h", "eigs", "seed", "tol")),
+    "wedge": (_cmd_wedge, ("alpha", "eps", "t")),
+    "mc": (_cmd_mc, ("domain", "t", "samples", "steps", "seed")),
 }
+_HELP = {"domain": "path to a domain JSON document",
+         "sigma": "conformal factor expression in x, y",
+         "u": "metric e^{2 u sigma} g_0",
+         "format": "csv or json",
+         "alpha": "wedge angles in units of pi; required"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as SpecError, so they exit 2 with JSON on stderr."""
+
+    def error(self, message):
+        raise SpecError(message)
+
+
+def _add_flag(parser: argparse.ArgumentParser, f: dataclasses.Field, kind) -> None:
+    """--name for RunConfig field f, of annotation kind, defaulting as f does."""
+    if typing.get_origin(kind) is typing.Union:  # Optional[X]
+        kind = typing.get_args(kind)[0]
+    nargs = None
+    if typing.get_origin(kind) is list:
+        kind, nargs = typing.get_args(kind)[0], "+"
+    default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+    parser.add_argument("--" + f.name.replace("_", "-"), type=kind, nargs=nargs,
+                        default=default,
+                        help=_HELP.get(f.name, "") + " (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="spectral-corner",
         description="Heat traces, zeta determinants, and conformal anomalies "
                     "on polygonal domains with corners and slits.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--domain", help="path to a domain JSON document")
-        sp.add_argument("--sigma", help="conformal factor expression in x, y")
-        sp.add_argument("--u", type=float, default=0.0)
-        sp.add_argument("--t-min", type=float, dest="t_min")
-        sp.add_argument("--t-max", type=float, dest="t_max")
-        sp.add_argument("--t-points", type=int, default=25, dest="t_points")
-        sp.add_argument("--grid-h", type=float, default=1 / 64, dest="grid_h")
-        sp.add_argument("--eigs", type=int, default=400)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=("csv", "json"), default="json")
-        if name == "wedge":
-            sp.add_argument("--alpha", type=float, nargs="+", required=True)
-            sp.add_argument("--eps", type=float, nargs="+", default=[1.0])
-            sp.add_argument("--t", type=float, nargs="+", default=[0.1])
-        elif name == "mc":
-            sp.add_argument("--t", type=float, nargs="+", default=[0.1])
-            sp.add_argument("--samples", type=int, default=100000)
-            sp.add_argument("--steps", type=int, default=64)
-        elif name == "zeta":
-            sp.add_argument("--s", type=float, nargs="+", default=[2.0])
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    hints = typing.get_type_hints(RunConfig)
+    for name, (_, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for flag in (*flags, "out", "format"):
+            _add_flag(sp, fields[flag], hints[flag])
     return p
 
 
 def run(config: RunConfig) -> int:
     """Execute one command; write artifacts; return the process exit code."""
     from . import __version__
-    from .errors import NumericalError, SpecError
 
     hashed = {k: v for k, v in sorted(dataclasses.asdict(config).items())
               if k not in ("out",) and v is not None}
     # warnings go into the error document, so stderr stays one JSON document
     with warnings.catch_warnings(record=True) as caught:
         try:
-            artifact, rows, headers = _COMMANDS[config.command](config, hashed)
+            artifact, rows, headers = _COMMANDS[config.command][0](config, hashed)
         except (SpecError, FileNotFoundError) as exc:
             return _fail(2, {"kind": "spec", "message": str(exc)}, caught)
         except NumericalError as exc:
@@ -432,12 +437,8 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    from .errors import SpecError
-
-    args = build_parser().parse_args(argv)
-    names = {f.name for f in dataclasses.fields(RunConfig)}
     try:
-        config = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
+        config = RunConfig(**vars(build_parser().parse_args(argv)))
     except SpecError as exc:
         return _fail(2, {"kind": "spec", "message": str(exc)})
     return run(config)

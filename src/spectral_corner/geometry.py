@@ -35,7 +35,6 @@ def corner_term(alpha) -> float | np.ndarray:
 class Corner:
     location: tuple[float, float]
     alpha: float  # interior angle / pi
-    adjacency: tuple[int, int] = (-1, -1)  # indices into Domain.pieces
 
     def __post_init__(self):
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
@@ -47,7 +46,7 @@ class Segment:
 
     curvature = 0.0
 
-    def __init__(self, p0, p1, outward_normal=None, side: Optional[str] = None):
+    def __init__(self, p0, p1, outward_normal=None):
         self.p0 = np.asarray(p0, dtype=float)
         self.p1 = np.asarray(p1, dtype=float)
         d = self.p1 - self.p0
@@ -59,7 +58,6 @@ class Segment:
             # domain on the left of the traversal direction
             outward_normal = np.array([t[1], -t[0]])
         self.normal = np.asarray(outward_normal, dtype=float)
-        self.side = side  # slit side label, None for ordinary boundary
 
     def sample(self, t: np.ndarray):
         t = np.asarray(t, dtype=float)
@@ -82,7 +80,6 @@ class ArcPiece:
         self.theta1 = float(theta1)
         self.length = radius * (theta1 - theta0)
         self.curvature = 1.0 / radius
-        self.side = None
 
     def sample(self, t: np.ndarray):
         t = np.asarray(t, dtype=float)
@@ -217,9 +214,7 @@ def _build_rectangle(params) -> Domain:
         raise SpecError("rectangle sides must be positive")
     verts = np.array([[0.0, 0.0], [a, 0.0], [a, b], [0.0, b]])
     pieces = [Segment(verts[i], verts[(i + 1) % 4]) for i in range(4)]
-    corners = [
-        Corner(tuple(verts[i]), 0.5, ((i - 1) % 4, i)) for i in range(4)
-    ]
+    corners = [Corner(tuple(verts[i]), 0.5) for i in range(4)]
     return Domain("rectangle", {"a": a, "b": b}, pieces, corners,
                   area=a * b, perimeter=2 * (a + b), vertices=verts)
 
@@ -248,9 +243,9 @@ def _build_sector(params) -> Domain:
                 outward_normal=[-math.sin(alpha * math.pi), math.cos(alpha * math.pi)]),
     ]
     corners = [
-        Corner((0.0, 0.0), alpha, (2, 0)),
-        Corner((radius, 0.0), 0.5, (0, 1)),
-        Corner(tuple(end), 0.5, (1, 2)),
+        Corner((0.0, 0.0), alpha),
+        Corner((radius, 0.0), 0.5),
+        Corner(tuple(end), 0.5),
     ]
     return Domain("sector", {"alpha": alpha, "R": radius}, pieces, corners,
                   area=alpha * math.pi * radius**2 / 2,
@@ -274,7 +269,7 @@ def _build_polygon(params, slits) -> Domain:
     corners = []
     for i in range(n):
         alpha = _interior_angle(verts[(i - 1) % n], verts[i], verts[(i + 1) % n])
-        corners.append(Corner(tuple(verts[i]), alpha, ((i - 1) % n, i)))
+        corners.append(Corner(tuple(verts[i]), alpha))
     perimeter = sum(p.length for p in pieces)
     slit_arrays = []
     if slits:
@@ -332,8 +327,8 @@ def _attach_slit(verts, boundary_pieces, sl):
         d = sl[j + 1] - sl[j]
         d = d / np.hypot(*d)
         left = np.array([-d[1], d[0]])
-        pieces.append(Segment(sl[j], sl[j + 1], outward_normal=left, side="left"))
-        pieces.append(Segment(sl[j], sl[j + 1], outward_normal=-left, side="right"))
+        pieces.append(Segment(sl[j], sl[j + 1], outward_normal=left))
+        pieces.append(Segment(sl[j], sl[j + 1], outward_normal=-left))
         length += 2 * float(np.hypot(*(sl[j + 1] - sl[j])))
     return pieces, corners, length
 

@@ -192,12 +192,15 @@ def rect_theta_factor(t: float) -> float:
 # Quadrature
 # ---------------------------------------------------------------------------
 
+_TANH_SINH_LEVELS = 12  # step halvings before tanh_sinh gives up
+_PANEL_ORDER = 20  # Gauss-Legendre nodes per gauss_panels panel
+
+
 def tanh_sinh(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float = 1e-13,
-    max_level: int = 12,
 ) -> Tuple[float, float]:
     """Tanh-sinh (double exponential) quadrature on a finite interval.
 
@@ -239,7 +242,7 @@ def tanh_sinh(
     h = 1.0
     total = eval_level(h, only_odd=False)
     prev = total * h * half
-    for level in range(1, max_level + 1):
+    for level in range(1, _TANH_SINH_LEVELS + 1):
         h *= 0.5
         total += eval_level(h, only_odd=True)
         value = total * h * half
@@ -249,7 +252,7 @@ def tanh_sinh(
         prev = value
     raise NumericalError(
         "tanh_sinh",
-        f"no convergence after level {max_level}, last change {err:.3g}",
+        f"no convergence after level {_TANH_SINH_LEVELS}, last change {err:.3g}",
         best_estimate=prev,
     )
 
@@ -269,14 +272,13 @@ def gauss_panels(
     a: float,
     b: float,
     tol: float = 1e-10,
-    order: int = 20,
     max_panels: int = 4096,
 ) -> Tuple[float, float]:
     """Composite Gauss-Legendre with panel doubling until the change < tol.
 
     f must accept numpy arrays.  Deterministic reduction order.
     """
-    x0, w0 = gauss_rule(order)
+    x0, w0 = gauss_rule(_PANEL_ORDER)
     prev = None
     n = 1
     while n <= max_panels:

@@ -50,6 +50,9 @@ _WEYL_CAP = 64
 # Spectrum.value builds exp(-t lambda) for as many t at a time as fit in
 # this many entries (32 MB), so memory does not grow with len(t) * count.
 _VALUE_BLOCK = 1 << 22
+# Finite-difference spectra report completeness at this share of their top
+# eigenvalue, a margin below the last computed mode.
+COMPLETE_SHARE = 0.8
 
 
 class TraceSource(Protocol):
@@ -427,13 +430,13 @@ class DiscreteSpectrum:
     eigenvectors: np.ndarray
 
     def completeness(self) -> float:
-        """0.8 lambda_k: no eigenvalue of the discrete operator below it is missing.
+        """COMPLETE_SHARE lambda_k: no eigenvalue of the operator below it is missing.
 
         ``solve_eigs`` proves this by Sylvester inertia on every path that
         returns: its windows count every eigenvalue below an edge at or
         above lambda_k, and each window returns exactly its count.
         """
-        return 0.8 * float(self.eigenvalues[-1])
+        return COMPLETE_SHARE * float(self.eigenvalues[-1])
 
     def spectrum(self) -> Spectrum:
         return Spectrum(self.eigenvalues,
@@ -469,7 +472,7 @@ def richardson_spectrum(domain: Domain, metric: Optional[MetricSpec], h: float,
     lam = np.sort(lam)
     return Spectrum(lam, {"source": "discrete", "h": h, "richardson": True,
                           "u": fine.op.metric.u},
-                    completeness=0.8 * lam[-1], volume=fine.op.volume,
+                    completeness=COMPLETE_SHARE * lam[-1], volume=fine.op.volume,
                     boundary_length=domain.perimeter if fine.op.metric.is_flat()
                     else None,
                     window_floor=_FDM_WINDOW_FLOOR)

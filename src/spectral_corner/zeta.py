@@ -29,15 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .errors import NumericalError, SpecError
 from .geometry import ExpansionCoefficients
-from .heattrace import (HeatTraceCurve, default_window, fit_expansion,
-                        trace_curve)
+from .heattrace import default_window, fit_expansion, trace_curve
 from .spectrum import Spectrum, TraceSource, _upper_mellin
 from .special import EULER_GAMMA, tanh_sinh, gauss_panels
 
@@ -168,7 +166,6 @@ def _remainder_low_integral(c1: float, c2: float, c3: float, tau: float) -> floa
 
 
 def zeta_prime_at_zero(provider: TraceSource, coeffs: ExpansionCoefficients,
-                       fit_curve: Optional[HeatTraceCurve] = None,
                        tol: float = 1e-6) -> ZetaEvaluation:
     """zeta'(0) with an auditable error budget; zdet = exp(-zeta'(0)).
 
@@ -201,9 +198,8 @@ def zeta_prime_at_zero(provider: TraceSource, coeffs: ExpansionCoefficients,
                 "zeta_prime_at_zero",
                 f"minimum admissible t {t_min:.3g} >= 1; spectrum too short")
         i_mid, q_err = gauss_panels(low_integrand, t_min, 1.0, tol=1e-12)
-        if fit_curve is None:
-            fit_curve = trace_curve(provider, default_window(provider))
-        fit = fit_expansion(fit_curve, "peel-known", known=coeffs)
+        fit = fit_expansion(trace_curve(provider, default_window(provider)),
+                            "peel-known", known=coeffs)
         c1 = fit.remainder["sqrt(t)"]
         c2 = fit.remainder["sqrt(t)*log(t)"]
         c3 = fit.remainder["t"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spectral_corner
-from spectral_corner import SpecError
+from spectral_corner import SpecError, cli
 from spectral_corner.cli import RunConfig, main, run
 
 from .conftest import SLIT_SQUARE_DOC
@@ -18,6 +19,7 @@ from .oracles import SQUARE_ZETA_PRIME0
 
 SQUARE_DOC = {"kind": "rectangle", "params": {"a": 1.0, "b": 1.0}}
 DISK_DOC = {"kind": "disk", "params": {"R": 1.0}}
+_SMALL_GRID = ["--grid-h", "0.0625", "--eigs", "20"]
 
 
 @pytest.fixture()
@@ -190,27 +192,33 @@ class TestFailures:
     def test_anomaly_rejects_sigma_before_integrals(self, sigma, shown,
                                                     square_doc, capsys):
         code, out = run_json(["anomaly", "--domain", square_doc, "--sigma",
-                              sigma, "--u", "1", "--grid-h", "0.0625",
-                              "--eigs", "20"], capsys)
+                              sigma, "--grid-h", "0.0625", "--eigs", "20"],
+                             capsys)
         assert code == 2
         err = json.loads(out.err)["error"]
         assert err["kind"] == "spec" and "warnings" not in err
         assert f"sigma ScalarField({shown})" in err["message"]
 
     @pytest.mark.parametrize("doc, argv, code", [
-        (SQUARE_DOC, ["anomaly", "--sigma", "sqrt(x-0.5)"], 2),
-        (SQUARE_DOC, ["anomaly", "--sigma", "exp(700*x*y)"], 3),
-        (DISK_DOC, ["trace", "--t-min", "1e-6", "--t-max", "1e-5"], 3),
-    ], ids=["non-real-sigma", "overflowing-sigma", "t-below-admissible"])
+        (SQUARE_DOC, ["anomaly", "--sigma", "sqrt(x-0.5)", *_SMALL_GRID], 2),
+        (SQUARE_DOC, ["anomaly", "--sigma", "exp(700*x*y)", *_SMALL_GRID], 3),
+        (DISK_DOC, ["trace", "--t-min", "1e-6", "--t-max", "1e-5", "--u", "1",
+                    *_SMALL_GRID], 3),
+        (SQUARE_DOC, ["spectrum", "--eigs", "abc"], 2),
+        (SQUARE_DOC, ["wedge", "--alpha", "1"], 2),
+        (None, ["wedge"], 2),
+    ], ids=["non-real-sigma", "overflowing-sigma", "t-below-admissible",
+            "bad-flag-value", "flag-outside-command", "missing-alpha"])
     def test_stderr_is_one_json_document(self, doc, argv, code, tmp_path):
-        # as a process, so that warnings reach stderr unless the CLI keeps
-        # them out; the overflowing sigma warns before the integrals fail
+        # as a process, so that warnings and usage errors reach stderr unless
+        # the CLI keeps them out; the overflowing sigma warns before the
+        # integrals fail.  --domain goes last wherever a document is given.
         p = tmp_path / "doc.json"
         p.write_text(json.dumps(doc))
         src = str(Path(spectral_corner.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-m", "spectral_corner.cli", *argv, "--domain",
-             str(p), "--u", "1", "--grid-h", "0.0625", "--eigs", "20"],
+            [sys.executable, "-m", "spectral_corner.cli", *argv,
+             *(["--domain", str(p)] if doc else [])],
             capture_output=True, text=True, timeout=300,
             env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == code
@@ -250,7 +258,7 @@ class TestFailures:
         assert json.loads(out.err)["error"]["stage"] == "analytic_spectrum"
 
     def test_bad_flag_values_exit_2(self, square_doc, capsys):
-        code, out = run_json(["trace", "--domain", square_doc,
+        code, out = run_json(["compare", "--domain", square_doc,
                               "--tol", "-1"], capsys)
         assert code == 2
 
@@ -271,11 +279,72 @@ class TestFailures:
             "alpha-inf", "eps-inf", "s-nan"])
     def test_non_finite_or_empty_numbers_exit_2(self, argv, square_doc,
                                                 capsys):
-        code, out = run_json([*argv, "--domain", square_doc, "--eigs", "20"],
-                             capsys)
+        # --domain and --eigs only where the command reads them
+        tail = {"wedge": [], "mc": ["--domain", square_doc]}.get(
+            argv[0], ["--domain", square_doc, "--eigs", "20"])
+        code, out = run_json([*argv, *tail], capsys)
         assert code == 2
         err = json.loads(out.err)["error"]
         assert err["kind"] == "spec" and err["message"]
+
+
+# Each RunConfig flag with a command-line value unlike its default, and the
+# value the parser must hand RunConfig for it.
+_FLAG_VALUES = {
+    "domain": ("d.json", "d.json"), "sigma": ("x", "x"), "u": ("0.5", 0.5),
+    "t_min": ("0.01", 0.01), "t_max": ("0.1", 0.1), "t_points": ("7", 7),
+    "grid_h": ("0.125", 0.125), "eigs": ("9", 9), "seed": ("3", 3),
+    "tol": ("0.5", 0.5), "out": ("o.json", "o.json"), "format": ("csv", "csv"),
+    "alpha": ("1.5", [1.5]), "eps": ("0.5", [0.5]), "t": ("0.05", [0.05]),
+    "samples": ("99", 99), "steps": ("8", 8), "s": ("3", [3.0]),
+}
+# The flags each command reads.
+_SPECTRUM_ROW = {"domain", "sigma", "u", "grid_h", "eigs", "seed", "out",
+                 "format"}
+_TRACE_ROW = _SPECTRUM_ROW | {"t_min", "t_max", "t_points"}
+_ROWS = {
+    "spectrum": _SPECTRUM_ROW,
+    "trace": _TRACE_ROW,
+    "fit": _TRACE_ROW,
+    "compare": _TRACE_ROW | {"tol"},
+    "zeta": _SPECTRUM_ROW | {"tol", "s"},
+    "zdet": _SPECTRUM_ROW | {"tol"},
+    "anomaly": {"domain", "sigma", "grid_h", "eigs", "seed", "tol", "out",
+                "format"},
+    "wedge": {"alpha", "eps", "t", "out", "format"},
+    "mc": {"domain", "t", "samples", "steps", "seed", "out", "format"},
+}
+
+
+class TestFlagTable:
+    def test_rows_cover_every_field(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+        assert set(_FLAG_VALUES) == fields
+        assert sum(map(len, _ROWS.values())) == 81
+
+    @pytest.mark.parametrize("command", sorted(_ROWS))
+    @pytest.mark.parametrize("name", sorted(_FLAG_VALUES))
+    def test_command_takes_only_its_flags(self, command, name, monkeypatch,
+                                          capsys):
+        text, value = _FLAG_VALUES[name]
+        flag = "--" + name.replace("_", "-")
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+        code = main([command, flag, text])
+        err = capsys.readouterr().err
+        if name in _ROWS[command]:
+            assert code == 0 and getattr(seen[0], name) == value
+        else:
+            assert code == 2 and not seen
+            error = json.loads(err)["error"]
+            assert error["kind"] == "spec" and flag in error["message"]
+
+    def test_help_exits_0_and_lists_only_row_flags(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["wedge", "-h"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        assert "--alpha" in text and "--domain" not in text
 
 
 # Domain documents for the fuzz test: each kind with its own parameter
