@@ -27,11 +27,11 @@ from .special import bessel_j, rect_theta_factor
 from .spectrum import (DiscreteOperator, DiscreteSpectrum,
                        FunctionTraceProvider, Spectrum, TraceSource,
                        analytic_spectrum, assemble_fdm, richardson_spectrum,
-                       solve_eigs, weyl_ratio)
+                       solve_eigs, spectrum_for, weyl_ratio)
 from .walker import BridgeEstimate, bridge_trace_estimate
 from .wedge import (WedgeBallQuery, a_remainder, a_remainder_bound,
                     wedge_ball_trace)
-from .zeta import (ZetaEvaluation, log_zdet, provider_for, zeta_continued,
+from .zeta import (ZetaEvaluation, provider_for, zeta_continued,
                    zeta_prime_at_zero, zeta_series)
 
 __version__ = "0.1.0"
@@ -48,8 +48,8 @@ __all__ = [
     "compare_expansion", "corner_term", "default_window",
     "derivative_identity_residual", "fit_expansion",
     "geometric_coefficients", "interior_integral", "load_domain",
-    "log_zdet", "pa_rhs", "pa_verify", "provider_for", "rect_theta_factor",
-    "richardson_spectrum", "solve_eigs", "trace_at", "trace_curve",
-    "wedge_ball_trace", "weyl_ratio", "zeta_continued",
+    "pa_rhs", "pa_verify", "provider_for", "rect_theta_factor",
+    "richardson_spectrum", "solve_eigs", "spectrum_for", "trace_at",
+    "trace_curve", "wedge_ball_trace", "weyl_ratio", "zeta_continued",
     "zeta_prime_at_zero", "zeta_series", "__version__",
 ]

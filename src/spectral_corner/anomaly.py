@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import SpecError
-from .fields import ScalarField, as_field
+from .fields import as_field
 from .geometry import (A0_TERMS, Domain, MetricSpec, geometric_coefficients,
                        interior_integral)
-from .spectrum import COMPLETE_SHARE, FunctionTraceProvider, richardson_spectrum
-from .zeta import zeta_prime_at_zero
+from .spectrum import COMPLETE_SHARE, Spectrum, spectrum_for
+from .zeta import ZetaEvaluation, zeta_prime_at_zero
 
 _QUAD_TOL = 1e-10
 # Error budget ceiling of each zeta'(0) in the integrated identity.
@@ -82,7 +82,7 @@ class PipelineConfig:
 
 
 def pa_rhs(domain: Domain, sigma, form: str = "integrated",
-           u: float = 0.0, tol: float = _QUAD_TOL) -> tuple[float, dict]:
+           u: float = 0.0) -> tuple[float, dict]:
     """Geometric side of the anomaly identity, with a per-term breakdown.
 
     form="differentiated" evaluates d/du log zdet(g_u) = -2 a_0(u, sigma),
@@ -101,11 +101,11 @@ def pa_rhs(domain: Domain, sigma, form: str = "integrated",
     sigma = as_field(sigma)
     if form == "integrated":
         dirichlet = 0.0 if sigma.is_zero() else interior_integral(
-            domain, lambda x, y: sigma.grad_sq(x, y), tol) / (12 * math.pi)
+            domain, lambda x, y: sigma.grad_sq(x, y), _QUAD_TOL) / (12 * math.pi)
     elif form != "differentiated":
         raise SpecError(f"unknown anomaly form {form!r}")
     coeffs = geometric_coefficients(domain, MetricSpec(sigma, u), psi=sigma,
-                                    tol=tol)
+                                    tol=_QUAD_TOL)
     if form == "differentiated":
         return -2.0 * coeffs.a_0, {name: -2.0 * coeffs.breakdown[name]
                                    for name in A0_TERMS}
@@ -118,42 +118,34 @@ def pa_rhs(domain: Domain, sigma, form: str = "integrated",
 
 
 def _zeta_prime(domain: Domain, sigma, u: float, cfg: PipelineConfig,
-                budget: float):
-    """zeta'(0) of g_u = e^{2 u sigma} g_0 with an error budget ceiling.
+                budget: float) -> tuple[Spectrum, ZetaEvaluation]:
+    """Spectrum of g_u = e^{2 u sigma} g_0 and its zeta'(0) under a budget ceiling.
 
-    When g_u is a constant rescaling e^{2c} g_0 of a rectangle (u = 0, or
-    sigma constant), its eigenvalues are those of the rectangle with sides
-    scaled by e^c, and the exact theta trace of that rectangle feeds the
-    continuation.  Otherwise the Richardson finite-difference spectrum does;
-    the fit window needs completeness >= 4000, so k is sized by the weighted
-    Weyl count and conformal volume changes do not starve the window.
+    The fit window needs completeness >= 4000, so k is sized by the weighted
+    Weyl count and conformal volume changes do not starve the window;
+    ``spectrum_for`` chooses the route.  A finite-difference grid too coarse
+    for that k raises SpecError naming k, h and the grid's node count.
     """
-    if domain.kind == "rectangle" and (u == 0.0 or sigma.is_constant()):
-        c = 0.0 if u == 0.0 else u * float(sigma(0.0, 0.0))
-        s = math.exp(c)
-        source = FunctionTraceProvider.rectangle(domain.params["a"] * s,
-                                                 domain.params["b"] * s)
-        coeffs = geometric_coefficients(
-            domain, MetricSpec(ScalarField.constant(c), 1.0))
-        return zeta_prime_at_zero(source, coeffs, tol=budget)
     metric = MetricSpec(sigma, u)
     vol_w = domain.area if metric.is_flat() \
         else interior_integral(domain, metric.weight)
     k = max(cfg.eigs,
             int(vol_w * (4000.0 / COMPLETE_SHARE) / (4 * math.pi) * 1.15) + 10)
-    spec = richardson_spectrum(domain, metric, cfg.h, k, seed=cfg.seed)
-    coeffs = geometric_coefficients(domain, metric)
-    return zeta_prime_at_zero(spec.trace, coeffs, tol=budget)
+    spec = spectrum_for(domain, metric, k, cfg.h, cfg.seed)
+    return spec, zeta_prime_at_zero(spec.trace,
+                                    geometric_coefficients(domain, metric),
+                                    tol=budget)
 
 
 def pa_verify(domain: Domain, sigma, config: Optional[PipelineConfig] = None) -> AnomalyReport:
     """Spectral check of the integrated anomaly identity for u: 0 -> 1.
 
-    Constant sigma over a rectangle runs through exact theta traces.  For
-    nonconstant sigma the weighted legs solve the generalized
-    finite-difference eigenproblem with Richardson extrapolation; on a
-    rectangle the flat base leg uses the exact theta trace instead of a
-    discrete solve, removing its discretization bias from the difference.
+    Each leg takes its spectrum from ``spectrum_for``: a constant rescaling
+    of a rectangle, disk or sector (u = 0, or sigma constant) is the
+    dilated domain's closed form, anything else the Richardson
+    finite-difference spectrum.  When both legs have exact theta traces the
+    verdict is an absolute gap of 1e-4, otherwise a relative gap of 2e-2;
+    the route label names the legs' routes.
     When configured, the differentiated form at u = 0 is checked against a
     central difference of zeta'(0), with a step-doubling consistency check
     at 2 du.
@@ -161,21 +153,25 @@ def pa_verify(domain: Domain, sigma, config: Optional[PipelineConfig] = None) ->
     cfg = config or PipelineConfig()
     sigma = as_field(sigma)
     rhs, breakdown = pa_rhs(domain, sigma, "integrated")
-    analytic = domain.kind == "rectangle" and sigma.is_constant()
-    details: dict = {"route": "analytic-theta" if analytic
-                     else f"fdm-richardson h={cfg.h}"}
-    z0 = _zeta_prime(domain, sigma, 0.0, cfg, _ZETA_BUDGET)
-    z1 = _zeta_prime(domain, sigma, 1.0, cfg, _ZETA_BUDGET)
+    s0, z0 = _zeta_prime(domain, sigma, 0.0, cfg, _ZETA_BUDGET)
+    s1, z1 = _zeta_prime(domain, sigma, 1.0, cfg, _ZETA_BUDGET)
+    exact = s0.trace.t_min == 0.0 and s1.trace.t_min == 0.0
+    fdm = "discrete" in (s0.provenance["source"], s1.provenance["source"])
+    route = "analytic-theta" if exact else \
+        f"fdm-richardson h={cfg.h}" if fdm else "closed-form-truncated"
     tol = cfg.tolerance if cfg.tolerance is not None else \
-        (1e-4 if analytic else 2e-2)
+        (1e-4 if exact else 2e-2)
     # log zdet(g_0) - log zdet(g_1) = zeta_1'(0) - zeta_0'(0)
     lhs = z1.zeta_prime0 - z0.zeta_prime0
-    details["zeta_prime0"] = {"u=0": z0.zeta_prime0, "u=1": z1.zeta_prime0}
-    details["error_budgets"] = {"u=0": z0.error_budget, "u=1": z1.error_budget}
+    details: dict = {
+        "route": route,
+        "zeta_prime0": {"u=0": z0.zeta_prime0, "u=1": z1.zeta_prime0},
+        "error_budgets": {"u=0": z0.error_budget, "u=1": z1.error_budget},
+    }
 
     gap = lhs - rhs
     rel_gap = abs(gap) / max(abs(rhs), 1e-300)
-    passed = (abs(gap) <= tol) if analytic else (rel_gap <= tol)
+    passed = (abs(gap) <= tol) if exact else (rel_gap <= tol)
 
     if cfg.check_differentiated:
         diff_rhs, diff_breakdown = pa_rhs(domain, sigma, "differentiated", u=0.0)
@@ -184,8 +180,8 @@ def pa_verify(domain: Domain, sigma, config: Optional[PipelineConfig] = None) ->
             # the two legs share the grid, the solver, and the remainder
             # model; their systematic errors cancel in the difference, so
             # the per-leg budget ceiling is not binding here
-            zp = _zeta_prime(domain, sigma, step, cfg, math.inf)
-            zm = _zeta_prime(domain, sigma, -step, cfg, math.inf)
+            zp = _zeta_prime(domain, sigma, step, cfg, math.inf)[1]
+            zm = _zeta_prime(domain, sigma, -step, cfg, math.inf)[1]
             # d/du log zdet = -d/du zeta'(0)
             return -(zp.zeta_prime0 - zm.zeta_prime0) / (2 * step)
 

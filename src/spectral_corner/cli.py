@@ -159,34 +159,31 @@ def _interior_samples(domain, n: int = 24):
     return (r * np.cos(th)).ravel(), (r * np.sin(th)).ravel()
 
 
-def _spectrum_for(domain, sigma, args):
-    """Analytic spectrum where a closed form exists, else FDM + Richardson."""
+def _spectrum(args, config):
+    """(domain, metric, spectrum) of --domain, --sigma and --u, by spectrum_for."""
     from .geometry import MetricSpec
-    from .spectrum import analytic_spectrum, richardson_spectrum
+    from .spectrum import spectrum_for
 
+    domain, sigma = _load_domain_doc(args, config)
     metric = MetricSpec(sigma, args.u)
-    if metric.is_flat() and domain.kind in ("rectangle", "disk", "sector"):
-        return analytic_spectrum(domain, args.eigs)
-    return richardson_spectrum(domain, metric, args.grid_h, args.eigs,
-                               seed=args.seed)
+    return domain, metric, spectrum_for(domain, metric, args.eigs, args.grid_h,
+                                        args.seed)
 
 
 def _curve(args, config):
-    """(domain, sigma, heat trace) on --t-min..--t-max, else the default window."""
+    """(domain, metric, heat trace) on --t-min..--t-max, else the default window."""
     from .heattrace import default_window, trace_curve
 
-    domain, sigma = _load_domain_doc(args, config)
-    spec = _spectrum_for(domain, sigma, args)
+    domain, metric, spec = _spectrum(args, config)
     if args.t_min is not None and args.t_max is not None:
         t = np.geomspace(args.t_min, args.t_max, args.t_points)
     else:
         t = default_window(spec, points=args.t_points)
-    return domain, sigma, trace_curve(spec, t)
+    return domain, metric, trace_curve(spec, t)
 
 
 def _cmd_spectrum(args, config):
-    domain, sigma = _load_domain_doc(args, config)
-    spec = _spectrum_for(domain, sigma, args)
+    spec = _spectrum(args, config)[2]
     lam = spec.eigenvalues.tolist()
     artifact = {
         "result": {
@@ -240,14 +237,12 @@ def _cmd_fit(args, config):
 
 
 def _cmd_compare(args, config):
-    from .geometry import MetricSpec
     from .heattrace import compare_expansion
 
-    domain, sigma, curve = _curve(args, config)
+    domain, metric, curve = _curve(args, config)
     tolerances = {"a_m1": args.tol, "a_mhalf": args.tol, "a_0": args.tol} \
         if args.tol else None
-    report = compare_expansion(domain, MetricSpec(sigma, args.u), None, curve,
-                               tolerances)
+    report = compare_expansion(domain, metric, None, curve, tolerances)
     artifact = {"result": report}
     rows = [(name, r["predicted"], r["fitted"], r["abs_gap"], r["tolerance"],
              r["pass"]) for name, r in report["rows"].items()]
@@ -256,14 +251,10 @@ def _cmd_compare(args, config):
 
 
 def _zeta_pipeline(args, config):
-    domain, sigma = _load_domain_doc(args, config)
-    from .geometry import MetricSpec, geometric_coefficients
-    from .zeta import provider_for
+    from .geometry import geometric_coefficients
 
-    spec = _spectrum_for(domain, sigma, args)
-    provider = provider_for(spec)
-    coeffs = geometric_coefficients(domain, MetricSpec(sigma, args.u))
-    return spec, provider, coeffs
+    domain, metric, spec = _spectrum(args, config)
+    return spec, spec.trace, geometric_coefficients(domain, metric)
 
 
 def _cmd_zeta(args, config):

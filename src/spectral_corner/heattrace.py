@@ -58,12 +58,12 @@ def trace_at(spec: Spectrum, t):
     return spec.trace.value(t)
 
 
-def trace_curve(spec: Spectrum, ts: np.ndarray, source: Optional[str] = None) -> HeatTraceCurve:
+def trace_curve(spec: Spectrum, ts: np.ndarray) -> HeatTraceCurve:
     ts = np.asarray(ts, dtype=float)
     vals = trace_at(spec, ts)
     errs = np.array([spec.trace.tail_bound(t) for t in ts])
     return HeatTraceCurve(ts, vals, errs,
-                          source or spec.provenance.get("source", "spectrum"))
+                          spec.provenance.get("source", "spectrum"))
 
 
 def default_window(spec: Spectrum, points: int = 25) -> np.ndarray:
@@ -121,7 +121,9 @@ def fit_expansion(curve: HeatTraceCurve, mode: str = "fit-all",
     """
     t, y = curve.t, curve.values
     if t.size < 8 or math.log10(t[-1] / t[0]) < 1.0 - 1e-9:
-        raise SpecError("fit needs >= 8 samples spanning >= 1 decade of t")
+        raise SpecError(f"fit needs >= 8 samples spanning >= 1 decade of t, "
+                        f"got {t.size} on [{t[0]:.3g}, {t[-1]:.3g}]; more "
+                        "eigenvalues lower a default window's start")
     if mode == "fit-all":
         basis = _FIT_ALL
         target = y
@@ -209,30 +211,31 @@ def compare_expansion(domain: Domain, metric: Optional[MetricSpec], psi,
 # Trace-derivative identity (conformal variation)
 # ---------------------------------------------------------------------------
 
+# Step of derivative_identity_residual's central difference in u.
+_DU = 1e-3
+
+
 def derivative_identity_residual(domain: Domain, sigma, u: float, eps: float,
-                                 du: float = 1e-3, h: float = 1 / 32,
-                                 k: Optional[int] = None, seed: int = 0) -> float:
+                                 h: float = 1 / 32, seed: int = 0) -> float:
     """Residual of d/du int_eps^inf t^-1 Tr(e^{-t Delta_u}) dt = 2 Tr(sigma e^{-eps Delta_u}).
 
     The integral is the spectrum's ``e1_sum(eps)``, term-wise sum
-    E_1(eps * lambda_n); the u derivative is a central difference over
-    u +/- du.
+    E_1(eps * lambda_n) over enough modes for e^{-eps lambda_k} ~ 1e-17 by
+    the Weyl count; the u derivative is a central difference over u +/- du
+    with du = 1e-3.
     """
     sigma = as_field(sigma)
-    if eps <= 0 or du <= 0:
-        raise SpecError("derivative_identity_residual needs eps > 0, du > 0")
+    if eps <= 0:
+        raise SpecError("derivative_identity_residual needs eps > 0")
     probe = assemble_fdm(domain, MetricSpec(sigma, u), h=h)
-    n = probe.n_nodes
-    if k is None:
-        # enough modes for e^{-eps lam_k} ~ 1e-17 via the Weyl count
-        lam_target = TAIL_THRESHOLD / eps
-        k = int(domain.area * lam_target / (4 * math.pi) * 1.6) + 25
-        k = min(k, n - 2)
+    lam_target = TAIL_THRESHOLD / eps
+    k = min(int(domain.area * lam_target / (4 * math.pi) * 1.6) + 25,
+            probe.n_nodes - 2)
 
     f_plus, f_minus = (
         solve_eigs(assemble_fdm(domain, MetricSpec(sigma, v), h=h), k,
                    seed=seed).spectrum().e1_sum(eps)[0]
-        for v in (u + du, u - du))
-    lhs = (f_plus - f_minus) / (2 * du)
+        for v in (u + _DU, u - _DU))
+    lhs = (f_plus - f_minus) / (2 * _DU)
     rhs = 2.0 * solve_eigs(probe, k, seed=seed).weighted_trace(sigma, eps)
     return abs(lhs - rhs)

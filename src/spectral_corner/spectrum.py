@@ -12,6 +12,8 @@ Every spectrum is a trace source (``TraceSource``): the truncated sum over
 its eigenvalues.  Rectangle spectra also carry their exact theta-product
 trace, a ``FunctionTraceProvider``; ``Spectrum.trace`` is the best source a
 spectrum has, and ``_closed_form`` is the one place that choice is made.
+``spectrum_for`` is the one place a metric's spectrum route (closed form or
+finite differences) is chosen.
 """
 
 from __future__ import annotations
@@ -151,14 +153,6 @@ class Spectrum:
     def tail_bound(self, t: float) -> float:
         """Weyl estimate of the omitted tail: int_Lambda^inf (Vol/4pi) e^{-t lam}."""
         return self.volume * math.exp(-t * self.completeness) / (4 * math.pi * t)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": self.eigenvalues.tolist(),
-            "provenance": self.provenance,
-            "completeness": self.completeness,
-            "volume": self.volume,
-        }
 
 
 class FunctionTraceProvider:
@@ -478,6 +472,33 @@ def richardson_spectrum(domain: Domain, metric: Optional[MetricSpec], h: float,
                     window_floor=_FDM_WINDOW_FLOOR)
 
 
+def spectrum_for(domain: Domain, metric: MetricSpec, k: int, h: float,
+                 seed: int) -> Spectrum:
+    """Spectrum of g_u = e^{2 u sigma} g_0, k eigenvalues: the one route choice.
+
+    A constant rescaling e^{2c} g_0 (u = 0, or sigma constant; c = u sigma)
+    of a rectangle, disk or sector (cones included) is the closed form of
+    the domain dilated by e^c, with at least k eigenvalues.  Anything else
+    is the Richardson spectrum on grids h and h/2, which needs a polygon.
+    """
+    sigma, u = metric.sigma, metric.u
+    if domain.kind in ("rectangle", "disk", "sector") and (
+            u == 0.0 or sigma.is_constant()):
+        c = 0.0 if u == 0.0 else u * float(sigma(0.0, 0.0))
+        if c == 0.0:
+            return analytic_spectrum(domain, k)
+        if not abs(c) < 354.0:  # e^{2c} is a finite normal double
+            raise SpecError(f"sigma {sigma!r} at u={u:g} gives a conformal "
+                            "weight exp(2 u sigma) outside the double range")
+        return analytic_spectrum(domain.scaled(math.exp(c)), k)
+    if domain.vertices is None:
+        raise SpecError(
+            f"no spectrum route for kind {domain.kind!r} with sigma {sigma!r} "
+            f"at u={u:g}: the closed form needs u = 0 or a constant sigma, "
+            "and finite differences need a polygon")
+    return richardson_spectrum(domain, metric, h, k, seed=seed)
+
+
 # Spectrum slicing after Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15
 # (1994).  A window [lo, hi) spans this many eigenvalues by the Weyl count
 # 4 pi N / vol_w.  Over 24-64, solve times on the benchmark grids
@@ -712,7 +733,9 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     """
     n = op.n_nodes
     if not (1 <= k <= n - 1):
-        raise SpecError(f"solve_eigs requires 1 <= k <= {n - 1}")
+        raise SpecError(f"solve_eigs needs 1 <= k <= {n - 1}, got k={k}: the "
+                        f"h={op.h:g} grid has {n} interior nodes (reduce h "
+                        "to raise the bound)")
     B = op.symmetrized().tocsc()
     lam, Y = _sliced_eigsh(B, k, op.volume, np.random.default_rng(seed))
     resid = np.linalg.norm(B @ Y - Y * lam[None, :], axis=0)

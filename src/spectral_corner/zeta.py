@@ -149,15 +149,6 @@ class ZetaEvaluation:
     error_budget: dict
     details: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "zeta0": self.zeta0,
-            "zeta_prime0": self.zeta_prime0,
-            "zdet": self.zdet,
-            "error_budget": self.error_budget,
-            "details": self.details,
-        }
-
 
 def _remainder_low_integral(c1: float, c2: float, c3: float, tau: float) -> float:
     """int_0^tau t^-1 (c1 sqrt(t) + c2 sqrt(t) log t + c3 t) dt."""
@@ -230,8 +221,3 @@ def zeta_prime_at_zero(provider: TraceSource, coeffs: ExpansionCoefficients,
     return ZetaEvaluation(zeta0=a_0, zeta_prime0=float(zp),
                           zdet=float(math.exp(-zp)), error_budget=budget,
                           details=details)
-
-
-def log_zdet(provider: TraceSource, coeffs: ExpansionCoefficients, **kw) -> float:
-    """log zdet = -zeta'(0)."""
-    return -zeta_prime_at_zero(provider, coeffs, **kw).zeta_prime0

@@ -125,3 +125,11 @@ class TestSpectralVerification:
         diff = report.details["differentiated"]
         assert diff["gap"] == pytest.approx(0.0, abs=1e-6)
         assert diff["rhs"] == pytest.approx(-0.15, abs=1e-10)
+
+    def test_constant_sigma_on_disk_runs_on_the_dilated_closed_form(self,
+                                                                    disk):
+        # both legs are truncated Bessel spectra, so the verdict is relative
+        report = pa_verify(disk, 0.3, PipelineConfig(check_differentiated=False))
+        assert report.details["route"] == "closed-form-truncated"
+        assert report.tolerance == 2e-2
+        assert report.passed

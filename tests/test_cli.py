@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import jn_zeros
 
 import spectral_corner
 from spectral_corner import SpecError, cli
@@ -129,6 +130,15 @@ class TestCommands:
         assert result["passed"]
         assert result["rhs"] == pytest.approx(0.15, abs=1e-10)
 
+    def test_constant_sigma_on_disk_is_a_dilation(self, disk_doc, capsys):
+        code, out = run_json(["spectrum", "--domain", disk_doc, "--sigma",
+                              "0.3", "--u", "1", "--eigs", "10"], capsys)
+        assert code == 0
+        result = json.loads(out.out)["result"]
+        assert result["provenance"]["source"] == "analytic"
+        assert result["eigenvalues"][0] == pytest.approx(
+            math.exp(-0.6) * jn_zeros(0, 1)[0] ** 2, rel=1e-12)
+
     def test_wedge_bounds_hold(self, capsys):
         code, out = run_json(["wedge", "--alpha", "0.5", "2.0", "3.0",
                               "--eps", "1.0", "--t", "0.05", "0.1"], capsys)
@@ -226,6 +236,36 @@ class TestFailures:
         assert err["kind"] == {2: "spec", 3: "numerical"}[code]
         if "exp(700*x*y)" in argv:
             assert "overflow encountered in square" in err["warnings"]
+
+    def test_anomaly_without_a_route_names_the_kind(self, disk_doc, capsys):
+        code, out = run_json(["anomaly", "--domain", disk_doc, "--sigma",
+                              "0.2*x*y"], capsys)
+        assert code == 2
+        err = json.loads(out.err)["error"]
+        assert err["kind"] == "spec"
+        assert err["message"].startswith("no spectrum route for kind 'disk'")
+        assert "constant sigma" in err["message"]
+        assert "polygon" in err["message"]
+
+    def test_anomaly_grid_too_coarse_names_k_h_and_nodes(self, square_doc,
+                                                         capsys):
+        # the zeta'(0) window needs k = 517 at u = 1; h = 1/16 has 225 nodes
+        code, out = run_json(["anomaly", "--domain", square_doc, "--sigma",
+                              "0.2*x*y", "--grid-h", "0.0625", "--eigs", "60"],
+                             capsys)
+        assert code == 2
+        message = json.loads(out.err)["error"]["message"]
+        for part in ("k=517", "h=0.0625", "225 interior nodes", "reduce h"):
+            assert part in message
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_short_default_window_names_it(self, command, disk_doc, capsys):
+        # 400 disk eigenvalues put the default window at [0.0162, 0.1]
+        code, out = run_json([command, "--domain", disk_doc], capsys)
+        assert code == 2
+        message = json.loads(out.err)["error"]["message"]
+        assert "[0.0162, 0.1]" in message and "more eigenvalues" in message
+        assert run_json(["trace", "--domain", disk_doc], capsys)[0] == 0
 
     def test_missing_domain_exits_2(self, capsys):
         code, out = run_json(["spectrum"], capsys)

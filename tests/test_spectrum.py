@@ -10,10 +10,11 @@ from scipy.special import jn_zeros
 
 from spectral_corner import (MetricSpec, NumericalError, ScalarField,
                              SpecError, analytic_spectrum, assemble_fdm,
-                             richardson_spectrum, solve_eigs, weyl_ratio)
+                             build_domain, richardson_spectrum, solve_eigs,
+                             spectrum_for, weyl_ratio)
 from spectral_corner import spectrum as spectrum_mod
 
-from .conftest import make_sector
+from .conftest import SLIT_SQUARE_DOC, make_sector
 from .oracles import _bessel_zeros_upto as brentq_zeros_upto
 
 
@@ -71,6 +72,56 @@ class TestAnalyticSpectra:
         assert spec.value(t).tobytes() == one_piece.tobytes()
         assert spec.value(t.reshape(5, 10)).tobytes() == one_piece.tobytes()
         assert spec.value(t[7]) == one_piece[7]
+
+
+_ROUTE_DOMAINS = {
+    "rectangle": {"kind": "rectangle", "params": {"a": 1.0, "b": 1.0}},
+    "disk": {"kind": "disk", "params": {"R": 1.0}},
+    "sector": {"kind": "sector", "params": {"alpha": 1.5, "R": 1.0}},
+    "cone": {"kind": "sector", "params": {"alpha": 3.0, "R": 1.0}},
+    "L-polygon": {"kind": "polygon", "params": {"vertices": [
+        [0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5], [0.5, 1.0],
+        [0.0, 1.0]]}},
+    "slit-square": SLIT_SQUARE_DOC,
+}
+
+
+def _route(name, sigma, u):
+    """The route spectrum_for must take: exact, closed-form, fdm or error."""
+    if name in ("L-polygon", "slit-square"):
+        return "fdm"
+    if u != 0.0 and sigma == "0.2*x*y":
+        return "fdm" if name == "rectangle" else "error"
+    return "exact" if name == "rectangle" else "closed-form"
+
+
+class TestSpectrumRoute:
+    @pytest.mark.parametrize("u", [0.0, 1.0])
+    @pytest.mark.parametrize("sigma", ["0", "0.3", "0.2*x*y"])
+    @pytest.mark.parametrize("name", sorted(_ROUTE_DOMAINS))
+    def test_route_table(self, name, sigma, u):
+        domain = build_domain(_ROUTE_DOMAINS[name])
+        metric = MetricSpec(ScalarField(sigma), u)
+        expected = _route(name, sigma, u)
+        if expected == "error":
+            with pytest.raises(SpecError, match=f"kind '{domain.kind}'"):
+                spectrum_for(domain, metric, 12, 1 / 8, 0)
+            return
+        spec = spectrum_for(domain, metric, 12, 1 / 8, 0)
+        assert spec.count >= 12
+        if expected == "exact":
+            assert spec.trace is spec.exact and spec.trace.t_min == 0.0
+        else:
+            assert spec.exact is None
+            assert spec.provenance["source"] == \
+                {"closed-form": "analytic", "fdm": "discrete"}[expected]
+        if sigma != "0.2*x*y":
+            # g_u = e^{2uc} g_0: every eigenvalue scales by e^{-2uc}
+            base = spectrum_for(domain, MetricSpec(ScalarField(sigma), 0.0),
+                                12, 1 / 8, 0).eigenvalues[:12]
+            np.testing.assert_allclose(
+                spec.eigenvalues[:12], math.exp(-2 * u * float(sigma)) * base,
+                rtol=1e-12)
 
 
 class TestDiscreteOperator:
