@@ -5,8 +5,8 @@ opening angle alpha*pi > 0 (alpha > 2 is a cone sector).  Polygonal and slit
 domains with a conformal weight exp(2 u sigma) use a 5-point finite
 difference discretization and a spectrum-slicing shift-invert Lanczos
 eigensolver whose eigenvalue counts are certified by Sylvester inertia.
-Its windows run on forked worker processes, one per usable CPU, with the
-same bits for any number of workers.
+Its windows run on forked worker processes (``parallel``), one per usable
+CPU, with the same bits for any number of workers.
 
 Every spectrum is a trace source (``TraceSource``): the truncated sum over
 its eigenvalues.  Rectangle spectra also carry their exact theta-product
@@ -18,14 +18,8 @@ finite differences) is chosen.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import mmap
-import multiprocessing as mp
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -37,6 +31,7 @@ from scipy.special import exp1
 from .errors import NumericalError, SpecError
 from .fields import as_field
 from .geometry import Domain, MetricSpec
+from .parallel import fork_map
 from .special import bessel_zeros_upto, gauss_panels, rect_theta_factor
 
 # Relative tail below 1e-15 once t * completeness >= this; a truncated sum
@@ -513,6 +508,12 @@ _NUDGE = 1e-3
 # Window halvings allowed while a window holds more than 2 * _WINDOW modes,
 # as windows near the middle of a coarse grid's spectrum do, or all n.
 _MAX_HALVINGS = 50
+# Operators with fewer nodes than this solve their windows in the caller.
+# Timed on a 2-vCPU Xeon on the square and the slit square: at n = 217-625
+# (h = 1/16 to 1/26) the pool took 1.2-3x the time of one process, at
+# n = 715-729 (h = 1/28) about the same, at n = 945-961 (h = 1/32)
+# 0.6-0.9x.
+_POOL_NODES = 700
 
 
 def _shifted_lu(B: sps.csc_matrix, mu: float):
@@ -579,12 +580,13 @@ def _window_edges(B: sps.csc_matrix, k: int,
     return windows
 
 
-def _solve_window(B: sps.csc_matrix, windows: list, v0s: list, cols: list,
-                  out: np.ndarray, i: int) -> np.ndarray:
+def _solve_window(job: tuple, i: int) -> np.ndarray:
     """Eigenvalues of window i; its eigenvectors go to out[:, cols[i]:...].
 
-    Lanczos must find exactly the m eigenvalues inertia counts in [lo, hi).
+    job is (B, windows, v0s, cols, out).  Lanczos must find exactly the m
+    eigenvalues inertia counts in [lo, hi).
     """
+    B, windows, v0s, cols, out = job
     n = B.shape[0]
     lo, hi, m = windows[i]
     mid, lu, _ = _certified_lu(B, 0.5 * (lo + hi), _NUDGE * (hi - lo))
@@ -601,80 +603,15 @@ def _solve_window(B: sps.csc_matrix, windows: list, v0s: list, cols: list,
     return lam[inside]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _pool_size(windows: int) -> int:
-    """Worker processes for the window solves; 1 runs them in this process.
-
-    Workers are forked, so they inherit the operator without pickling.  A
-    daemonic process (itself a multiprocessing worker) may not fork them,
-    and a process running other Python threads does not: a forked child
-    inherits every lock those threads hold and could wait on one forever.
-    """
-    if (windows < 2 or "fork" not in mp.get_all_start_methods()
-            or mp.current_process().daemon or threading.active_count() > 1):
-        return 1
-    return min(_usable_cpus(), windows)
-
-
-# Thread-count setters of the OpenBLAS builds numpy and scipy ship or link.
-_OPENBLAS_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads",
-                     "scipy_openblas_set_num_threads64_")
-
-
-def _one_blas_thread() -> None:
-    """Run every loaded OpenBLAS on one thread in this process.
-
-    The workers already fill the usable CPUs, and an OpenBLAS thread pool in
-    each one oversubscribes them: on a 2-vCPU Xeon, two workers with two
-    BLAS threads each took 3.4 s for the windows of the h = 1/64 anomaly
-    operator, one process 1.8 s.  OpenBLAS reads its thread count from the
-    environment only when it loads, so the loaded builds are found in
-    /proc/self/maps and set through their own entry points.  Without
-    /proc, or for another BLAS, this does nothing.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(None, 5)[5].strip() for line in fh
-                     if "openblas" in line}
-    except OSError:
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        setter = next((getattr(lib, name) for name in _OPENBLAS_SETTERS
-                       if hasattr(lib, name)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-
-
-# The arguments of _solve_window but i, inherited by each forked worker.
-_worker_job = None
-
-
-def _adopt_job(job) -> None:
-    global _worker_job
-    _worker_job = job
-    _one_blas_thread()
-
-
-def _solve_job_window(i: int) -> np.ndarray:
-    return _solve_window(*_worker_job, i)
-
-
 def _sliced_eigsh(B: sps.csc_matrix, k: int, vol_w: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of B window by window until inertia counts k below an edge.
 
-    The edges are certified here first; the windows are then independent
-    and run on a pool of forked workers, one per usable CPU, taking the
-    next window as they finish one.  Every window returns exactly its
+    The edges are certified here first; the windows are then independent.
+    On an operator of at least ``_POOL_NODES`` nodes they run through
+    ``parallel.fork_map``, on forked workers that take the next window as
+    they finish one; smaller operators solve them here, where forking
+    would cost more than it saves.  Every window returns exactly its
     inertia count, so its eigenvector columns are known up front: workers
     write them into one shared buffer and send back only eigenvalues.  The
     merge is in window order, so the result has the same bits for any
@@ -684,22 +621,13 @@ def _sliced_eigsh(B: sps.csc_matrix, k: int, vol_w: float,
     windows = [w for w in _window_edges(B, k, vol_w) if w[2]]
     v0s = [rng.standard_normal(n) for _ in windows]
     cols = np.cumsum([0] + [m for _, _, m in windows]).tolist()
-    workers = _pool_size(len(windows))
-    if workers == 1:
-        out = np.empty((n, cols[-1]))
-        lams = [_solve_window(B, windows, v0s, cols, out, i)
-                for i in range(len(windows))]
+    # an anonymous MAP_SHARED mapping: the workers' writes land here
+    out = np.ndarray((n, cols[-1]), buffer=mmap.mmap(-1, 8 * n * cols[-1]))
+    job = (B, windows, v0s, cols, out)
+    if n < _POOL_NODES:
+        lams = [_solve_window(job, i) for i in range(len(windows))]
     else:
-        # an anonymous MAP_SHARED mapping: the workers' writes land here
-        out = np.ndarray((n, cols[-1]), buffer=mmap.mmap(-1, 8 * n * cols[-1]))
-        job = (B, windows, v0s, cols, out)
-        try:
-            with ProcessPoolExecutor(workers, mp.get_context("fork"),
-                                     _adopt_job, (job,)) as pool:
-                lams = list(pool.map(_solve_job_window, range(len(windows))))
-        except BrokenProcessPool as exc:
-            raise NumericalError("solve_eigs",
-                                 f"the window pool broke: {exc}") from exc
+        lams = fork_map(_solve_window, job, len(windows), "solve_eigs")
     lam = np.concatenate(lams)
     order = np.argsort(lam)[:k]
     return lam[order], out[:, order]
@@ -721,13 +649,15 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     ``default_rng(seed)`` in window order.
 
     The edges are certified in this process; the windows then run on a
-    pool of forked workers, one per usable CPU (``os.sched_getaffinity``),
-    each taking the next window when it finishes one.  They run here
-    instead when there is one usable CPU or one window, when the platform
-    cannot fork, when this process is itself a daemonic multiprocessing
-    worker, or when it runs other Python threads.  Results merge in window
-    order, so eigenvalues and eigenvectors have the same bits for any number
-    of workers.
+    pool of forked workers (``parallel.fork_map``), one per usable CPU
+    (``os.sched_getaffinity``), each taking the next window when it finishes
+    one.  They run here instead when the operator has fewer than
+    ``_POOL_NODES`` (700) nodes, where forking costs more than it saves,
+    when there is one usable CPU or one window, when the platform cannot
+    fork, when this process is itself a daemonic multiprocessing worker, or
+    when it runs other Python threads.  Results merge in window order, so
+    eigenvalues and eigenvectors have the same bits for any number of
+    workers.
 
     Residuals ||A x - lam W x|| / ||x|| are checked against 1e-8 * lam.
     """

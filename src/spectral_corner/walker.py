@@ -16,12 +16,15 @@ exp(-d1 d2 / ds) for excursions between knots, and explicit
 segment-intersection kills against slit polylines (either side of a slit is
 absorbing).  The random stream is counter-based and keyed by (seed, batch)
 over batches of the fixed size ``_BATCH``, so an estimate is fixed by the
-domain, t, n, steps and seed.  Each batch is scored in row blocks of
-``_BLOCK`` paths that fit in cache.  A path with a knot outside the domain
-has weight 0, so a block scores only the paths whose knots all stay inside
-(63 296 of 150 000 on the slit square at t = 0.05, seed 1).  The per-path
-arithmetic does not depend on the block or on the other paths in it, so
-neither do the results.
+domain, t, n, steps and seed.  The batches run on forked workers, one per
+usable CPU (``parallel.fork_map``), and each returns only its two weight
+sums, which are added in batch order.  A batch draws all its refinement
+normals in one call, then refines and scores its paths in row blocks of
+``_BLOCK`` that fit in cache, so no batch-wide offset array is built.  A
+path with a knot outside the domain has weight 0, so a block scores only
+the paths whose knots all stay inside (63 296 of 150 000 on the slit square
+at t = 0.05, seed 1).  The per-path arithmetic does not depend on the
+block, the worker or the other paths, so neither do the results.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 
 from .errors import SpecError
 from .geometry import ArcPiece, Domain, Segment
+from .parallel import fork_map
 
 _BATCH = 32768
 # Paths scored together inside a batch: 1024 paths of 65 knots keep every
@@ -164,29 +168,47 @@ def _sample_interior(domain: Domain, rng, m: int) -> np.ndarray:
     return out
 
 
-def _bridge_offsets(rng, m: int, steps: int, t: float) -> np.ndarray:
-    """Midpoint-refined bridge offsets, shape (m, steps+1, 2), zero endpoints.
+def _refinement_noise(rng, m: int, steps: int) -> list[np.ndarray]:
+    """The normals that refine m bridges of `steps` segments, split by level.
+
+    They are drawn in one call, in the order a level-by-level refinement of
+    all m paths consumes them: level by level, and within a level path by
+    path, midpoint by midpoint, x before y.  Level j is an (m, 2 * 2**j)
+    array, one row per path.
+    """
+    noise = rng.standard_normal(m * 2 * (steps - 1))
+    levels = []
+    start, mids = 0, 1
+    while mids < steps:
+        levels.append(noise[start:start + 2 * m * mids].reshape(m, 2 * mids))
+        start += 2 * m * mids
+        mids *= 2
+    return levels
+
+
+def _refine_block(noise: list[np.ndarray], rows: slice, steps: int,
+                  t: float) -> np.ndarray:
+    """Midpoint-refined offsets (paths, steps+1, 2) of the paths `rows`, zero
+    at both ends, from their rows of each level of `noise`.
 
     Conditional on the two bracketing knots a duration tau apart, the
     midpoint is Gaussian around their mean with per-coordinate variance
     tau/2 (variance rate 2 for the -Delta generator).  Knots are handled
     as complex numbers x + iy so that strided slices loop over knots, not
-    over coordinate pairs; the arithmetic is the real one.
+    over coordinate pairs; the arithmetic is the real one.  A path's
+    offsets depend only on its own rows of noise, so any split of the
+    paths into blocks gives the same bits.
     """
-    z = np.zeros((m, steps + 1, 2))
+    z = np.zeros((rows.stop - rows.start, steps + 1, 2))
     knots = z.view(np.complex128)[..., 0]
-    noise = np.empty(m * steps)
     stride = steps
-    while stride > 1:
+    for draw in noise:
         half = stride // 2
         mean = knots[:, 0:steps:stride] + knots[:, stride::stride]
         mid = mean.view(np.float64)
         mid *= 0.5
-        draw = noise[:mid.size].reshape(mid.shape)
-        rng.standard_normal(out=draw)
         tau = t * stride / steps
-        draw *= math.sqrt(tau / 2)
-        mid += draw
+        mid += draw[rows] * math.sqrt(tau / 2)
         knots[:, half::stride] = mean
         stride = half
     return z
@@ -215,6 +237,31 @@ def _block_weights(domain: Domain, xy: np.ndarray, ds: float, segs, arcs,
     return weight
 
 
+def _score_batch(job: tuple, index: int) -> tuple[float, float]:
+    """(sum of weights, sum of squared weights) of batch `index`.
+
+    job is (domain, t, n, steps, seed, segs, arcs, slit_segs).  The batch
+    draws from its own Philox stream, keyed by (seed, index): its starts
+    first, then its refinement normals.  Its paths are refined and scored
+    block by block, so every per-block array stays in cache.
+    """
+    domain, t, n, steps, seed, segs, arcs, slit_segs = job
+    m = min(_BATCH, n - index * _BATCH)
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, index], dtype=np.uint64)))
+    starts = _sample_interior(domain, rng, m)
+    noise = _refinement_noise(rng, m, steps)
+    weight = np.empty(m)
+    for r0 in range(0, m, _BLOCK):
+        block = slice(r0, min(r0 + _BLOCK, m))
+        offsets = _refine_block(noise, block, steps, t)
+        xy = np.empty((2, block.stop - r0, steps + 1))
+        np.add(starts[block].T[:, :, None], offsets.transpose(2, 0, 1), out=xy)
+        weight[block] = _block_weights(domain, xy, t / steps, segs, arcs,
+                                       slit_segs)
+    return float(weight.sum()), float((weight ** 2).sum())
+
+
 def bridge_trace_estimate(domain: Domain, t: float, n: int, steps: int = 64,
                           seed: int = 0) -> BridgeEstimate:
     """Estimate Tr(e^{-t Delta}) from n bridges of `steps` segments each.
@@ -223,6 +270,15 @@ def bridge_trace_estimate(domain: Domain, t: float, n: int, steps: int = 64,
     consecutive knots the path survives an excursion toward the nearest
     wall with probability 1 - exp(-d1 d2/ds) (ds the knot spacing in time);
     crossing a slit polyline kills the path outright.
+
+    The n bridges form batches of ``_BATCH``, each with its own Philox
+    stream, and the batches run through ``parallel.fork_map``: on forked
+    workers, one per usable CPU, or here when forking is not possible (one
+    CPU or one batch, no fork start method, a daemonic caller, or other
+    Python threads alive).  A batch returns only its two weight sums, and
+    they are added in batch order, so the estimate has the same bits for
+    any number of workers.  A worker that dies raises
+    ``NumericalError("bridge_trace_estimate")``.
     """
     if t <= 0:
         raise SpecError("bridge_trace_estimate requires t > 0")
@@ -239,27 +295,13 @@ def bridge_trace_estimate(domain: Domain, t: float, n: int, steps: int = 64,
     slit_segs = [(sl[j], sl[j + 1])
                  for sl in domain.slits for j in range(len(sl) - 1)]
 
+    job = (domain, t, n, steps, seed, segs, arcs, slit_segs)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    batch_index = 0
-    while done < n:
-        m = min(_BATCH, n - done)
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([seed, batch_index], dtype=np.uint64)))
-        starts = _sample_interior(domain, rng, m)
-        offsets = _bridge_offsets(rng, m, steps, t)
-        weight = np.empty(m)
-        for r0 in range(0, m, _BLOCK):
-            block = slice(r0, min(r0 + _BLOCK, m))
-            xy = np.empty((2, block.stop - r0, steps + 1))
-            np.add(starts[block].T[:, :, None], offsets[block].transpose(2, 0, 1),
-                   out=xy)
-            weight[block] = _block_weights(domain, xy, ds, segs, arcs, slit_segs)
-        total += float(weight.sum())
-        total_sq += float((weight ** 2).sum())
-        done += m
-        batch_index += 1
+    for w, w_sq in fork_map(_score_batch, job, -(-n // _BATCH),
+                            "bridge_trace_estimate"):
+        total += w
+        total_sq += w_sq
 
     mean = total / n
     var = max(total_sq / n - mean ** 2, 0.0)

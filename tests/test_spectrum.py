@@ -12,6 +12,7 @@ from spectral_corner import (MetricSpec, NumericalError, ScalarField,
                              SpecError, analytic_spectrum, assemble_fdm,
                              build_domain, richardson_spectrum, solve_eigs,
                              spectrum_for, weyl_ratio)
+from spectral_corner import parallel
 from spectral_corner import spectrum as spectrum_mod
 
 from .conftest import SLIT_SQUARE_DOC, make_sector
@@ -252,7 +253,8 @@ class TestSpectrumSlicing:
 
         monkeypatch.setattr(spectrum_mod, "_shifted_lu", overcount)
         # the failing window runs in a worker wherever fork is available
-        monkeypatch.setattr(spectrum_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(spectrum_mod, "_POOL_NODES", 0)
         with pytest.raises(NumericalError) as info:
             solve_eigs(slit_op, self.K, seed=0)
         assert info.value.stage == "solve_eigs"
@@ -267,7 +269,7 @@ def _eigenpair_bytes(op, k):
 
 def _solve_in_daemon(op, k, queue):
     try:
-        queue.put((spectrum_mod._pool_size(3), _eigenpair_bytes(op, k)))
+        queue.put((parallel._pool_size(3), _eigenpair_bytes(op, k)))
     except Exception as exc:  # report it, or the caller waits out its timeout
         queue.put((None, repr(exc)))
 
@@ -292,15 +294,32 @@ class TestParallelWindows:
 
     @pytest.mark.parametrize("k", [100, 517])
     def test_same_bits_for_any_worker_count(self, ops, k, monkeypatch):
+        # the small operator too goes to the pool here
+        monkeypatch.setattr(spectrum_mod, "_POOL_NODES", 0)
         got = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(spectrum_mod, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
             got.append(_eigenpair_bytes(ops[k], k))
         assert got[0] == got[1] == got[2]
 
+    @pytest.mark.parametrize("k", [100, 517])
+    def test_small_operators_solve_in_the_caller(self, ops, k, monkeypatch):
+        pooled = []
+
+        def fork_map(fn, job, count, stage):
+            pooled.append(count)
+            return [fn(job, i) for i in range(count)]
+
+        monkeypatch.setattr(spectrum_mod, "fork_map", fork_map)
+        _eigenpair_bytes(ops[k], k)
+        # n = 217 at k = 100 stays in the caller; n = 945 goes to the pool
+        assert (ops[k].n_nodes < spectrum_mod._POOL_NODES) == (k == 100)
+        assert pooled == ([] if k == 100 else [10])
+
     @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
     def test_daemonic_caller_runs_serially(self, ops, monkeypatch):
-        monkeypatch.setattr(spectrum_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(spectrum_mod, "_POOL_NODES", 0)
         ref = _eigenpair_bytes(ops[100], 100)
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
@@ -314,13 +333,13 @@ class TestParallelWindows:
         assert got == ref
 
     def test_threaded_caller_runs_serially(self, monkeypatch):
-        monkeypatch.setattr(spectrum_mod, "_usable_cpus", lambda: 2)
-        assert spectrum_mod._pool_size(3) == (2 if _FORK else 1)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        assert parallel._pool_size(3) == (2 if _FORK else 1)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(60,))
         other.start()
         try:
-            assert spectrum_mod._pool_size(3) == 1
+            assert parallel._pool_size(3) == 1
         finally:
             release.set()
             other.join(timeout=60)

@@ -1,15 +1,21 @@
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectral_corner import (SpecError, analytic_spectrum,
-                             bridge_trace_estimate, trace_at)
-from spectral_corner import walker
+from spectral_corner import (NumericalError, SpecError, analytic_spectrum,
+                             build_domain, bridge_trace_estimate, trace_at)
+from spectral_corner import parallel, walker
 
 from . import oracles
+from .conftest import make_sector
+
+_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 class TestDeterminism:
@@ -33,8 +39,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("block", [7, walker._BATCH])
     def test_block_size_does_not_change_bits(self, slit_square, disk, block,
                                              monkeypatch):
-        # 40000 paths span two batches, the second a partial one
+        # 40000 paths span two batches, the second a partial one, and the
+        # two run on two workers
         for dom in (slit_square, disk):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
             ref = bridge_trace_estimate(dom, 0.05, 40000, steps=32, seed=5)
             monkeypatch.setattr(walker, "_BLOCK", block)
             got = bridge_trace_estimate(dom, 0.05, 40000, steps=32, seed=5)
@@ -50,6 +58,14 @@ _COORD = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
 _POINT = st.tuples(_COORD, _COORD)
 
 
+def _block_offsets(rng, m, steps, t, block):
+    """Offsets of m bridges, refined block by block and concatenated."""
+    noise = walker._refinement_noise(rng, m, steps)
+    return np.concatenate([
+        walker._refine_block(noise, slice(r0, min(r0 + block, m)), steps, t)
+        for r0 in range(0, m, block)])
+
+
 def _planes(paths):
     xy = np.array(paths, dtype=float)
     return np.ascontiguousarray(xy[..., 0]), np.ascontiguousarray(xy[..., 1])
@@ -61,9 +77,9 @@ class TestKernels:
         def rng():
             return np.random.Generator(np.random.Philox(
                 key=np.array([11, 2], dtype=np.uint64)))
-        got = walker._bridge_offsets(rng(), m, steps, 0.05)
-        assert got.tobytes() == oracles.bridge_offsets(rng(), m, steps,
-                                                       0.05).tobytes()
+        ref = oracles.bridge_offsets(rng(), m, steps, 0.05).tobytes()
+        for block in (7, 1000, m):
+            assert _block_offsets(rng(), m, steps, 0.05, block).tobytes() == ref
 
     @settings(max_examples=60, deadline=None)
     @given(pts=st.lists(_POINT, min_size=1, max_size=40),
@@ -108,7 +124,7 @@ class TestKernels:
         rng = np.random.Generator(np.random.Philox(
             key=np.array([3, 0], dtype=np.uint64)))
         paths = walker._sample_interior(slit_square, rng, m)[:, None, :] \
-            + walker._bridge_offsets(rng, m, steps, t) + shift
+            + _block_offsets(rng, m, steps, t, m) + shift
         segs, arcs = walker._boundary_geometry(slit_square)
         slit_segs = [(sl[0], sl[1]) for sl in slit_square.slits]
         xy = np.ascontiguousarray(paths.transpose(2, 0, 1))
@@ -169,3 +185,86 @@ class TestPreconditions:
     def test_coarse_steps_vs_slit_clearance(self, slit_square):
         with pytest.raises(SpecError, match="clearance"):
             bridge_trace_estimate(slit_square, 1.0, 100, steps=4)
+
+
+def _estimate_bits(dom, n, seed=0):
+    est = bridge_trace_estimate(dom, 0.05, n, steps=32, seed=seed)
+    return est.estimate, est.stderr, est.survival
+
+
+def _estimate_in_daemon(dom, n, queue):
+    try:
+        queue.put((parallel._pool_size(2), _estimate_bits(dom, n)))
+    except Exception as exc:  # report it, or the caller waits out its timeout
+        queue.put((None, repr(exc)))
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("the batches should run in the caller")
+
+
+class TestParallelBatches:
+    """The batches run on a forked pool with the same bits for any worker count."""
+
+    # three full batches and a partial one
+    N = 3 * walker._BATCH + 1000
+
+    @pytest.mark.parametrize("name", ["slit", "disk", "sector-1.5", "rect-2x0.5"])
+    def test_same_bits_for_any_worker_count(self, name, slit_square, disk,
+                                            monkeypatch):
+        dom = {"slit": slit_square, "disk": disk,
+               "sector-1.5": make_sector(1.5),
+               "rect-2x0.5": build_domain({"kind": "rectangle",
+                                           "params": {"a": 2.0, "b": 0.5}})}[name]
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
+            got.append(_estimate_bits(dom, self.N, seed=1))
+        assert got[0] == got[1] == got[2]
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_daemonic_caller_runs_serially(self, slit_square, monkeypatch):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        ref = _estimate_bits(slit_square, self.N)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        proc = ctx.Process(target=_estimate_in_daemon,
+                           args=(slit_square, self.N, queue), daemon=True)
+        proc.start()
+        workers, got = queue.get(timeout=120)
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+        assert workers == 1
+        assert got == ref
+
+    def test_threaded_caller_runs_serially(self, slit_square, monkeypatch):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        ref = _estimate_bits(slit_square, self.N)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            got = _estimate_bits(slit_square, self.N)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert got == ref
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_dead_worker_names_stage(self, slit_square, monkeypatch):
+        caller = os.getpid()
+
+        def dies(job, index):
+            if os.getpid() != caller and index == 1:
+                os._exit(1)
+            return 0.0, 0.0
+
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(walker, "_score_batch", dies)
+        with pytest.raises(NumericalError) as info:
+            bridge_trace_estimate(slit_square, 0.05, self.N, steps=32)
+        assert info.value.stage == "bridge_trace_estimate"
+        assert "pool broke" in str(info.value)
