@@ -35,7 +35,6 @@ from .geometry import (A0_TERMS, Domain, MetricSpec, geometric_coefficients,
 from .spectrum import COMPLETE_SHARE, Spectrum, spectrum_for
 from .zeta import ZetaEvaluation, zeta_prime_at_zero
 
-_QUAD_TOL = 1e-10
 # Error budget ceiling of each zeta'(0) in the integrated identity.
 _ZETA_BUDGET = 0.05
 # Step of the differentiated form's central difference in u.
@@ -101,11 +100,10 @@ def pa_rhs(domain: Domain, sigma, form: str = "integrated",
     sigma = as_field(sigma)
     if form == "integrated":
         dirichlet = 0.0 if sigma.is_zero() else interior_integral(
-            domain, lambda x, y: sigma.grad_sq(x, y), _QUAD_TOL) / (12 * math.pi)
+            domain, lambda x, y: sigma.grad_sq(x, y)) / (12 * math.pi)
     elif form != "differentiated":
         raise SpecError(f"unknown anomaly form {form!r}")
-    coeffs = geometric_coefficients(domain, MetricSpec(sigma, u), psi=sigma,
-                                    tol=_QUAD_TOL)
+    coeffs = geometric_coefficients(domain, MetricSpec(sigma, u), psi=sigma)
     if form == "differentiated":
         return -2.0 * coeffs.a_0, {name: -2.0 * coeffs.breakdown[name]
                                    for name in A0_TERMS}
@@ -122,19 +120,17 @@ def _zeta_prime(domain: Domain, sigma, u: float, cfg: PipelineConfig,
     """Spectrum of g_u = e^{2 u sigma} g_0 and its zeta'(0) under a budget ceiling.
 
     The fit window needs completeness >= 4000, so k is sized by the weighted
-    Weyl count and conformal volume changes do not starve the window;
-    ``spectrum_for`` chooses the route.  A finite-difference grid too coarse
-    for that k raises SpecError naming k, h and the grid's node count.
+    Weyl count, read off a_{-1} = Vol_u / 4pi of the leg's
+    geometric_coefficients (the same coefficients the zeta'(0) fit peels),
+    and conformal volume changes do not starve the window; ``spectrum_for``
+    chooses the route.  A finite-difference grid too coarse for that k
+    raises SpecError naming k, h and the grid's node count.
     """
     metric = MetricSpec(sigma, u)
-    vol_w = domain.area if metric.is_flat() \
-        else interior_integral(domain, metric.weight)
-    k = max(cfg.eigs,
-            int(vol_w * (4000.0 / COMPLETE_SHARE) / (4 * math.pi) * 1.15) + 10)
+    coeffs = geometric_coefficients(domain, metric)
+    k = max(cfg.eigs, int(coeffs.a_m1 * (4000.0 / COMPLETE_SHARE) * 1.15) + 10)
     spec = spectrum_for(domain, metric, k, cfg.h, cfg.seed)
-    return spec, zeta_prime_at_zero(spec.trace,
-                                    geometric_coefficients(domain, metric),
-                                    tol=budget)
+    return spec, zeta_prime_at_zero(spec.trace, coeffs, tol=budget)
 
 
 def pa_verify(domain: Domain, sigma, config: Optional[PipelineConfig] = None) -> AnomalyReport:

@@ -25,7 +25,19 @@ from typing import Optional
 
 import numpy as np
 
+from . import __version__
+from .anomaly import PipelineConfig, pa_verify
 from .errors import NumericalError, SpecError
+from .fields import as_field
+from .geometry import (MetricSpec, _read_domain_doc, geometric_coefficients,
+                       load_domain)
+from .heattrace import (compare_expansion, default_window, fit_expansion,
+                        trace_curve)
+from .spectrum import spectrum_for
+from .walker import bridge_trace_estimate
+from .wedge import (WedgeBallQuery, a_remainder, a_remainder_bound,
+                    wedge_ball_trace)
+from .zeta import zeta_continued, zeta_prime_at_zero, zeta_series
 
 
 @dataclass
@@ -118,9 +130,6 @@ def _emit(artifact: dict, rows, headers, args) -> None:
 
 def _load_domain_doc(args, config):
     """(domain, sigma) of --domain and --sigma; hashes the document into config."""
-    from .fields import as_field
-    from .geometry import _read_domain_doc, load_domain
-
     if not args.domain:
         raise SpecError("--domain is required for this command")
     doc = _read_domain_doc(args.domain)
@@ -161,9 +170,6 @@ def _interior_samples(domain, n: int = 24):
 
 def _spectrum(args, config):
     """(domain, metric, spectrum) of --domain, --sigma and --u, by spectrum_for."""
-    from .geometry import MetricSpec
-    from .spectrum import spectrum_for
-
     domain, sigma = _load_domain_doc(args, config)
     metric = MetricSpec(sigma, args.u)
     return domain, metric, spectrum_for(domain, metric, args.eigs, args.grid_h,
@@ -172,8 +178,6 @@ def _spectrum(args, config):
 
 def _curve(args, config):
     """(domain, metric, heat trace) on --t-min..--t-max, else the default window."""
-    from .heattrace import default_window, trace_curve
-
     domain, metric, spec = _spectrum(args, config)
     if args.t_min is not None and args.t_max is not None:
         t = np.geomspace(args.t_min, args.t_max, args.t_points)
@@ -214,8 +218,6 @@ def _cmd_trace(args, config):
 
 
 def _cmd_fit(args, config):
-    from .heattrace import fit_expansion
-
     fit = fit_expansion(_curve(args, config)[2], "fit-all", seed=args.seed)
     half = {k: 0.5 * (v[1] - v[0]) for k, v in fit.confidence.items()}
     artifact = {
@@ -237,8 +239,6 @@ def _cmd_fit(args, config):
 
 
 def _cmd_compare(args, config):
-    from .heattrace import compare_expansion
-
     domain, metric, curve = _curve(args, config)
     tolerances = {"a_m1": args.tol, "a_mhalf": args.tol, "a_0": args.tol} \
         if args.tol else None
@@ -251,15 +251,11 @@ def _cmd_compare(args, config):
 
 
 def _zeta_pipeline(args, config):
-    from .geometry import geometric_coefficients
-
     domain, metric, spec = _spectrum(args, config)
     return spec, spec.trace, geometric_coefficients(domain, metric)
 
 
 def _cmd_zeta(args, config):
-    from .zeta import zeta_continued, zeta_series
-
     spec, provider, coeffs = _zeta_pipeline(args, config)
     rows = []
     for s in args.s:
@@ -278,8 +274,6 @@ def _cmd_zeta(args, config):
 
 
 def _cmd_zdet(args, config):
-    from .zeta import zeta_prime_at_zero
-
     spec, provider, coeffs = _zeta_pipeline(args, config)
     ev = zeta_prime_at_zero(provider, coeffs, tol=args.tol or 1e-6)
     artifact = {"result": {
@@ -298,8 +292,6 @@ def _cmd_zdet(args, config):
 
 def _cmd_anomaly(args, config):
     domain, sigma = _load_domain_doc(args, config)
-    from .anomaly import PipelineConfig, pa_verify
-
     cfg = PipelineConfig(h=args.grid_h, eigs=args.eigs, seed=args.seed)
     if args.tol:
         cfg.tolerance = args.tol
@@ -311,9 +303,6 @@ def _cmd_anomaly(args, config):
 
 
 def _cmd_wedge(args, config):
-    from .wedge import WedgeBallQuery, a_remainder, a_remainder_bound, \
-        wedge_ball_trace
-
     if not args.alpha:
         raise SpecError("--alpha is required for this command")
     rows = []
@@ -335,8 +324,6 @@ def _cmd_wedge(args, config):
 
 def _cmd_mc(args, config):
     domain, sigma = _load_domain_doc(args, config)
-    from .walker import bridge_trace_estimate
-
     rows = []
     for t in args.t:
         est = bridge_trace_estimate(domain, t, args.samples, steps=args.steps,
@@ -407,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(config: RunConfig) -> int:
     """Execute one command; write artifacts; return the process exit code."""
-    from . import __version__
-
     hashed = {k: v for k, v in sorted(dataclasses.asdict(config).items())
               if k not in ("out",) and v is not None}
     # warnings go into the error document, so stderr stays one JSON document

@@ -573,7 +573,7 @@ def _triangle_gauss(fn, tri, x0, w0) -> float:
 
 @dataclass
 class MetricSpec:
-    """Conformal family g_u = exp(2 u sigma) g_0 over a flat base metric."""
+    """Conformal family g_u = e^{2 u sigma} g_0 over a flat base metric."""
 
     sigma: ScalarField
     u: float = 0.0
@@ -587,7 +587,12 @@ class MetricSpec:
         return self.sigma.is_zero() or self.u == 0.0
 
     def weight(self, x, y):
-        """Conformal weight exp(2 u sigma)."""
+        """Conformal weight e^{2 u sigma}: the package's one statement of it.
+
+        The finite-difference mass matrix and the volume integrand of
+        geometric_coefficients both evaluate it here.  A flat metric gives
+        ones without evaluating sigma.
+        """
         if self.is_flat():
             return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
         return np.exp(2.0 * self.u * self.sigma(x, y))
@@ -609,7 +614,7 @@ class ExpansionCoefficients:
 
 
 def geometric_coefficients(domain: Domain, metric: Optional[MetricSpec] = None,
-                           psi=None, tol: float = _QUAD_TOL) -> ExpansionCoefficients:
+                           psi=None) -> ExpansionCoefficients:
     """Evaluate all geometric integrals of the short-time trace expansion.
 
     a_{-1}   = (1/4pi) int psi dVol_u
@@ -618,47 +623,33 @@ def geometric_coefficients(domain: Domain, metric: Optional[MetricSpec] = None,
                + (1/8pi) int_bdy d_n psi dl_u + (1/24) sum psi(p_j)(1-a_j^2)/a_j
 
     This is the package's one statement of the conformal rules over the flat
-    base: K_u dVol_u = u (Delta_0 sigma) dVol_0 with the positive Laplacian,
+    base: dVol_u = e^{2 u sigma} dVol_0 (MetricSpec.weight),
+    K_u dVol_u = u (Delta_0 sigma) dVol_0 with the positive Laplacian,
     k_u dl_u = (k_0 + u d_n sigma) dl_0, and d_{n_u} psi dl_u = d_n psi dl_0.
-    The anomaly module builds both of its forms on these integrals.
+    Every psi, psi = 1 (the default) included, takes the same quadratures at
+    the geometry module's tolerance of 1e-10; the flat interior curvature
+    integral alone is skipped.  The anomaly module builds both of its forms
+    on these integrals.
     """
     if metric is None:
         metric = MetricSpec.flat()
     psi = as_field(psi) if psi is not None else ScalarField.constant(1.0)
     sigma, u = metric.sigma, metric.u
     flat = metric.is_flat()
-    psi_const_one = psi.expr == 1
 
-    if flat and psi_const_one:
-        vol = domain.area
-        per = domain.perimeter
-        curv_int = 0.0
-    else:
-        vol = interior_integral(
-            domain, lambda x, y: psi(x, y) * np.exp(2 * u * sigma(x, y)), tol)
-        per = boundary_integral(
-            domain, lambda x, y, nx, ny, k: psi(x, y) * np.exp(u * sigma(x, y)), tol)
-        if flat:
-            curv_int = 0.0
-        else:
-            curv_int = interior_integral(
-                domain, lambda x, y: psi(x, y) * u * sigma.pos_laplacian(x, y), tol)
+    vol = interior_integral(domain, lambda x, y: psi(x, y) * metric.weight(x, y))
+    per = boundary_integral(
+        domain, lambda x, y, nx, ny, k: psi(x, y) * np.exp(u * sigma(x, y)))
+    curv_int = 0.0 if flat else interior_integral(
+        domain, lambda x, y: psi(x, y) * u * sigma.pos_laplacian(x, y))
 
     def bdy_curv(x, y, nx, ny, k):
         ku = k + (0.0 if flat else u * sigma.normal_derivative(x, y, nx, ny))
         return psi(x, y) * ku
 
-    has_arcs = any(isinstance(p, ArcPiece) for p in domain.pieces)
-    if flat and psi_const_one and not has_arcs:
-        bcurv_int = 0.0
-    else:
-        bcurv_int = boundary_integral(domain, bdy_curv, tol)
-
-    if psi_const_one:
-        ndpsi_int = 0.0
-    else:
-        ndpsi_int = boundary_integral(
-            domain, lambda x, y, nx, ny, k: psi.normal_derivative(x, y, nx, ny), tol)
+    bcurv_int = boundary_integral(domain, bdy_curv)
+    ndpsi_int = boundary_integral(
+        domain, lambda x, y, nx, ny, k: psi.normal_derivative(x, y, nx, ny))
 
     corner_sum = 0.0
     corner_terms = {}

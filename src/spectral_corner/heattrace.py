@@ -90,7 +90,6 @@ class ExpansionFit:
     window: tuple[float, float]
     residual_norm: float
     confidence: dict = field(default_factory=dict)
-    mode: str = "fit-all"
 
 
 _FIT_ALL = ("1/t", "1/sqrt(t)", "1", "sqrt(t)", "sqrt(t)*log(t)")
@@ -168,7 +167,7 @@ def fit_expansion(curve: HeatTraceCurve, mode: str = "fit-all",
     remainder = {k: float(v) for k, v in named.items()
                  if k not in ("1/t", "1/sqrt(t)", "1")}
     return ExpansionFit(float(a_m1), float(a_mhalf), float(a_0), remainder,
-                        (float(t[0]), float(t[-1])), rnorm, confidence, mode)
+                        (float(t[0]), float(t[-1])), rnorm, confidence)
 
 
 def compare_expansion(domain: Domain, metric: Optional[MetricSpec], psi,

@@ -2,7 +2,7 @@
 
 Analytic spectra cover rectangles, disks, and circular sectors of any
 opening angle alpha*pi > 0 (alpha > 2 is a cone sector).  Polygonal and slit
-domains with a conformal weight exp(2 u sigma) use a 5-point finite
+domains with a conformal weight e^{2 u sigma} use a 5-point finite
 difference discretization and a spectrum-slicing shift-invert Lanczos
 eigensolver whose eigenvalue counts are certified by Sylvester inertia.
 Its windows run on forked worker processes (``parallel``), one per usable
@@ -291,7 +291,7 @@ def _bessel_eigs(radius: float, lam_max: float, orders) -> np.ndarray:
 class DiscreteOperator:
     """5-point Dirichlet Laplacian with a diagonal conformal weight.
 
-    Generalized problem A x = lambda W x, W = diag(exp(2 u sigma)), reduced
+    Generalized problem A x = lambda W x, W = diag(e^{2 u sigma}), reduced
     to the symmetric B = W^{-1/2} A W^{-1/2}.  Slit nodes carry the Dirichlet
     condition, so stencils never couple opposite slit sides.
     """
@@ -322,12 +322,9 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     """Assemble the finite-difference operator on a lattice of spacing h.
 
     Supported: rectangles and (slit-)polygons whose slits lie on grid lines.
-    Cone corners (alpha > 2) cannot be planar-embedded and are rejected; use
-    the analytic sector spectrum or the wedge module instead.
+    Disks and sectors, cones included, have no vertex lattice and are
+    rejected with their kind; ``analytic_spectrum`` covers them.
     """
-    if any(c.alpha > 2 + 1e-12 for c in domain.corners):
-        raise SpecError("FDM unsupported for cone corners (alpha > 2); "
-                        "use the analytic sector route")
     verts = domain.vertices
     if verts is None:
         raise SpecError(f"FDM unsupported for kind {domain.kind!r}")
@@ -383,16 +380,13 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
 
     if metric is None:
         metric = MetricSpec.flat()
-    if metric.is_flat():
-        w = np.ones(n)
-    else:
-        with np.errstate(all="ignore"):
-            w = np.exp(2.0 * metric.u * metric.sigma(nodes[:, 0], nodes[:, 1]))
-        if not np.all(np.isfinite(w) & (w > 0)):
-            raise SpecError(
-                f"sigma {metric.sigma!r} at u={metric.u:g} gives a conformal "
-                "weight exp(2 u sigma) that is not finite and positive at "
-                "every grid node")
+    with np.errstate(all="ignore"):
+        w = metric.weight(nodes[:, 0], nodes[:, 1])
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise SpecError(
+            f"sigma {metric.sigma!r} at u={metric.u:g} gives a conformal "
+            "weight e^{2 u sigma} that is not finite and positive at "
+            "every grid node")
     return DiscreteOperator(domain, h, nodes, A, w, metric)
 
 
@@ -484,7 +478,7 @@ def spectrum_for(domain: Domain, metric: MetricSpec, k: int, h: float,
             return analytic_spectrum(domain, k)
         if not abs(c) < 354.0:  # e^{2c} is a finite normal double
             raise SpecError(f"sigma {sigma!r} at u={u:g} gives a conformal "
-                            "weight exp(2 u sigma) outside the double range")
+                            "weight e^{2 u sigma} outside the double range")
         return analytic_spectrum(domain.scaled(math.exp(c)), k)
     if domain.vertices is None:
         raise SpecError(

@@ -59,9 +59,6 @@ def _kl_integral(alpha: float, eps: float, t: float) -> float:
     2 sin^2(pi/(2 alpha)), which is cancellation-free for every alpha
     (raw cosh - cos loses all digits as alpha grows).
     """
-    s = math.sin(math.pi / alpha)
-    if s == 0.0:
-        return 0.0
     scale = eps * eps / (2.0 * t)
     # truncate where the envelope e^{-scale*cosh(q)} is below 1e-30 * e^{-scale}
     ch_max = 1.0 + 70.0 / scale
@@ -75,7 +72,7 @@ def _kl_integral(alpha: float, eps: float, t: float) -> float:
         return np.exp(-scale * (1.0 + ch)) / ((1.0 + ch) * den)
 
     val, _ = tanh_sinh(integrand, 0.0, q_max, tol=1e-13)
-    return s / (4.0 * math.pi) * val
+    return math.sin(math.pi / alpha) / (4.0 * math.pi) * val
 
 
 def a_remainder(q: WedgeBallQuery) -> float:

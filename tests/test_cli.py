@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 import spectral_corner
-from spectral_corner import SpecError, cli
+from spectral_corner import SpecError, analytic_spectrum, cli, zeta_series
 from spectral_corner.cli import RunConfig, main, run
 
 from .conftest import SLIT_SQUARE_DOC
@@ -147,6 +147,42 @@ class TestCommands:
         assert len(rows) == 6
         assert all(r["pass"] for r in rows)
 
+    def test_compare_square_json_and_csv(self, square_doc, capsys):
+        code, out = run_json(["compare", "--domain", square_doc], capsys)
+        assert code == 0
+        result = json.loads(out.out)["result"]
+        assert result["all_pass"]
+        rows = result["rows"]
+        assert set(rows) == {"a_m1", "a_mhalf", "a_0"}
+        code, out = run_json(["compare", "--domain", square_doc,
+                              "--format", "csv"], capsys)
+        assert code == 0
+        lines = out.out.strip().splitlines()
+        assert lines[2] == "coefficient,predicted,fitted,abs_gap,tolerance,pass"
+        assert len(lines) == 6
+        for line in lines[3:]:
+            name, *cells, passed = line.split(",")
+            r = rows[name]
+            assert [float(c) for c in cells] == \
+                [r["predicted"], r["fitted"], r["abs_gap"], r["tolerance"]]
+            assert passed == "True"
+
+    def test_zeta_on_disk_takes_the_series_route(self, disk, disk_doc, capsys):
+        code, out = run_json(["zeta", "--domain", disk_doc, "--s", "3",
+                              "--tol", "1e-6"], capsys)
+        assert code == 0
+        row = json.loads(out.out)["result"]["values"][0]
+        assert row["route"] == "series"
+        assert row["error"] == 1e-6
+        assert row["zeta"] == zeta_series(analytic_spectrum(disk, 400), 3.0,
+                                          tol=1e-6)
+
+    def test_anomaly_tol_is_the_verdict_tolerance(self, square_doc, capsys):
+        code, out = run_json(["anomaly", "--domain", square_doc, "--sigma",
+                              "0.3", "--tol", "0.5"], capsys)
+        assert code == 0
+        assert json.loads(out.out)["result"]["tolerance"] == 0.5
+
 
 class TestFailures:
     def test_invalid_domain_doc_exits_2(self, tmp_path, capsys):
@@ -266,6 +302,13 @@ class TestFailures:
         message = json.loads(out.err)["error"]["message"]
         assert "[0.0162, 0.1]" in message and "more eigenvalues" in message
         assert run_json(["trace", "--domain", disk_doc], capsys)[0] == 0
+
+    def test_wedge_without_alpha_exits_2(self, capsys):
+        code, out = run_json(["wedge"], capsys)
+        assert code == 2
+        err = json.loads(out.err)["error"]
+        assert err == {"kind": "spec",
+                       "message": "--alpha is required for this command"}
 
     def test_missing_domain_exits_2(self, capsys):
         code, out = run_json(["spectrum"], capsys)

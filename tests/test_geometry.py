@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,9 @@ from spectral_corner import (MetricSpec, NumericalError, ScalarField, SpecError,
                              load_domain)
 
 from .conftest import SLIT_SQUARE_DOC, make_sector, riemann_interior
+
+L_DOC = {"kind": "polygon", "params": {
+    "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}}
 
 
 class TestCornerTerm:
@@ -102,6 +106,46 @@ class TestBuildDomain:
         dom, sigma = load_domain(doc)
         assert dom.kind == "slit-polygon"
         assert sigma(1.0, 0.0) == pytest.approx(0.1)
+
+
+    def test_load_domain_from_open_file(self, tmp_path):
+        path = tmp_path / "slit.json"
+        path.write_text(json.dumps({**SLIT_SQUARE_DOC, "sigma": "0.1*x"}))
+        with open(path) as fh:
+            dom, sigma = load_domain(fh)
+        assert dom.kind == "slit-polygon"
+        assert dom.area == pytest.approx(1.0)
+        assert sigma(1.0, 0.0) == pytest.approx(0.1)
+
+    def test_clockwise_polygon_matches_counter_clockwise(self):
+        ccw = build_domain(L_DOC)
+        cw = build_domain({"kind": "polygon", "params": {
+            "vertices": L_DOC["params"]["vertices"][::-1]}})
+        assert cw.area == ccw.area == 3.0
+        assert [(c.location, c.alpha) for c in cw.corners] == \
+            [(c.location, c.alpha) for c in ccw.corners]
+        sigma = ScalarField("0.3*x - 0.2*x*y")
+        for metric, psi in ((None, None), (MetricSpec(sigma, 1.0), sigma)):
+            a, b = (geometric_coefficients(d, metric, psi) for d in (cw, ccw))
+            assert (a.a_m1, a.a_mhalf, a.a_0) == pytest.approx(
+                (b.a_m1, b.a_mhalf, b.a_0), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("doc", [L_DOC, SLIT_SQUARE_DOC],
+                             ids=["polygon", "slit-polygon"])
+    def test_scaled_polygon(self, doc):
+        r = 1.5
+        dom = build_domain(doc)
+        big = dom.scaled(r)
+        assert big.kind == dom.kind
+        assert big.area == pytest.approx(r ** 2 * dom.area, rel=1e-14)
+        np.testing.assert_allclose(big.vertices, r * dom.vertices, rtol=1e-15)
+        assert len(big.slits) == len(dom.slits)
+        for small_slit, big_slit in zip(dom.slits, big.slits):
+            np.testing.assert_allclose(big_slit, r * small_slit, rtol=1e-15)
+        a, b = geometric_coefficients(dom), geometric_coefficients(big)
+        assert b.a_m1 == pytest.approx(r ** 2 * a.a_m1, rel=1e-12)
+        assert b.a_mhalf == pytest.approx(r * a.a_mhalf, rel=1e-12)
+        assert b.a_0 == pytest.approx(a.a_0, abs=1e-12)
 
 
 class TestIntegrals:

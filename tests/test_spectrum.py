@@ -174,6 +174,16 @@ class TestDiscreteOperator:
                          h=1 / 16)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "disk", "params": {"R": 1.0}},
+        {"kind": "sector", "params": {"alpha": 1.5, "R": 1.0}},
+        {"kind": "sector", "params": {"alpha": 3.0, "R": 1.0}},
+    ], ids=["disk", "sector", "cone-sector"])
+    def test_kinds_without_a_lattice_are_named(self, doc):
+        with pytest.raises(SpecError,
+                           match=f"FDM unsupported for kind '{doc['kind']}'"):
+            assemble_fdm(build_domain(doc), None, h=1 / 8)
+
     def test_fdm_dilation_scaling(self, square):
         lam = solve_eigs(assemble_fdm(square, None, h=1 / 24), 4,
                          seed=0).eigenvalues

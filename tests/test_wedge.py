@@ -38,6 +38,19 @@ class TestRemainderBounds:
             assert abs(vals[1] - vals[0]) < 1e-8
             assert abs(vals[2] - vals[1]) < 1e-8
 
+    @pytest.mark.parametrize("alpha", [1 / 4, 1 / 6])
+    def test_image_on_the_contour_takes_half_weight(self, alpha):
+        # at alpha = 1/(2K) the k = K image sits on the contour; without its
+        # half weight A(alpha) jumps by (alpha/8) e^{-eps^2/t} >= 9e-7 here,
+        # while the smooth second difference stays below 2e-11
+        d = 1e-6
+        for eps, t in ((0.5, 0.05), (1.0, 0.1), (1.0, 0.3)):
+            q = WedgeBallQuery(alpha, eps, t)
+            lo, mid, hi = (a_remainder(WedgeBallQuery(a, eps, t))
+                           for a in (alpha - d, alpha, alpha + d))
+            assert abs(lo - 2 * mid + hi) <= 1e-9
+            assert abs(mid) <= a_remainder_bound(q) * (1 + 1e-12)
+
     def test_invalid_query(self):
         with pytest.raises(SpecError):
             WedgeBallQuery(0.0, 1.0, 0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,25 @@ class TestContinuationVsSeries:
             zeta_series(small, 1.5, tol=1e-12)
         with pytest.raises(SpecError):
             zeta_series(small, 1.0)
+
+    def test_series_without_boundary_length_stays_in_its_bound(self, square):
+        # no boundary length: a one-term Weyl tail, whose bound is built from
+        # the perimeter proxy 4 sqrt(Vol); a returned value is within tol
+        base = analytic_spectrum(square, 2000)
+        spec = dataclasses.replace(base, boundary_length=None, exact=None)
+        coeffs = geometric_coefficients(square)
+        outcomes = []
+        for s in (1.5, 2.0, 3.0):
+            ref = zeta_continued(base.trace, coeffs, s)
+            for tol in np.geomspace(1e-12, 1e-2, 11):
+                try:
+                    err = abs(zeta_series(spec, s, tol=tol) - ref)
+                except NumericalError:
+                    outcomes.append("raised")
+                    continue
+                outcomes.append("returned")
+                assert err <= tol
+        assert set(outcomes) == {"raised", "returned"}
 
     def test_continuation_preconditions(self, square_setup):
         spec, provider, coeffs = square_setup
