@@ -153,13 +153,13 @@ def _load_domain_doc(args, config):
 def _interior_samples(domain, n: int = 24):
     """Cell midpoints of an n x n lattice inside the domain, as (x, y).
 
-    Polygons use their bounding box; disks and sectors (cones included)
+    Polygons use their sampling box; disks and sectors (cones included)
     use polar coordinates about the centre or apex.
     """
     s = (np.arange(n) + 0.5) / n
     if domain.vertices is not None:
-        lo, hi = domain.vertices.min(axis=0), domain.vertices.max(axis=0)
-        x, y = np.meshgrid(lo[0] + s * (hi[0] - lo[0]), lo[1] + s * (hi[1] - lo[1]))
+        lo, span = domain.box
+        x, y = np.meshgrid(lo[0] + s * span[0], lo[1] + s * span[1])
         pts = np.column_stack([x.ravel(), y.ravel()])
         pts = pts[domain.contains(pts)]
         return pts[:, 0], pts[:, 1]

@@ -4,6 +4,8 @@ Domains are flat (Euclidean base metric) and built from straight segments
 and circular arcs.  Slit sides are represented as separate boundary pieces
 (prime ends), so slits are counted twice in the perimeter.  Corner angles
 are stored in units of pi throughout.
+Each builder also records the facts that finite differences, the walker
+and the CLI read instead of re-deriving them (see ``Domain``).
 """
 
 from __future__ import annotations
@@ -101,10 +103,24 @@ class Domain:
     perimeter: float
     slits: list[np.ndarray] = field(default_factory=list)
     vertices: Optional[np.ndarray] = None
+    # Derived, recorded once by the builder: (p0, p1) of every segment of
+    # every slit in order, (p0, p1) of every straight wall with each slit
+    # segment once, (center, radius) of every arc, and the sampling box
+    # (lo, span) that holds the domain, None on a cone (alpha > 2).
+    slit_segments: list = field(default_factory=list, init=False)
+    walls: list = field(default_factory=list, init=False)
+    arcs: list = field(default_factory=list, init=False)
+    box: Optional[tuple] = field(default=None, init=False)
 
     def __post_init__(self):
         if self.area <= 0:
             raise SpecError("domain area must be positive")
+
+    @property
+    def slit_clearance(self) -> float:
+        """Length of the shortest slit segment; inf without slits."""
+        return min((float(np.hypot(*(p1 - p0))) for p0, p1 in self.slit_segments),
+                   default=math.inf)
 
     # -- containment ------------------------------------------------------
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -202,6 +218,12 @@ def load_domain(source) -> tuple[Domain, "ScalarField"]:
     return build_domain(doc), as_field(doc.get("sigma"))
 
 
+def _record(domain: Domain, walls, box, arcs=(), slit_segments=()) -> Domain:
+    domain.walls, domain.arcs, domain.box = list(walls), list(arcs), box
+    domain.slit_segments = list(slit_segments)
+    return domain
+
+
 def _finite(*values) -> None:
     if not all(np.all(np.isfinite(v)) for v in values):
         raise SpecError("domain parameters must be finite")
@@ -215,8 +237,9 @@ def _build_rectangle(params) -> Domain:
     verts = np.array([[0.0, 0.0], [a, 0.0], [a, b], [0.0, b]])
     pieces = [Segment(verts[i], verts[(i + 1) % 4]) for i in range(4)]
     corners = [Corner(tuple(verts[i]), 0.5) for i in range(4)]
-    return Domain("rectangle", {"a": a, "b": b}, pieces, corners,
-                  area=a * b, perimeter=2 * (a + b), vertices=verts)
+    dom = Domain("rectangle", {"a": a, "b": b}, pieces, corners,
+                 area=a * b, perimeter=2 * (a + b), vertices=verts)
+    return _record(dom, [(p.p0, p.p1) for p in pieces], (verts[0], verts[2]))
 
 
 def _build_disk(params) -> Domain:
@@ -225,8 +248,10 @@ def _build_disk(params) -> Domain:
     if radius <= 0:
         raise SpecError("disk radius must be positive")
     pieces = [ArcPiece((0.0, 0.0), radius, 0.0, TWO_PI)]
-    return Domain("disk", {"R": radius}, pieces, [],
-                  area=math.pi * radius**2, perimeter=TWO_PI * radius)
+    dom = Domain("disk", {"R": radius}, pieces, [],
+                 area=math.pi * radius**2, perimeter=TWO_PI * radius)
+    return _record(dom, [], (np.full(2, -radius), np.full(2, 2 * radius)),
+                   [(pieces[0].center, radius)])
 
 
 def _build_sector(params) -> Domain:
@@ -247,9 +272,13 @@ def _build_sector(params) -> Domain:
         Corner((radius, 0.0), 0.5),
         Corner(tuple(end), 0.5),
     ]
-    return Domain("sector", {"alpha": alpha, "R": radius}, pieces, corners,
-                  area=alpha * math.pi * radius**2 / 2,
-                  perimeter=2 * radius + alpha * math.pi * radius)
+    dom = Domain("sector", {"alpha": alpha, "R": radius}, pieces, corners,
+                 area=alpha * math.pi * radius**2 / 2,
+                 perimeter=2 * radius + alpha * math.pi * radius)
+    # at alpha = 2 the closing side retraces the first one: one wall
+    walls = [(p.p0, p.p1) for p in (pieces[0::2] if alpha != 2 else pieces[:1])]
+    box = (np.full(2, -radius), np.full(2, 2 * radius)) if alpha <= 2 else None
+    return _record(dom, walls, box, [(pieces[1].center, radius)])
 
 
 def _build_polygon(params, slits) -> Domain:
@@ -271,26 +300,32 @@ def _build_polygon(params, slits) -> Domain:
         alpha = _interior_angle(verts[(i - 1) % n], verts[i], verts[(i + 1) % n])
         corners.append(Corner(tuple(verts[i]), alpha))
     perimeter = sum(p.length for p in pieces)
-    slit_arrays = []
-    if slits:
-        for poly in slits:
-            sl = np.asarray(poly, dtype=float)
-            if sl.ndim != 2 or sl.shape[0] < 2:
-                raise SpecError("each slit must be a polyline of >= 2 points")
-            _finite(sl)
-            extra_pieces, extra_corners, extra_len = _attach_slit(verts, pieces, sl)
-            pieces.extend(extra_pieces)
-            corners.extend(extra_corners)
-            perimeter += extra_len
-            slit_arrays.append(sl)
+    slit_arrays, slit_segments = [], []
+    for poly in slits or ():
+        sl = np.asarray(poly, dtype=float)
+        if sl.ndim != 2 or sl.shape[0] < 2:
+            raise SpecError("each slit must be a polyline of >= 2 points")
+        _finite(sl)
+        segs = list(zip(sl[:-1], sl[1:]))
+        extra_pieces, extra_corners, extra_len = _attach_slit(verts, sl, segs)
+        pieces.extend(extra_pieces)
+        corners.extend(extra_corners)
+        perimeter += extra_len
+        slit_arrays.append(sl)
+        slit_segments.extend(segs)
     kind = "slit-polygon" if slit_arrays else "polygon"
-    return Domain(kind, {"vertices": verts.tolist()}, pieces, corners,
-                  area=area2 / 2, perimeter=perimeter,
-                  slits=slit_arrays, vertices=verts)
+    dom = Domain(kind, {"vertices": verts.tolist()}, pieces, corners,
+                 area=area2 / 2, perimeter=perimeter,
+                 slits=slit_arrays, vertices=verts)
+    return _record(dom, [(p.p0, p.p1) for p in pieces[:n]] + slit_segments,
+                   (verts.min(axis=0), np.ptp(verts, axis=0)), (), slit_segments)
 
 
-def _attach_slit(verts, boundary_pieces, sl):
-    """Slit bookkeeping: mouth corners, tip corner, and doubled side pieces."""
+def _attach_slit(verts, sl, segs):
+    """Slit bookkeeping: mouth, bend and tip corners, and doubled side pieces.
+
+    segs are the slit's segments (p0, p1) in order.
+    """
     n = len(verts)
     mouth = sl[0]
     edge_dir = None
@@ -305,10 +340,10 @@ def _attach_slit(verts, boundary_pieces, sl):
     for p in sl[1:]:
         if not _points_in_polygon(p[None, :], verts)[0]:
             raise SpecError("slit interior points must lie strictly inside the polygon")
-    for j in range(len(sl) - 1):
+    for j, (p0, p1) in enumerate(segs):
         for i in range(n):
             a, b = verts[i], verts[(i + 1) % n]
-            if _segments_cross(sl[j], sl[j + 1], a, b, skip_first_endpoint=(j == 0)):
+            if _segments_cross(p0, p1, a, b, skip_first_endpoint=(j == 0)):
                 raise SpecError("slit crosses the boundary; undeclared self-intersection")
 
     s_dir = (sl[1] - sl[0]) / np.hypot(*(sl[1] - sl[0]))
@@ -316,21 +351,33 @@ def _attach_slit(verts, boundary_pieces, sl):
     th2 = math.acos(float(np.clip(np.dot(s_dir, edge_dir), -1, 1)))
     if th1 < 1e-12 or th2 < 1e-12:
         raise SpecError("slit meets the boundary tangentially")
-    corners = [
-        Corner(tuple(mouth), th1 / math.pi),
-        Corner(tuple(mouth), th2 / math.pi),
-        Corner(tuple(sl[-1]), 2.0),  # slit tip
-    ]
+    corners = [Corner(tuple(mouth), th1 / math.pi), Corner(tuple(mouth), th2 / math.pi)]
+    for (p0, p1), (_, p2) in zip(segs[:-1], segs[1:]):
+        corners.extend(_bend_corners(p0, p1, p2))
+    corners.append(Corner(tuple(sl[-1]), 2.0))  # slit tip
     pieces = []
     length = 0.0
-    for j in range(len(sl) - 1):
-        d = sl[j + 1] - sl[j]
+    for p0, p1 in segs:
+        d = p1 - p0
         d = d / np.hypot(*d)
         left = np.array([-d[1], d[0]])
-        pieces.append(Segment(sl[j], sl[j + 1], outward_normal=left))
-        pieces.append(Segment(sl[j], sl[j + 1], outward_normal=-left))
-        length += 2 * float(np.hypot(*(sl[j + 1] - sl[j])))
+        pieces.append(Segment(p0, p1, outward_normal=left))
+        pieces.append(Segment(p0, p1, outward_normal=-left))
+        length += 2 * float(np.hypot(*(p1 - p0)))
     return pieces, corners, length
+
+
+def _bend_corners(p0, p1, p2) -> list[Corner]:
+    """The corners a slit bending at p1 makes: angle theta*pi on one side and
+    (2 - theta)*pi on the other, none where the slit runs straight on."""
+    d1, d2 = p1 - p0, p2 - p1
+    turn = abs(math.atan2(d1[0] * d2[1] - d1[1] * d2[0], float(np.dot(d1, d2))))
+    if turn < 1e-12:
+        return []
+    if math.pi - turn < 1e-12:
+        raise SpecError(f"slit folds back on itself at {p1.tolist()}")
+    theta = 1.0 - turn / math.pi
+    return [Corner(tuple(p1), theta), Corner(tuple(p1), 2.0 - theta)]
 
 
 # ---------------------------------------------------------------------------

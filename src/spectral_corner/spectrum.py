@@ -321,7 +321,11 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
                  h: float = 1 / 64) -> DiscreteOperator:
     """Assemble the finite-difference operator on a lattice of spacing h.
 
-    Supported: rectangles and (slit-)polygons whose slits lie on grid lines.
+    Supported: rectangles and (slit-)polygons.  Each slit vertex must sit
+    on a grid point and each of ``domain.slit_segments`` must run along a
+    grid line or a grid diagonal (|dx| = |dy|): once the nodes on it are
+    removed, no 5-point stencil joins its two sides.  Any other segment is
+    rejected by name.
     Disks and sectors, cones included, have no vertex lattice and are
     rejected with their kind; ``analytic_spectrum`` covers them.
     """
@@ -335,13 +339,17 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     if abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
         raise SpecError("grid spacing h must divide the domain bounding box")
     nx, ny = int(round(nx)), int(round(ny))
-    for sl in domain.slits:
-        off = (sl - [x0, y0]) / h
-        if not np.allclose(off, np.round(off), atol=1e-9):
-            raise SpecError("slit vertices must lie on grid lines for spacing h")
-    if domain.slits and h > 0.5 * min(
-            float(np.hypot(*(sl[j + 1] - sl[j])))
-            for sl in domain.slits for j in range(len(sl) - 1)):
+    off = (np.reshape(domain.slit_segments, (-1, 2, 2)) - [x0, y0]) / h
+    if not np.allclose(off, np.round(off), rtol=0.0, atol=1e-9):
+        raise SpecError("slit vertices must lie on grid points for spacing h")
+    steps = np.diff(np.round(off), axis=1)[:, 0]
+    for (p0, p1), (dx, dy) in zip(domain.slit_segments, steps):
+        if dx and dy and abs(dx) != abs(dy):
+            raise SpecError(
+                f"slit segment {p0.tolist()} -> {p1.tolist()} runs along neither "
+                "a grid line nor a grid diagonal; the 5-point stencil would "
+                "join nodes on its two sides")
+    if h > 0.5 * domain.slit_clearance:
         raise SpecError("grid too coarse to separate slit sides; reduce h")
 
     xs = x0 + h * np.arange(nx + 1)
@@ -349,9 +357,8 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
     interior = domain.contains(pts)
-    for sl in domain.slits:
-        for j in range(len(sl) - 1):
-            interior &= ~_on_closed_segment(pts, sl[j], sl[j + 1], tol=1e-9 * h)
+    for p0, p1 in domain.slit_segments:
+        interior &= ~_on_closed_segment(pts, p0, p1, tol=1e-9 * h)
     interior = interior.reshape(nx + 1, ny + 1)
     # boundary lattice lines are never interior
     interior[0, :] = interior[-1, :] = False

@@ -13,18 +13,22 @@ the lifetime).  Integrating p uniformly over D gives
 which this module estimates by exact conditional-Gaussian midpoint
 refinement of the bridge, a per-segment boundary-crossing correction
 exp(-d1 d2 / ds) for excursions between knots, and explicit
-segment-intersection kills against slit polylines (either side of a slit is
-absorbing).  The random stream is counter-based and keyed by (seed, batch)
-over batches of the fixed size ``_BATCH``, so an estimate is fixed by the
-domain, t, n, steps and seed.  The batches run on forked workers, one per
-usable CPU (``parallel.fork_map``), and each returns only its two weight
-sums, which are added in batch order.  A batch draws all its refinement
-normals in one call, then refines and scores its paths in row blocks of
-``_BLOCK`` that fit in cache, so no batch-wide offset array is built.  A
-path with a knot outside the domain has weight 0, so a block scores only
-the paths whose knots all stay inside (63 296 of 150 000 on the slit square
-at t = 0.05, seed 1).  The per-path arithmetic does not depend on the
-block, the worker or the other paths, so neither do the results.
+segment-intersection kills against every slit segment (either side of a
+slit is absorbing).  Starts are drawn from the domain's sampling box and
+distances run to its walls and arcs; ``geometry`` records all of these
+when it builds the domain, so a cone sector, which has no box, is refused
+before any path is drawn.  The random stream is counter-based and keyed by
+(seed, batch) over batches of the fixed size ``_BATCH``, so an estimate is
+fixed by the domain, t, n, steps and seed.  The batches run on forked
+workers, one per usable CPU (``parallel.fork_map``), and each returns only
+its two weight sums, which are added in batch order.  A batch draws all
+its refinement normals in one call, then refines and scores its paths in
+row blocks of ``_BLOCK`` that fit in cache, so no batch-wide offset array
+is built.  A path with a knot outside the domain has weight 0, so a block
+scores only the paths whose knots all stay inside (63 296 of 150 000 on
+the slit square at t = 0.05, seed 1).  The per-path arithmetic does not
+depend on the block, the worker or the other paths, so neither do the
+results.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .geometry import ArcPiece, Domain, Segment
+from .geometry import Domain
 from .parallel import fork_map
 
 _BATCH = 32768
@@ -63,31 +67,6 @@ class BridgeEstimate:
 
 def _next_pow2(k: int) -> int:
     return 1 << (k - 1).bit_length()
-
-
-def _slit_clearance(domain: Domain) -> float:
-    lengths = [float(np.hypot(*(sl[j + 1] - sl[j])))
-               for sl in domain.slits for j in range(len(sl) - 1)]
-    return min(lengths) if lengths else math.inf
-
-
-def _boundary_geometry(domain: Domain):
-    """Deduplicated straight walls (p0, p1) and arcs (center, R) for distance."""
-    segs = []
-    arcs = []
-    seen = set()
-    for piece in domain.pieces:
-        if isinstance(piece, Segment):
-            key = (round(piece.p0[0], 12), round(piece.p0[1], 12),
-                   round(piece.p1[0], 12), round(piece.p1[1], 12))
-            rkey = key[2:] + key[:2]
-            if key in seen or rkey in seen:
-                continue  # the two prime-end sides of a slit share geometry
-            seen.add(key)
-            segs.append((piece.p0.copy(), piece.p1.copy()))
-        elif isinstance(piece, ArcPiece):
-            arcs.append((piece.center.copy(), piece.radius))
-    return segs, arcs
 
 
 def _dist_to_boundary(x: np.ndarray, y: np.ndarray, segs, arcs) -> np.ndarray:
@@ -139,24 +118,11 @@ def _slit_crossings(x: np.ndarray, y: np.ndarray, b0, b1) -> np.ndarray:
 
 
 def _sample_interior(domain: Domain, rng, m: int) -> np.ndarray:
-    """m uniform interior points (direct for rectangles, else rejection)."""
+    """m uniform interior points drawn from the domain's sampling box: all
+    kept on a rectangle, which is its box, else by rejection."""
+    lo, span = domain.box
     if domain.kind == "rectangle":
-        a, b = domain.params["a"], domain.params["b"]
-        return rng.random((m, 2)) * [a, b]
-    if domain.kind == "disk":
-        lo = np.array([-domain.params["R"], -domain.params["R"]])
-        span = 2 * domain.params["R"]
-    elif domain.vertices is not None:
-        lo = domain.vertices.min(axis=0)
-        span = domain.vertices.max(axis=0) - lo
-    elif domain.kind == "sector":
-        radius, alpha = domain.params["R"], domain.params["alpha"]
-        if alpha > 2:
-            raise SpecError("Monte Carlo unsupported on cone sectors (alpha > 2)")
-        lo = np.array([-radius, -radius])
-        span = 2 * radius
-    else:
-        raise SpecError(f"Monte Carlo unsupported for kind {domain.kind!r}")
+        return lo + rng.random((m, 2)) * span
     out = np.empty((m, 2))
     got = 0
     while got < m:
@@ -214,25 +180,26 @@ def _refine_block(noise: list[np.ndarray], rows: slice, steps: int,
     return z
 
 
-def _block_weights(domain: Domain, xy: np.ndarray, ds: float, segs, arcs,
-                   slit_segs) -> np.ndarray:
+def _block_weights(domain: Domain, xy: np.ndarray, ds: float) -> np.ndarray:
     """Survival weight of each path of a block, given the coordinate planes
     xy (2, paths, knots) of its knots.
 
     A path with a knot outside the domain has weight 0, so only the paths
-    whose knots all stay inside are scored.
+    whose knots all stay inside are scored.  Distances run to the domain's
+    walls and arcs; crossing any of its slit segments kills a path.
     """
     _, nb, knots = xy.shape
     alive = domain.contains(xy.reshape(2, -1).T).reshape(nb, knots).all(axis=1)
     live = np.flatnonzero(alive)
     x, y = xy[0, live], xy[1, live]
-    dist = _dist_to_boundary(x.ravel(), y.ravel(), segs, arcs).reshape(x.shape)
+    dist = _dist_to_boundary(x.ravel(), y.ravel(), domain.walls,
+                             domain.arcs).reshape(x.shape)
     # survival of the unsampled excursion on every inter-knot segment
     log_keep = np.log1p(-np.exp(-dist[:, :-1] * dist[:, 1:] / ds)
                         .clip(max=1.0 - 1e-16)).sum(axis=1)
     weight = np.zeros(nb)
     weight[live] = np.exp(log_keep)
-    for b0, b1 in slit_segs:
+    for b0, b1 in domain.slit_segments:
         weight[live[_slit_crossings(x, y, b0, b1)]] = 0.0
     return weight
 
@@ -240,12 +207,12 @@ def _block_weights(domain: Domain, xy: np.ndarray, ds: float, segs, arcs,
 def _score_batch(job: tuple, index: int) -> tuple[float, float]:
     """(sum of weights, sum of squared weights) of batch `index`.
 
-    job is (domain, t, n, steps, seed, segs, arcs, slit_segs).  The batch
-    draws from its own Philox stream, keyed by (seed, index): its starts
-    first, then its refinement normals.  Its paths are refined and scored
-    block by block, so every per-block array stays in cache.
+    job is (domain, t, n, steps, seed).  The batch draws from its own
+    Philox stream, keyed by (seed, index): its starts first, then its
+    refinement normals.  Its paths are refined and scored block by block,
+    so every per-block array stays in cache.
     """
-    domain, t, n, steps, seed, segs, arcs, slit_segs = job
+    domain, t, n, steps, seed = job
     m = min(_BATCH, n - index * _BATCH)
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, index], dtype=np.uint64)))
@@ -257,8 +224,7 @@ def _score_batch(job: tuple, index: int) -> tuple[float, float]:
         offsets = _refine_block(noise, block, steps, t)
         xy = np.empty((2, block.stop - r0, steps + 1))
         np.add(starts[block].T[:, :, None], offsets.transpose(2, 0, 1), out=xy)
-        weight[block] = _block_weights(domain, xy, t / steps, segs, arcs,
-                                       slit_segs)
+        weight[block] = _block_weights(domain, xy, t / steps)
     return float(weight.sum()), float((weight ** 2).sum())
 
 
@@ -286,16 +252,15 @@ def bridge_trace_estimate(domain: Domain, t: float, n: int, steps: int = 64,
         raise SpecError("bridge_trace_estimate requires n >= 1, steps >= 2")
     steps = _next_pow2(steps)
     ds = t / steps
-    clearance = _slit_clearance(domain)
+    if domain.box is None:
+        raise SpecError(f"{domain.kind!r} has no sampling box for Monte Carlo")
+    clearance = domain.slit_clearance
     if 2.0 * math.sqrt(ds) > clearance:
         raise SpecError(
             f"steps too coarse: rms step {2 * math.sqrt(ds):.3g} exceeds slit "
             f"clearance {clearance:.3g}; increase steps")
-    segs, arcs = _boundary_geometry(domain)
-    slit_segs = [(sl[j], sl[j + 1])
-                 for sl in domain.slits for j in range(len(sl) - 1)]
 
-    job = (domain, t, n, steps, seed, segs, arcs, slit_segs)
+    job = (domain, t, n, steps, seed)
     total = 0.0
     total_sq = 0.0
     for w, w_sq in fork_map(_score_batch, job, -(-n // _BATCH),

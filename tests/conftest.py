@@ -15,6 +15,17 @@ SLIT_SQUARE_DOC = {
     },
 }
 
+# The slit square with its slit bent by pi/4 at (0.5, 0.5): the second
+# segment runs along a grid diagonal, and the bend makes corners of angle
+# 3pi/4 and 5pi/4.
+BENT_SLIT_DOC = {
+    "kind": "slit-polygon",
+    "params": {
+        "vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+        "slits": [[[0.5, 0.0], [0.5, 0.5], [0.25, 0.75]]],
+    },
+}
+
 
 @pytest.fixture(scope="session")
 def square():
@@ -29,6 +40,11 @@ def disk():
 @pytest.fixture(scope="session")
 def slit_square():
     return build_domain(SLIT_SQUARE_DOC)
+
+
+@pytest.fixture(scope="session")
+def bent_slit_square():
+    return build_domain(BENT_SLIT_DOC)
 
 
 def make_sector(alpha, radius=1.0):
@@ -67,16 +83,8 @@ def slit_richardson():
 
 
 def riemann_interior(domain, fn, n=800):
-    """Midpoint-grid interior integral over the domain's bounding box."""
-    if domain.kind == "rectangle":
-        lo = np.zeros(2)
-        span = np.array([domain.params["a"], domain.params["b"]])
-    elif domain.kind == "disk":
-        lo = -np.ones(2) * domain.params["R"]
-        span = 2 * np.ones(2) * domain.params["R"]
-    else:
-        lo = domain.vertices.min(axis=0)
-        span = domain.vertices.max(axis=0) - lo
+    """Midpoint-grid interior integral over the domain's sampling box."""
+    lo, span = domain.box
     xs = lo[0] + (np.arange(n) + 0.5) / n * span[0]
     ys = lo[1] + (np.arange(n) + 0.5) / n * span[1]
     X, Y = np.meshgrid(xs, ys, indexing="ij")

@@ -11,7 +11,8 @@ from spectral_corner import (MetricSpec, NumericalError, ScalarField, SpecError,
                              geometric_coefficients, interior_integral,
                              load_domain)
 
-from .conftest import SLIT_SQUARE_DOC, make_sector, riemann_interior
+from .conftest import (BENT_SLIT_DOC, SLIT_SQUARE_DOC, make_sector,
+                       riemann_interior)
 
 L_DOC = {"kind": "polygon", "params": {
     "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}}
@@ -81,6 +82,26 @@ class TestBuildDomain:
         assert len(mouths) == 2
         assert sum(mouths) == pytest.approx(1.0, abs=1e-12)
 
+    def test_slit_bend_adds_a_corner_on_each_side(self, bent_slit_square):
+        bends = sorted(c.alpha for c in bent_slit_square.corners
+                       if c.location == (0.5, 0.5))
+        assert bends == pytest.approx([0.75, 1.25], abs=1e-14)
+        assert len(bent_slit_square.corners) == 9
+
+    def test_collinear_slit_point_adds_no_corner(self, slit_square):
+        dom = build_domain({"kind": "slit-polygon", "params": {
+            "vertices": SLIT_SQUARE_DOC["params"]["vertices"],
+            "slits": [[[0.5, 0.0], [0.5, 0.25], [0.5, 0.5]]]}})
+        assert [(c.location, c.alpha) for c in dom.corners] \
+            == [(c.location, c.alpha) for c in slit_square.corners]
+        assert len(dom.slit_segments) == 2
+
+    def test_slit_folding_back_is_rejected(self):
+        with pytest.raises(SpecError, match="folds back"):
+            build_domain({"kind": "slit-polygon", "params": {
+                "vertices": SLIT_SQUARE_DOC["params"]["vertices"],
+                "slits": [[[0.5, 0.0], [0.5, 0.5], [0.5, 0.25]]]}})
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(SpecError):
             build_domain({"kind": "pentagon", "params": {}})
@@ -130,8 +151,8 @@ class TestBuildDomain:
             assert (a.a_m1, a.a_mhalf, a.a_0) == pytest.approx(
                 (b.a_m1, b.a_mhalf, b.a_0), rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("doc", [L_DOC, SLIT_SQUARE_DOC],
-                             ids=["polygon", "slit-polygon"])
+    @pytest.mark.parametrize("doc", [L_DOC, SLIT_SQUARE_DOC, BENT_SLIT_DOC],
+                             ids=["polygon", "slit-polygon", "bent-slit"])
     def test_scaled_polygon(self, doc):
         r = 1.5
         dom = build_domain(doc)
@@ -225,6 +246,11 @@ class TestGeometricCoefficients:
         assert c.a_0 == pytest.approx(5.0 / 16, abs=1e-10)
         assert c.a_mhalf == pytest.approx(-5 / (8 * math.sqrt(math.pi)))
 
+    def test_bent_slit_constant_term(self, bent_slit_square):
+        # corners 3/4 and 5/4 at the bend add 7/288 - 3/160 = 1/180
+        c = geometric_coefficients(bent_slit_square)
+        assert c.a_0 == pytest.approx(5.0 / 16 + 1.0 / 180, abs=1e-12)
+
     def test_unit_weight_reproduces_measures(self, slit_square):
         c = geometric_coefficients(slit_square)
         assert c.a_m1 == pytest.approx(slit_square.area / (4 * math.pi))
@@ -285,3 +311,55 @@ class TestConformalTransform:
         assert -8 * math.sqrt(math.pi) * c.a_mhalf == pytest.approx(square.perimeter)
         assert c.breakdown["interior_curvature"] == 0.0
 
+
+
+def _segments(pairs):
+    return [(p0.tolist(), p1.tolist()) for p0, p1 in pairs]
+
+
+class TestRecordedFacts:
+    """The slit segments, walls, arcs and sampling box each builder records."""
+
+    SQUARE_EDGES = [([0.0, 0.0], [1.0, 0.0]), ([1.0, 0.0], [1.0, 1.0]),
+                    ([1.0, 1.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 0.0])]
+
+    def test_slit_square(self, slit_square):
+        slit = [([0.5, 0.0], [0.5, 0.5])]
+        assert _segments(slit_square.slit_segments) == slit
+        # four edge walls and one slit wall for the slit's two sides
+        assert _segments(slit_square.walls) == self.SQUARE_EDGES + slit
+        assert slit_square.arcs == []
+        assert _segments([slit_square.box]) == [([0.0, 0.0], [1.0, 1.0])]
+        assert slit_square.slit_clearance == 0.5
+
+    def test_bent_slit(self, bent_slit_square):
+        slit = [([0.5, 0.0], [0.5, 0.5]), ([0.5, 0.5], [0.25, 0.75])]
+        assert _segments(bent_slit_square.slit_segments) == slit
+        assert _segments(bent_slit_square.walls) == self.SQUARE_EDGES + slit
+        assert bent_slit_square.slit_clearance == pytest.approx(
+            math.sqrt(0.125), rel=1e-15)
+
+    def test_rectangle_and_polygon(self, square):
+        assert _segments(square.walls) == self.SQUARE_EDGES
+        assert square.slit_segments == [] and square.slit_clearance == math.inf
+        assert _segments([square.box]) == [([0.0, 0.0], [1.0, 1.0])]
+        ell = build_domain(L_DOC)
+        assert len(ell.walls) == 6
+        assert _segments([ell.box]) == [([0.0, 0.0], [2.0, 2.0])]
+
+    def test_disk(self, disk):
+        assert disk.walls == []
+        assert [(c.tolist(), r) for c, r in disk.arcs] == [([0.0, 0.0], 1.0)]
+        assert _segments([disk.box]) == [([-1.0, -1.0], [2.0, 2.0])]
+
+    @pytest.mark.parametrize("alpha, walls", [(0.5, 2), (1.5, 2), (2.0, 1)])
+    def test_sector(self, alpha, walls):
+        dom = make_sector(alpha, radius=2.0)
+        # at alpha = 2 the two sides lie on one line: one wall
+        assert len(dom.walls) == walls
+        assert _segments(dom.walls[:1]) == [([0.0, 0.0], [2.0, 0.0])]
+        assert [(c.tolist(), r) for c, r in dom.arcs] == [([0.0, 0.0], 2.0)]
+        assert _segments([dom.box]) == [([-2.0, -2.0], [4.0, 4.0])]
+
+    def test_cone_has_no_box(self):
+        assert make_sector(3.0).box is None

@@ -17,6 +17,7 @@ from spectral_corner import spectrum as spectrum_mod
 
 from .conftest import SLIT_SQUARE_DOC, make_sector
 from .oracles import _bessel_zeros_upto as brentq_zeros_upto
+from .oracles import segments_cross_many
 
 
 def fdm_square_eigenvalue(m, n, h):
@@ -190,6 +191,39 @@ class TestDiscreteOperator:
         lam_r = solve_eigs(assemble_fdm(square.scaled(2.0), None, h=1 / 12), 4,
                            seed=0).eigenvalues
         np.testing.assert_allclose(lam_r, lam / 4.0, rtol=1e-9)
+
+    @staticmethod
+    def _entries_across(op, p0, p1):
+        """Off-diagonal entries of A joining nodes on two sides of [p0, p1]."""
+        A = op.A.tocoo()
+        off = A.row != A.col
+        return int(segments_cross_many(op.nodes[A.row[off]], op.nodes[A.col[off]],
+                                       p0, p1).sum())
+
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+    def test_stencil_never_reaches_across_a_slit(self, square, bent_slit_square, h):
+        # on the plain square, whose nodes on the diagonal stay, the stencil
+        # crosses it; on the bent slit no entry joins the sides of a segment
+        diagonal = bent_slit_square.slit_segments[1]
+        assert self._entries_across(assemble_fdm(square, None, h=h), *diagonal) > 0
+        op = assemble_fdm(bent_slit_square, None, h=h)
+        for p0, p1 in bent_slit_square.slit_segments:
+            assert self._entries_across(op, p0, p1) == 0
+
+    # assembled anyway at h = 1/16, the slanted segment would have 8 entries
+    # of A (4 node pairs) join its two sides; the vertex 4.8e-5 h off the
+    # grid point (0.25, 0.75) would keep its nearly diagonal segment's
+    # nodes, and 15 entries would join its sides
+    @pytest.mark.parametrize("slit, match", [
+        ([[0.5, 0.0], [0.75, 0.5]],
+         r"slit segment \[0\.5, 0\.0\] -> \[0\.75, 0\.5\]"),
+        ([[0.5, 0.0], [0.5, 0.5], [0.25, 0.750003]], "grid points"),
+    ], ids=["slanted-segment", "vertex-near-grid-point"])
+    def test_slits_the_stencil_cannot_separate_are_rejected(self, slit, match):
+        doc = {"kind": "slit-polygon", "params": {
+            "vertices": SLIT_SQUARE_DOC["params"]["vertices"], "slits": [slit]}}
+        with pytest.raises(SpecError, match=match):
+            assemble_fdm(build_domain(doc), None, h=1 / 16)
 
     def test_slit_splits_modes(self, square, slit_square):
         # the slit raises the ground state (Dirichlet on extra boundary)

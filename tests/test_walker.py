@@ -125,13 +125,11 @@ class TestKernels:
             key=np.array([3, 0], dtype=np.uint64)))
         paths = walker._sample_interior(slit_square, rng, m)[:, None, :] \
             + _block_offsets(rng, m, steps, t, m) + shift
-        segs, arcs = walker._boundary_geometry(slit_square)
-        slit_segs = [(sl[0], sl[1]) for sl in slit_square.slits]
         xy = np.ascontiguousarray(paths.transpose(2, 0, 1))
-        got = walker._block_weights(slit_square, xy, t / steps, segs, arcs,
-                                    slit_segs)
-        ref = oracles.block_weights(slit_square, paths, t / steps, segs, arcs,
-                                    slit_segs)
+        got = walker._block_weights(slit_square, xy, t / steps)
+        ref = oracles.block_weights(slit_square, paths, t / steps,
+                                    slit_square.walls, slit_square.arcs,
+                                    slit_square.slit_segments)
         assert got.tobytes() == ref.tobytes()
         outside = ~slit_square.contains(paths.reshape(-1, 2)).reshape(
             m, steps + 1).all(axis=1)
@@ -142,6 +140,17 @@ class TestKernels:
             assert np.all(got[~outside] <= 1.0)
         else:
             assert outside.all()
+
+    def test_bent_slit_kills_across_either_segment(self, bent_slit_square):
+        # bridges of three knots, back at their start: across the second
+        # segment only, across the first only, and across neither
+        paths = [[(0.3, 0.6), (0.45, 0.65), (0.3, 0.6)],
+                 [(0.45, 0.25), (0.55, 0.25), (0.45, 0.25)],
+                 [(0.3, 0.6), (0.35, 0.6), (0.3, 0.6)]]
+        xy = np.array(_planes(paths))
+        got = walker._block_weights(bent_slit_square, xy, 1e-3)
+        assert got[0] == got[1] == 0.0
+        assert got[2] > 0.5
 
 
 class TestEstimates:
@@ -181,6 +190,10 @@ class TestPreconditions:
             bridge_trace_estimate(square, 0.1, 0)
         with pytest.raises(SpecError):
             bridge_trace_estimate(square, 0.1, 100, steps=1)
+
+    def test_cone_has_no_sampling_box(self):
+        with pytest.raises(SpecError, match="no sampling box"):
+            bridge_trace_estimate(make_sector(3.0), 0.05, 100)
 
     def test_coarse_steps_vs_slit_clearance(self, slit_square):
         with pytest.raises(SpecError, match="clearance"):

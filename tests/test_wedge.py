@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,17 @@ class TestRemainderBounds:
                            for a in (alpha - d, alpha, alpha + d))
             assert abs(lo - 2 * mid + hi) <= 1e-9
             assert abs(mid) <= a_remainder_bound(q) * (1 + 1e-12)
+
+    def test_quarter_plane_remainder_is_the_half_weight_image(self):
+        # at alpha = 1/2 the one image sits on the contour and A is exactly
+        # -e^{-eps^2/t}/16; the general branch instead multiplies
+        # sin(2 pi) ~ -2.4e-16 by a near-divergent integral (at (1, 0.01) it
+        # gives -1.42e-45 for -2.33e-45)
+        for eps in (0.5, 1.0):
+            for t in (0.01, 0.05, 0.1, 0.3):
+                got = a_remainder(WedgeBallQuery(0.5, eps, t))
+                assert got == pytest.approx(-math.exp(-eps**2 / t) / 16,
+                                            rel=1e-14, abs=0.0)
 
     def test_invalid_query(self):
         with pytest.raises(SpecError):
