@@ -308,6 +308,7 @@ def _build_polygon(params, slits) -> Domain:
         _finite(sl)
         segs = list(zip(sl[:-1], sl[1:]))
         extra_pieces, extra_corners, extra_len = _attach_slit(verts, sl, segs)
+        _check_slit_apart(segs, slit_segments)
         pieces.extend(extra_pieces)
         corners.extend(extra_corners)
         perimeter += extra_len
@@ -367,6 +368,16 @@ def _attach_slit(verts, sl, segs):
     return pieces, corners, length
 
 
+def _check_slit_apart(segs, earlier) -> None:
+    """Raise unless the slit's segments meet no earlier slit segment, and
+    each other only where consecutive segments share a bend."""
+    for j, (p0, p1) in enumerate(segs):
+        for q0, q1 in earlier + segs[:max(j - 1, 0)]:
+            if _segments_meet(p0, p1, q0, q1):
+                raise SpecError("slit meets itself or another slit away from "
+                                f"its bends, on [{p0.tolist()}, {p1.tolist()}]")
+
+
 def _bend_corners(p0, p1, p2) -> list[Corner]:
     """The corners a slit bending at p1 makes: angle theta*pi on one side and
     (2 - theta)*pi on the other, none where the slit runs straight on."""
@@ -410,19 +421,33 @@ def _on_open_segment(p, a, b, tol=1e-12) -> bool:
     return tol < s < 1 - tol
 
 
+def _orient(a, b, c) -> float:
+    """Twice the signed area of the triangle (a, b, c)."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
 def _segments_cross(p0, p1, q0, q1, skip_first_endpoint=False) -> bool:
     """Proper crossing test; optionally tolerates p0 lying on [q0, q1]."""
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
     if skip_first_endpoint and (_on_open_segment(p0, q0, q1) or
                                 np.allclose(p0, q0) or np.allclose(p0, q1)):
         return False
-    d1 = orient(q0, q1, p0)
-    d2 = orient(q0, q1, p1)
-    d3 = orient(p0, p1, q0)
-    d4 = orient(p0, p1, q1)
+    d1 = _orient(q0, q1, p0)
+    d2 = _orient(q0, q1, p1)
+    d3 = _orient(p0, p1, q0)
+    d4 = _orient(p0, p1, q1)
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+
+
+def _segments_meet(p0, p1, q0, q1) -> bool:
+    """Whether the closed segments [p0, p1] and [q0, q1] share a point."""
+    if _segments_cross(p0, p1, q0, q1):
+        return True
+
+    def on(a, b, c):  # c on the closed segment [a, b]
+        return _orient(a, b, c) == 0 and np.all(np.minimum(a, b) <= c) \
+            and np.all(c <= np.maximum(a, b))
+
+    return on(q0, q1, p0) or on(q0, q1, p1) or on(p0, p1, q0) or on(p0, p1, q1)
 
 
 def _check_simple(verts: np.ndarray):

@@ -9,13 +9,16 @@ imported.
 
 import ast
 import inspect
+import multiprocessing
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spectral_corner as sc
-from spectral_corner import walker
+from spectral_corner import parallel, special, spectrum, walker
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -89,3 +92,38 @@ class TestTracer:
 
     def test_walker_batch_is_an_int(self):
         assert type(walker._BATCH) is int and walker._BATCH > 0
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_bessel_workers_call_only_the_private_helper(self, monkeypatch):
+        # The tracer wraps the public bessel_zeros_upto in every package
+        # namespace, and selftest.py asserts the caller counts its calls.  A
+        # worker that reached the public name would record spans in the
+        # child and start a pool of its own; the tracer never wraps a
+        # name that starts with "_".
+        caller, public = os.getpid(), special.bessel_zeros_upto
+
+        def wrapped(nu, x_max):
+            if os.getpid() != caller:
+                raise AssertionError("a worker called bessel_zeros_upto")
+            return public(nu, x_max)
+
+        for name, ns in list(sys.modules.items()):
+            if name.split(".")[0] == "spectral_corner" \
+                    and vars(ns).get("bessel_zeros_upto") is public:
+                monkeypatch.setattr(ns, "bessel_zeros_upto", wrapped)
+        assert spectrum.bessel_zeros_upto is wrapped
+        items = []
+
+        def recording(fn, job, count, stage, **kwargs):
+            items.append((fn, count))
+            return parallel.fork_map(fn, job, count, stage, **kwargs)
+
+        monkeypatch.setattr(special, "fork_map", recording)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        spec = sc.analytic_spectrum(sc.build_domain(
+            {"kind": "sector", "params": {"alpha": 1.5, "R": 1.0}}), 4000)
+        assert spec.count >= 4000
+        assert items and all(count > 1 for _, count in items)
+        for fn, _ in items:
+            assert fn.__module__ == special.__name__ and fn.__name__.startswith("_")

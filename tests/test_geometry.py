@@ -102,6 +102,34 @@ class TestBuildDomain:
                 "vertices": SLIT_SQUARE_DOC["params"]["vertices"],
                 "slits": [[[0.5, 0.0], [0.5, 0.5], [0.5, 0.25]]]}})
 
+    @pytest.mark.parametrize("slits", [
+        # crosses its own first segment at (0.5, 0.25)
+        [[[0.5, 0.0], [0.5, 0.5], [0.25, 0.25], [0.75, 0.25]]],
+        # two slits that cross at (0.5, 0.25)
+        [[[0.5, 0.0], [0.5, 0.5]], [[0.0, 0.25], [0.75, 0.25]]],
+        # the second slit's tip ends on the first slit, from either side
+        [[[0.5, 0.0], [0.5, 0.5]], [[0.0, 0.25], [0.5, 0.25]]],
+        [[[0.5, 0.0], [0.5, 0.5]], [[1.0, 0.25], [0.5, 0.25]]],
+        # two slits on one line that overlap
+        [[[0.5, 0.0], [0.5, 0.5]], [[0.5, 1.0], [0.5, 0.4]]],
+    ], ids=["self-crossing", "two-crossing", "tip-on-slit-left", "tip-on-slit-right",
+            "collinear-overlap"])
+    def test_slits_meeting_away_from_a_bend_are_rejected(self, slits):
+        with pytest.raises(SpecError, match="meets itself or another slit"):
+            build_domain({"kind": "slit-polygon", "params": {
+                "vertices": SLIT_SQUARE_DOC["params"]["vertices"], "slits": slits}})
+
+    def test_slit_meeting_itself_only_at_bends_builds(self, bent_slit_square):
+        # a hook whose last segment runs beside the first: two right-angle
+        # bends, corners 1/2 and 3/2 each, add 2 (1/16 - 5/144) = 1/18
+        hook = build_domain({"kind": "slit-polygon", "params": {
+            "vertices": SLIT_SQUARE_DOC["params"]["vertices"],
+            "slits": [[[0.5, 0.0], [0.5, 0.5], [0.25, 0.5], [0.25, 0.25]]]}})
+        assert geometric_coefficients(hook).a_0 == pytest.approx(
+            5.0 / 16 + 1.0 / 18, abs=1e-12)
+        assert geometric_coefficients(bent_slit_square).a_0 == pytest.approx(
+            5.0 / 16 + 1.0 / 180, abs=1e-12)
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(SpecError):
             build_domain({"kind": "pentagon", "params": {}})

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -9,8 +12,9 @@ from scipy.special import jn_zeros, jv
 
 from spectral_corner import (NumericalError, SpecError, analytic_spectrum,
                              bessel_j, rect_theta_factor)
-from spectral_corner import special
+from spectral_corner import parallel, special
 from spectral_corner.special import bessel_zeros_upto, gauss_panels, tanh_sinh
+from spectral_corner.spectrum import _closed_form
 
 from .conftest import make_sector
 from .oracles import _bessel_zeros_upto as brentq_zeros_upto
@@ -107,6 +111,8 @@ class TestBessel:
                 return jv(v, x)
 
         monkeypatch.setattr(special, "_sci_special", Counting())
+        # one usable CPU keeps every chunk, and so every jv call, in this process
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
         spec = analytic_spectrum(make_sector(1.5), 4000)
         assert spec.count > 5000
         assert sum(calls) <= 7 * spec.count
@@ -162,6 +168,163 @@ class TestBessel:
         lhs = bessel_j(nu - 1, x) + bessel_j(nu + 1, x)
         rhs = 2 * nu / x * bessel_j(nu, x)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+
+_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _scan_points(nus, x_max) -> int:
+    """The scan points bessel_zeros_upto lays out for these orders."""
+    start = special._scan_start(nus)
+    return int(np.sum(np.where(
+        start < x_max, np.ceil((x_max + special._SCAN_STEP - start) / special._SCAN_STEP),
+        0)))
+
+
+def _sector_orders(alpha, x_max):
+    """The orders analytic_spectrum passes for a unit sector."""
+    nus = np.arange(1, math.floor(alpha * x_max) + 2) / alpha
+    return nus[nus <= x_max]
+
+
+def _zeros_in_daemon(nus, x_max, queue):
+    try:
+        queue.put((parallel._pool_size(2), bessel_zeros_upto(nus, x_max).tobytes()))
+    except Exception as exc:  # report it, or the caller waits out its timeout
+        queue.put((None, repr(exc)))
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("the chunks should run in the caller")
+
+
+class TestParallelZeros:
+    """The chunks of orders run on a forked pool with the same bits for any
+    worker count and any chunking."""
+
+    # the test calls scan 520 (alpha = 0.5) to 3215 (alpha = 3) points, so
+    # chunks of 500 points make 2 to 7 of them
+    X_MAX, CHUNK = 60.0, 500
+
+    @pytest.fixture
+    def chunk_counts(self, monkeypatch):
+        """Items of every fork_map call bessel_zeros_upto makes."""
+        counts = []
+
+        def counting(fn, job, count, stage, **kwargs):
+            counts.append(count)
+            return parallel.fork_map(fn, job, count, stage, **kwargs)
+
+        monkeypatch.setattr(special, "fork_map", counting)
+        return counts
+
+    @pytest.mark.parametrize("name", ["sector-0.5", "sector-1.5", "sector-3", "disk"])
+    def test_same_bits_for_any_worker_count(self, name, disk, chunk_counts,
+                                            monkeypatch):
+        dom = disk if name == "disk" else make_sector(float(name.split("-")[1]))
+        lam_max = self.X_MAX ** 2
+        monkeypatch.setattr(special, "_CHUNK_POINTS", 10 ** 9)
+        ref = _closed_form(dom, lam_max).eigenvalues.tobytes()
+        assert chunk_counts == []
+        monkeypatch.setattr(special, "_CHUNK_POINTS", self.CHUNK)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
+            assert _closed_form(dom, lam_max).eigenvalues.tobytes() == ref
+        assert len(chunk_counts) == 3 and chunk_counts[0] >= 2
+        assert chunk_counts[0] == chunk_counts[1] == chunk_counts[2]
+
+    def test_chunks_keep_the_order_given(self, chunk_counts, monkeypatch):
+        # highest order first, so the last chunk ends on the order with the
+        # most zeros
+        nus = _sector_orders(1.5, self.X_MAX)[::-1]
+        single = np.concatenate([bessel_zeros_upto(nu, self.X_MAX) for nu in nus])
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(special, "_CHUNK_POINTS", self.CHUNK)
+        assert bessel_zeros_upto(nus, self.X_MAX).tobytes() == single.tobytes()
+        assert chunk_counts[-1] >= 2
+
+    def test_one_chunk_call_never_calls_fork_map(self, monkeypatch):
+        nus = _sector_orders(1.5, self.X_MAX)
+        points = _scan_points(nus, self.X_MAX)
+        ref = bessel_zeros_upto(nus, self.X_MAX).tobytes()
+
+        def no_fork_map(*args, **kwargs):
+            raise AssertionError("a one-chunk call called fork_map")
+
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(special, "fork_map", no_fork_map)
+        monkeypatch.setattr(special, "_CHUNK_POINTS", points)
+        assert bessel_zeros_upto(nus, self.X_MAX).tobytes() == ref
+        monkeypatch.setattr(special, "_CHUNK_POINTS", points - 1)
+        with pytest.raises(AssertionError, match="called fork_map"):
+            bessel_zeros_upto(nus, self.X_MAX)
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_dead_worker_names_stage(self, monkeypatch):
+        caller = os.getpid()
+
+        def dies(job, index):
+            if os.getpid() != caller and index == 1:
+                os._exit(1)
+            return np.empty(0)
+
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(special, "_CHUNK_POINTS", self.CHUNK)
+        monkeypatch.setattr(special, "_chunk_zeros", dies)
+        with pytest.raises(NumericalError) as info:
+            bessel_zeros_upto(_sector_orders(1.5, self.X_MAX), self.X_MAX)
+        assert info.value.stage == "bessel_zeros_upto"
+        assert "pool broke" in str(info.value)
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_unconverged_zero_in_a_worker_names_nu_and_bracket(self, chunk_counts,
+                                                               monkeypatch):
+        # a call large enough to fork at the module's own chunk size
+        x_max = 130.0
+        nus = _sector_orders(1.5, x_max)
+        assert _scan_points(nus, x_max) > special._CHUNK_POINTS
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(special, "_MAX_STEPS", 1)
+        with pytest.raises(NumericalError) as info:
+            bessel_zeros_upto(nus, x_max)
+        assert chunk_counts and chunk_counts[0] > 1
+        assert info.value.stage == "bessel_zeros_upto"
+        assert "nu=" in str(info.value) and "bracket [" in str(info.value)
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_daemonic_caller_runs_serially(self, monkeypatch):
+        nus = _sector_orders(1.5, self.X_MAX)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(special, "_CHUNK_POINTS", self.CHUNK)
+        ref = bessel_zeros_upto(nus, self.X_MAX).tobytes()
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        proc = ctx.Process(target=_zeros_in_daemon, args=(nus, self.X_MAX, queue),
+                           daemon=True)
+        proc.start()
+        workers, got = queue.get(timeout=120)
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+        assert workers == 1
+        assert got == ref
+
+    def test_threaded_caller_runs_serially(self, monkeypatch):
+        nus = _sector_orders(1.5, self.X_MAX)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(special, "_CHUNK_POINTS", self.CHUNK)
+        ref = bessel_zeros_upto(nus, self.X_MAX).tobytes()
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            got = bessel_zeros_upto(nus, self.X_MAX).tobytes()
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert got == ref
 
 
 class TestQuadrature:

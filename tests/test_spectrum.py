@@ -40,6 +40,19 @@ class TestAnalyticSpectra:
         assert spec.eigenvalues[0] == pytest.approx(
             jn_zeros(0, 1)[0] ** 2, rel=1e-12)
 
+    def test_disk_counts_order_zero_once_and_the_rest_twice(self):
+        # cutoffs between j_{1,1} = 3.83 and j_{0,2} = 5.52 leave the one
+        # nu = 0 zero and the nu = 1 zero ascending together
+        for x_max in [*np.arange(2.0, 20.0, 0.1), 100.0]:
+            got = spectrum_mod._bessel_eigs(1.0, x_max ** 2, None)
+            x_max = math.sqrt(x_max ** 2)
+            want = [brentq_zeros_upto(0.0, x_max)]
+            for nu in range(1, math.floor(x_max) + 1):
+                want += 2 * [brentq_zeros_upto(float(nu), x_max)]
+            want = np.sort(np.concatenate(want) ** 2)
+            assert got.size == want.size, x_max
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+
     def test_cone_sector_ground_state(self):
         spec = analytic_spectrum(make_sector(3.0), 10)
         assert spec.eigenvalues[0] == pytest.approx(
