@@ -16,8 +16,8 @@ D = (1/12pi) int |grad sigma|^2 dVol_0, so one unit step integrates to
   log zdet(g_u) - log zdet(g_{u+1}) = D + 2 a_0(u, sigma)
                                     = D - d/du log zdet(g_u).
 
-pa_rhs evaluates both forms on geometry.geometric_coefficients, the one
-statement of the conformal rules; pa_verify computes the spectral side
+pa_rhs evaluates both forms on the a_0 integrals of
+geometry.geometric_coefficients, the one statement of the conformal rules; pa_verify computes the spectral side
 (zeta'(0) for both metrics) through the spectrum and zeta modules and
 reports the gap.
 """
@@ -30,8 +30,8 @@ from typing import Optional
 
 from .errors import SpecError
 from .fields import as_field
-from .geometry import (A0_TERMS, Domain, MetricSpec, geometric_coefficients,
-                       interior_integral)
+from .geometry import (A0_TERMS, Domain, MetricSpec, _a0_terms,
+                       geometric_coefficients, interior_integral)
 from .spectrum import COMPLETE_SHARE, Spectrum, spectrum_for
 from .zeta import ZetaEvaluation, zeta_prime_at_zero
 
@@ -85,8 +85,9 @@ def pa_rhs(domain: Domain, sigma, form: str = "integrated",
     """Geometric side of the anomaly identity, with a per-term breakdown.
 
     form="differentiated" evaluates d/du log zdet(g_u) = -2 a_0(u, sigma),
-    the sigma-weighted constant trace coefficient of g_u from
-    geometric_coefficients, with -2 times each of its terms.
+    the sigma-weighted constant trace coefficient of g_u from the a_0
+    integrals of geometric_coefficients (a_{-1} and a_{-1/2} are not
+    integrated), with -2 times each of its terms.
     form="integrated" evaluates log zdet(g_u) - log zdet(g_{u+1}), one unit
     step of the conformal family from the (generally curved) base g_u; u = 0
     gives the flat-base identity.  Since a_0(u, sigma) is affine in u and
@@ -103,14 +104,13 @@ def pa_rhs(domain: Domain, sigma, form: str = "integrated",
             domain, lambda x, y: sigma.grad_sq(x, y)) / (12 * math.pi)
     elif form != "differentiated":
         raise SpecError(f"unknown anomaly form {form!r}")
-    coeffs = geometric_coefficients(domain, MetricSpec(sigma, u), psi=sigma)
+    a0, terms = _a0_terms(domain, MetricSpec(sigma, u), sigma)
     if form == "differentiated":
-        return -2.0 * coeffs.a_0, {name: -2.0 * coeffs.breakdown[name]
-                                   for name in A0_TERMS}
+        return -2.0 * a0, {name: -2.0 * terms[name] for name in A0_TERMS}
     breakdown = {"dirichlet_energy": dirichlet}
     total = dirichlet
     for name in A0_TERMS:
-        breakdown[name] = 2.0 * coeffs.breakdown[name]
+        breakdown[name] = 2.0 * terms[name]
         total += breakdown[name]
     return total, breakdown
 

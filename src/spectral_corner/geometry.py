@@ -685,33 +685,15 @@ class ExpansionCoefficients:
     breakdown: dict
 
 
-def geometric_coefficients(domain: Domain, metric: Optional[MetricSpec] = None,
-                           psi=None) -> ExpansionCoefficients:
-    """Evaluate all geometric integrals of the short-time trace expansion.
+def _a0_terms(domain: Domain, metric: MetricSpec,
+              psi: ScalarField) -> tuple[float, dict]:
+    """a_0 of the trace of psi e^{-t Delta_u}, with its A0_TERMS and corners.
 
-    a_{-1}   = (1/4pi) int psi dVol_u
-    a_{-1/2} = -(1/(8 sqrt(pi))) int_bdy psi dl_u
-    a_0      = (1/12pi) int psi K_u dVol_u + (1/12pi) int_bdy psi k_u dl_u
-               + (1/8pi) int_bdy d_n psi dl_u + (1/24) sum psi(p_j)(1-a_j^2)/a_j
-
-    This is the package's one statement of the conformal rules over the flat
-    base: dVol_u = e^{2 u sigma} dVol_0 (MetricSpec.weight),
-    K_u dVol_u = u (Delta_0 sigma) dVol_0 with the positive Laplacian,
-    k_u dl_u = (k_0 + u d_n sigma) dl_0, and d_{n_u} psi dl_u = d_n psi dl_0.
-    Every psi, psi = 1 (the default) included, takes the same quadratures at
-    the geometry module's tolerance of 1e-10; the flat interior curvature
-    integral alone is skipped.  The anomaly module builds both of its forms
-    on these integrals.
+    The one evaluation of the a_0 integrals: geometric_coefficients adds
+    a_{-1} and a_{-1/2} to it, and the anomaly identity needs it alone.
     """
-    if metric is None:
-        metric = MetricSpec.flat()
-    psi = as_field(psi) if psi is not None else ScalarField.constant(1.0)
     sigma, u = metric.sigma, metric.u
     flat = metric.is_flat()
-
-    vol = interior_integral(domain, lambda x, y: psi(x, y) * metric.weight(x, y))
-    per = boundary_integral(
-        domain, lambda x, y, nx, ny, k: psi(x, y) * np.exp(u * sigma(x, y)))
     curv_int = 0.0 if flat else interior_integral(
         domain, lambda x, y: psi(x, y) * u * sigma.pos_laplacian(x, y))
 
@@ -730,23 +712,50 @@ def geometric_coefficients(domain: Domain, metric: Optional[MetricSpec] = None,
         corner_terms[j] = val
         corner_sum += val
 
-    area_term = vol / (4 * math.pi)
-    perim_term = -per / (8 * math.sqrt(math.pi))
     interior_curv_term = curv_int / (12 * math.pi)
     boundary_curv_term = bcurv_int / (12 * math.pi)
     normal_deriv_term = ndpsi_int / (8 * math.pi)
     a0 = interior_curv_term + boundary_curv_term + normal_deriv_term + corner_sum
+    return a0, {
+        "interior_curvature": interior_curv_term,
+        "boundary_curvature": boundary_curv_term,
+        "normal_derivative": normal_deriv_term,
+        "corners": corner_terms,
+        "corner_sum": corner_sum,
+    }
+
+
+def geometric_coefficients(domain: Domain, metric: Optional[MetricSpec] = None,
+                           psi=None) -> ExpansionCoefficients:
+    """Evaluate all geometric integrals of the short-time trace expansion.
+
+    a_{-1}   = (1/4pi) int psi dVol_u
+    a_{-1/2} = -(1/(8 sqrt(pi))) int_bdy psi dl_u
+    a_0      = (1/12pi) int psi K_u dVol_u + (1/12pi) int_bdy psi k_u dl_u
+               + (1/8pi) int_bdy d_n psi dl_u + (1/24) sum psi(p_j)(1-a_j^2)/a_j
+
+    This is the package's one statement of the conformal rules over the flat
+    base: dVol_u = e^{2 u sigma} dVol_0 (MetricSpec.weight),
+    K_u dVol_u = u (Delta_0 sigma) dVol_0 with the positive Laplacian,
+    k_u dl_u = (k_0 + u d_n sigma) dl_0, and d_{n_u} psi dl_u = d_n psi dl_0.
+    Every psi, psi = 1 (the default) included, takes the same quadratures at
+    the geometry module's tolerance of 1e-10; the flat interior curvature
+    integral alone is skipped.  The anomaly module builds both of its forms
+    on the a_0 integrals (_a0_terms).
+    """
+    if metric is None:
+        metric = MetricSpec.flat()
+    psi = as_field(psi) if psi is not None else ScalarField.constant(1.0)
+    u = metric.u
+    vol = interior_integral(domain, lambda x, y: psi(x, y) * metric.weight(x, y))
+    per = boundary_integral(
+        domain, lambda x, y, nx, ny, k: psi(x, y) * np.exp(u * metric.sigma(x, y)))
+    a0, terms = _a0_terms(domain, metric, psi)
+    area_term = vol / (4 * math.pi)
+    perim_term = -per / (8 * math.sqrt(math.pi))
     return ExpansionCoefficients(
         a_m1=area_term,
         a_mhalf=perim_term,
         a_0=a0,
-        breakdown={
-            "area": area_term,
-            "perimeter": perim_term,
-            "interior_curvature": interior_curv_term,
-            "boundary_curvature": boundary_curv_term,
-            "normal_derivative": normal_deriv_term,
-            "corners": corner_terms,
-            "corner_sum": corner_sum,
-        },
+        breakdown={"area": area_term, "perimeter": perim_term, **terms},
     )
