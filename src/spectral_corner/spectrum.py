@@ -5,8 +5,11 @@ opening angle alpha*pi > 0 (alpha > 2 is a cone sector).  Polygonal and slit
 domains with a conformal weight e^{2 u sigma} use a 5-point finite
 difference discretization and a spectrum-slicing shift-invert Lanczos
 eigensolver whose eigenvalue counts are certified by Sylvester inertia.
-Its windows run on forked worker processes (``parallel``), one per usable
-CPU, with the same bits for any number of workers.
+An operator that a lattice reflection maps onto itself is solved as two
+independent half-size blocks, its modes even and odd under the mirror; the
+certificate is then the sum of the blocks' inertia counts.  The windows run
+on forked worker processes (``parallel``), one per usable CPU, with the
+same bits for any number of workers.
 
 Every spectrum is a trace source (``TraceSource``): the truncated sum over
 its eigenvalues.  Rectangle spectra also carry their exact theta-product
@@ -297,6 +300,11 @@ class DiscreteOperator:
     Generalized problem A x = lambda W x, W = diag(e^{2 u sigma}), reduced
     to the symmetric B = W^{-1/2} A W^{-1/2}.  Slit nodes carry the Dirichlet
     condition, so stencils never couple opposite slit sides.
+
+    ``reflection`` is None, or a lattice reflection that maps the operator
+    onto itself: the node permutation P that mirrors node i onto node P[i],
+    with A[P][:, P] == A and w[P] == w exactly.  ``solve_eigs`` then solves
+    the modes even and odd under P as two independent blocks.
     """
 
     domain: Domain
@@ -305,6 +313,7 @@ class DiscreteOperator:
     A: sps.csr_matrix
     w: np.ndarray  # diagonal conformal weights at nodes
     metric: MetricSpec
+    reflection: Optional[np.ndarray]  # (n,) node permutation P, or None
 
     @property
     def n_nodes(self) -> int:
@@ -331,6 +340,15 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     rejected by name.
     Disks and sectors, cones included, have no vertex lattice and are
     rejected with their kind; ``analytic_spectrum`` covers them.
+
+    The operator records the first lattice reflection (``_lattice_reflection``)
+    that maps its interior nodes onto themselves and its weights onto
+    themselves to within 8 eps relative: the mirrors in x and in y and, when
+    the lattice is square, the diagonal and the anti-diagonal.  A mirrored
+    pair of nodes whose weights differ by rounding (sigma = 0.2 x y at (a, b)
+    and (b, a)) takes the weight of its lower-numbered node, so each w_i
+    moves by at most 8 eps w_i and ``w`` is exactly symmetric; ``volume``,
+    ``weighted_trace`` and the residual check all see that one operator.
     """
     verts = domain.vertices
     if verts is None:
@@ -397,7 +415,44 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
             f"sigma {metric.sigma!r} at u={metric.u:g} gives a conformal "
             "weight e^{2 u sigma} that is not finite and positive at "
             "every grid node")
-    return DiscreteOperator(domain, h, nodes, A, w, metric)
+    P = _lattice_reflection(idx, w)
+    if P is not None:
+        w = w[np.minimum(np.arange(n), P)]
+    return DiscreteOperator(domain, h, nodes, A, w, metric, P)
+
+
+# A mirrored weight may differ from its node's weight by this share of it
+# and still count as symmetric: sigma = 0.2*x*y evaluated at (a, b) and at
+# (b, a) rounds apart at 16 of the 961 nodes of the h = 1/32 unit square and
+# at 76 of its 3969 at h = 1/64.
+_MIRROR_RTOL = 8 * np.finfo(float).eps
+
+
+def _lattice_reflection(idx: np.ndarray, w: np.ndarray) -> Optional[np.ndarray]:
+    """The first lattice reflection that keeps the nodes and weights, or None.
+
+    idx numbers the interior lattice points (i, j) in C order, -1 elsewhere.
+    The candidates, in order, are i -> nx - i, j -> ny - j and, when nx = ny,
+    the diagonal (i, j) -> (j, i) and the anti-diagonal (i, j) ->
+    (ny - j, nx - i).  One that maps the interior onto itself commutes with
+    the 5-point stencil exactly, since the stencil depends only on which
+    neighbours exist.  It is taken when it also moves no weight w_i by more
+    than 8 eps w_i (``_MIRROR_RTOL``) and leaves both blocks at least 2
+    nodes (2 mirrored pairs).  Returns P, node i mirrored onto node P[i].
+    """
+    inside = idx >= 0
+    mirrors = [idx[::-1, :], idx[:, ::-1]]
+    if idx.shape[0] == idx.shape[1]:
+        mirrors += [idx.T, idx[::-1, ::-1].T]
+    nodes = np.arange(w.size)
+    tol = _MIRROR_RTOL * w
+    for mirrored in mirrors:
+        if not np.array_equal(mirrored >= 0, inside):
+            continue
+        P = mirrored[inside]  # idx[inside] is 0, 1, ..., n - 1
+        if np.count_nonzero(P > nodes) >= 2 and np.all(np.abs(w - w[P]) <= tol):
+            return P
+    return None
 
 
 def _on_closed_segment(pts: np.ndarray, a, b, tol: float) -> np.ndarray:
@@ -426,8 +481,9 @@ class DiscreteSpectrum:
         """COMPLETE_SHARE lambda_k: no eigenvalue of the operator below it is missing.
 
         ``solve_eigs`` proves this by Sylvester inertia on every path that
-        returns: its windows count every eigenvalue below an edge at or
-        above lambda_k, and each window returns exactly its count.
+        returns: its edges count every eigenvalue below an edge at or above
+        lambda_k, summed over the operator's blocks, and each window of each
+        block returns exactly its count.
         """
         return COMPLETE_SHARE * float(self.eigenvalues[-1])
 
@@ -541,12 +597,16 @@ def _shifted_lu(B: sps.csc_matrix, mu: float):
     return lu, int(np.count_nonzero(d < 0))
 
 
-def _certified_lu(B: sps.csc_matrix, mu: float, nudge: float):
-    """(shift, LU, count below shift) at mu, or at mu + nudge if mu fails."""
+def _certified_lus(Bs: list, mu: float, nudge: float):
+    """(shift, [(LU, count below shift) per block]) at mu, or at mu + nudge.
+
+    Every block is factored at the same shift; the nudged shift is tried
+    when any block fails at mu.
+    """
     for shift in (mu, mu + nudge):
-        got = _shifted_lu(B, shift)
-        if got is not None:
-            return (shift, *got)
+        got = [_shifted_lu(B, shift) for B in Bs]
+        if all(g is not None for g in got):
+            return shift, got
     raise NumericalError("solve_eigs",
                          f"no inertia certificate at shift {mu:.10g} "
                          f"or at its nudge {mu + nudge:.10g}")
@@ -560,40 +620,83 @@ def _eigsh(B, nev: int, sigma: float, v0: np.ndarray, OPinv):
         raise NumericalError("solve_eigs", f"eigensolver failed: {exc}") from exc
 
 
-def _window_edges(B: sps.csc_matrix, k: int,
-                  vol_w: float) -> list[tuple[float, float, int]]:
-    """Windows (lo, hi, m) with m eigenvalues of B in [lo, hi), certified by
-    inertia, until an edge has at least k eigenvalues below it."""
-    n = B.shape[0]
+def _blocks(op: DiscreteOperator, B: sps.csc_matrix) -> list:
+    """(B_b, Q_b) per block of B = W^{-1/2} A W^{-1/2}, with B_b = Q_b^T B Q_b.
+
+    Without a reflection the one block is B itself and Q_b is None, the
+    identity.  With a reflection P, S_e sums each mirrored pair of nodes
+    and keeps each node P fixes, and S_o takes the difference of each pair.
+    A_b = S_b^T A S_b and W_b = diag(|S_b|^T w) give
+    B_b = W_b^{-1/2} A_b W_b^{-1/2}; x = S_b x_b carries A_b x_b = lam W_b x_b
+    to A x = lam W x with x^T W x = x_b^T W_b x_b, so the prolongation of
+    B_b's eigenvectors is Q_b = W^{1/2} S_b W_b^{-1/2}, and [Q_e Q_o] is
+    orthogonal.  On the lattice spacings 2^-m every entry of A_b is exact.
+    """
+    P = op.reflection
+    if P is None:
+        return [(B, None)]
+    n = op.n_nodes
+    nodes = np.arange(n)
+    low = np.minimum(nodes, P)  # each pair's lower-numbered node
+    pair = nodes != P
+    even, odd = np.flatnonzero(nodes <= P), np.flatnonzero(nodes < P)
+    S_even = sps.csr_matrix((np.ones(n), (nodes, np.searchsorted(even, low))),
+                            shape=(n, even.size))
+    S_odd = sps.csr_matrix(
+        (np.where(nodes < P, 1.0, -1.0)[pair],
+         (nodes[pair], np.searchsorted(odd, low[pair]))), shape=(n, odd.size))
+    blocks = []
+    for S in (S_even, S_odd):
+        d = sps.diags(1.0 / np.sqrt(abs(S).T @ op.w))
+        blocks.append(((d @ (S.T @ op.A @ S) @ d).tocsc(),
+                       (sps.diags(np.sqrt(op.w)) @ S @ d).tocsr()))
+    return blocks
+
+
+def _window_edges(Bs: list, k: int,
+                  vol_w: float) -> list[tuple[float, float, int, int]]:
+    """Windows (lo, hi, m, b): block b has m > 0 eigenvalues in [lo, hi).
+
+    One sequence of edges serves every block.  The eigenvalues of B below an
+    edge are the sum of the blocks' inertia counts there (Sylvester's law,
+    through the orthogonal [Q_b] of ``_blocks``); edges advance until that
+    sum reaches k.  Each span between edges gives one window per block with
+    modes in it, in block order.
+    """
     width = 4 * math.pi * _WINDOW / vol_w
-    lo, below_lo = 0.0, 0  # B is positive definite
+    lo, below_lo = 0.0, [0] * len(Bs)  # B is positive definite
     windows = []
-    while below_lo < k:
+    while sum(below_lo) < k:
         hi = lo + width
         for _ in range(_MAX_HALVINGS):
-            hi, _, below_hi = _certified_lu(B, hi, _NUDGE * (hi - lo))
-            if below_hi - below_lo <= min(2 * _WINDOW, n - 1):
+            hi, got = _certified_lus(Bs, hi, _NUDGE * (hi - lo))
+            below_hi = [below for _, below in got]
+            del got  # free the factors before the next edge is factored
+            counts = [b - a for a, b in zip(below_lo, below_hi)]
+            if all(m <= min(2 * _WINDOW, B.shape[0] - 1)
+                   for m, B in zip(counts, Bs)):
                 break
             hi = 0.5 * (lo + hi)
         else:
             raise NumericalError(
                 "solve_eigs", f"window above edge {lo:.10g} never thinned "
                 f"out after {_MAX_HALVINGS} halvings")
-        windows.append((lo, hi, below_hi - below_lo))
+        windows += [(lo, hi, m, b) for b, m in enumerate(counts) if m]
         lo, below_lo = hi, below_hi
     return windows
 
 
 def _solve_window(job: tuple, i: int) -> np.ndarray:
-    """Eigenvalues of window i; its eigenvectors go to out[:, cols[i]:...].
+    """Eigenvalues of window i; its eigenvectors go to out[:n_b, cols[i]:...].
 
-    job is (B, windows, v0s, cols, out).  Lanczos must find exactly the m
-    eigenvalues inertia counts in [lo, hi).
+    job is (Bs, windows, v0s, cols, out).  Lanczos on block b must find
+    exactly the m eigenvalues inertia counts in [lo, hi).
     """
-    B, windows, v0s, cols, out = job
+    Bs, windows, v0s, cols, out = job
+    lo, hi, m, b = windows[i]
+    B = Bs[b]
     n = B.shape[0]
-    lo, hi, m = windows[i]
-    mid, lu, _ = _certified_lu(B, 0.5 * (lo + hi), _NUDGE * (hi - lo))
+    mid, [(lu, _)] = _certified_lus([B], 0.5 * (lo + hi), _NUDGE * (hi - lo))
     OPinv = spsla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     lam, Y = _eigsh(B, min(m + _EXTRA, n - 1), mid, v0s[i], OPinv)
     inside = (lam >= lo) & (lam < hi)
@@ -601,40 +704,53 @@ def _solve_window(job: tuple, i: int) -> np.ndarray:
     if found != m:
         raise NumericalError(
             "solve_eigs",
-            f"window [{lo:.10g}, {hi:.10g}): inertia counts {m} "
+            f"window [{lo:.10g}, {hi:.10g}) of block {b}: inertia counts {m} "
             f"eigenvalues, Lanczos found {found}")
-    out[:, cols[i]:cols[i] + m] = Y[:, inside]
+    out[:n, cols[i]:cols[i] + m] = Y[:, inside]
     return lam[inside]
 
 
-def _sliced_eigsh(B: sps.csc_matrix, k: int, vol_w: float,
+def _sliced_eigsh(blocks: list, n: int, k: int, vol_w: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of B window by window until inertia counts k below an edge.
 
-    The edges are certified here first; the windows are then independent.
-    On an operator of at least ``_POOL_NODES`` nodes they run through
-    ``parallel.fork_map``, on forked workers that take the next window as
-    they finish one; smaller operators solve them here, where forking
-    would cost more than it saves.  Every window returns exactly its
-    inertia count, so its eigenvector columns are known up front: workers
-    write them into one shared buffer and send back only eigenvalues.  The
-    merge is in window order, so the result has the same bits for any
-    number of workers.
+    blocks is ``_blocks``' list of (B_b, Q_b).  The edges are certified
+    here first, on every block at once; the windows, one Lanczos job per
+    block and span, are then independent.  On an operator of at least
+    ``_POOL_NODES`` nodes they run through ``parallel.fork_map``, on forked
+    workers that take the next window as they finish one; smaller operators
+    solve them here, where forking would cost more than it saves.  Every
+    window returns exactly its inertia count, so its eigenvector columns
+    are known up front: workers write them into one shared buffer, as tall
+    as the tallest block, and send back only eigenvalues.  The merge is in
+    window order, and each kept column is prolongated by its block's Q_b
+    straight into the one (n, k) result, so the result has the same bits
+    for any number of workers.
     """
-    n = B.shape[0]
-    windows = [w for w in _window_edges(B, k, vol_w) if w[2]]
-    v0s = [rng.standard_normal(n) for _ in windows]
-    cols = np.cumsum([0] + [m for _, _, m in windows]).tolist()
+    Bs = [B for B, _ in blocks]
+    windows = _window_edges(Bs, k, vol_w)
+    v0s = [rng.standard_normal(Bs[b].shape[0]) for *_, b in windows]
+    cols = np.cumsum([0] + [m for _, _, m, _ in windows]).tolist()
+    height = max(B.shape[0] for B in Bs)
     # an anonymous MAP_SHARED mapping: the workers' writes land here
-    out = np.ndarray((n, cols[-1]), buffer=mmap.mmap(-1, 8 * n * cols[-1]))
-    job = (B, windows, v0s, cols, out)
+    out = np.ndarray((height, cols[-1]),
+                     buffer=mmap.mmap(-1, 8 * height * cols[-1]))
+    job = (Bs, windows, v0s, cols, out)
     if n < _POOL_NODES:
         lams = [_solve_window(job, i) for i in range(len(windows))]
     else:
         lams = fork_map(_solve_window, job, len(windows), "solve_eigs")
     lam = np.concatenate(lams)
     order = np.argsort(lam)[:k]
-    return lam[order], out[:, order]
+    slot = np.full(lam.size, -1)  # column of the result each mode goes to
+    slot[order] = np.arange(k)
+    Y = np.empty((n, k))
+    for (_, _, m, b), c in zip(windows, cols):
+        B, Q = blocks[b]
+        dest = slot[c:c + m]
+        y = out[:B.shape[0], c:c + m][:, dest >= 0]
+        Y[:, dest[dest >= 0]] = y if Q is None else Q @ y
+    return lam[order], Y
 
 
 def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
@@ -649,21 +765,33 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     lambda_k is missing.  An edge that cannot be certified is nudged once by
     a small share of its window; if it still has no certificate, or a window
     never thins out to at most 80 modes, ``NumericalError("solve_eigs")``
-    names the shift.  Every window draws its starting vector from
-    ``default_rng(seed)`` in window order.
+    names the shift.
 
-    The edges are certified in this process; the windows then run on a
+    When the operator has a ``reflection`` P, B splits into two independent
+    blocks, B_e on the modes even under P and B_o on the odd ones
+    (``_blocks``), each about half the size.  Every edge factors both blocks
+    at the same shift, and a nudge moves both; the count below the edge is
+    the sum of their inertia counts, since B is congruent to the block
+    diagonal of B_e and B_o.  Each window then runs Lanczos on each block
+    that has modes in it, as separate jobs, and the eigenvectors are
+    prolongated back to the nodes.  Without a reflection there is one
+    block, B itself.  The jobs draw their starting vectors from
+    ``default_rng(seed)`` in job order: window by window, blocks in order.
+
+    The edges are certified in this process; the jobs then run on a
     pool of forked workers (``parallel.fork_map``), one per usable CPU
-    (``os.sched_getaffinity``), each taking the next window when it finishes
+    (``os.sched_getaffinity``), each taking the next job when it finishes
     one.  They run here instead when the operator has fewer than
     ``_POOL_NODES`` (700) nodes, where forking costs more than it saves,
-    when there is one usable CPU or one window, when the platform cannot
+    when there is one usable CPU or one job, when the platform cannot
     fork, when this process is itself a daemonic multiprocessing worker, or
-    when it runs other Python threads.  Results merge in window order, so
+    when it runs other Python threads.  Results merge in job order, so
     eigenvalues and eigenvectors have the same bits for any number of
     workers.
 
-    Residuals ||A x - lam W x|| / ||x|| are checked against 1e-8 * lam.
+    Residuals ||B y - lam y|| / ||y|| of the prolongated eigenvectors are
+    checked against 1e-8 * lam on the full B, and the eigenvectors are unit
+    in <phi, phi>_w.
     """
     n = op.n_nodes
     if not (1 <= k <= n - 1):
@@ -671,7 +799,8 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
                         f"h={op.h:g} grid has {n} interior nodes (reduce h "
                         "to raise the bound)")
     B = op.symmetrized().tocsc()
-    lam, Y = _sliced_eigsh(B, k, op.volume, np.random.default_rng(seed))
+    lam, Y = _sliced_eigsh(_blocks(op, B), n, k, op.volume,
+                           np.random.default_rng(seed))
     resid = np.linalg.norm(B @ Y - Y * lam[None, :], axis=0)
     worst = float(np.max(resid / np.maximum(lam, 1e-300)))
     if worst > 1e-8:

@@ -36,6 +36,24 @@ SQUARE_ZETA_PRIME0 = float(mp.mpf(3) / 2 * mp.log(2) + mp.mpf(3) / 4 * mp.log(mp
                            - mp.log(mp.gamma(mp.mpf(1) / 4)))
 
 
+def slit_square_odd_fdm(h):
+    """5-point Dirichlet eigenvalues of the unit slit square odd about x = 1/2.
+
+    The slit runs from (1/2, 0) to (1/2, 1/2).  A mode odd about x = 1/2
+    vanishes on the whole line x = 1/2, slit included, so the odd modes are
+    the lattice modes of the half square [0, 1/2] x [0, 1]: the square
+    lattice's (4/h^2)(sin^2(m pi h/2) + sin^2(n pi h/2)) with m even, every
+    one of them once.  As h -> 0 they tend to pi^2 (m^2 + n^2) = pi^2
+    (4a^2 + b^2) with a = m/2, b = n.  Ascending.
+    """
+    steps = round(1 / h)
+    m = np.arange(2, steps, 2)[:, None]
+    n = np.arange(1, steps)[None, :]
+    lam = (4 / h ** 2) * (np.sin(m * math.pi * h / 2) ** 2
+                          + np.sin(n * math.pi * h / 2) ** 2)
+    return np.sort(lam.ravel())
+
+
 def halfplane_ball_trace(eps, t):
     """int_{B_eps cap {y>0}} (1/4pi t)(1 - e^{-y^2/t}) dx dy by quadrature."""
     val, _ = integrate.dblquad(

@@ -17,7 +17,7 @@ from spectral_corner import spectrum as spectrum_mod
 
 from .conftest import SLIT_SQUARE_DOC, make_sector
 from .oracles import _bessel_zeros_upto as brentq_zeros_upto
-from .oracles import segments_cross_many
+from .oracles import segments_cross_many, slit_square_odd_fdm
 
 
 def fdm_square_eigenvalue(m, n, h):
@@ -248,13 +248,24 @@ class TestDiscreteOperator:
 
 
 class TestSpectrumSlicing:
-    """Windows certified by Sylvester inertia inside solve_eigs."""
+    """Windows certified by Sylvester inertia inside solve_eigs.
 
-    K = 100  # three windows on the h = 1/16 slit square (n = 217)
+    The flat slit square is its own mirror image about x = 1/2, so it
+    solves as two blocks; ``TestOneBlockSlicing`` runs every test again on
+    an operator without a reflection.
+    """
+
+    K = 100  # two spans, four windows on the h = 1/16 slit square (n = 217)
+    BLOCKS = 2
 
     @pytest.fixture(scope="class")
     def slit_op(self, slit_square):
         return assemble_fdm(slit_square, None, h=1 / 16)
+
+    def test_operator_blocks(self, slit_op):
+        blocks = spectrum_mod._blocks(slit_op, slit_op.symmetrized().tocsc())
+        assert len(blocks) == self.BLOCKS
+        assert sum(B.shape[0] for B, _ in blocks) == slit_op.n_nodes
 
     def test_completeness_matches_dense_count(self, slit_op):
         ds = solve_eigs(slit_op, self.K, seed=0)
@@ -281,11 +292,15 @@ class TestSpectrumSlicing:
         assert calls == []
 
     def test_nudged_edges_stay_certified(self, slit_op, monkeypatch):
-        # every shift's first factorization fails, its nudged retry succeeds
+        # every shift's first factorization of the last block fails, its
+        # nudged retry succeeds; the other block is certified at both shifts
         shifted_lu = spectrum_mod._shifted_lu
+        last = spectrum_mod._blocks(slit_op, slit_op.symmetrized().tocsc())[-1][0]
         calls = itertools.count()
 
         def every_other_fails(B, mu):
+            if B.shape != last.shape:
+                return shifted_lu(B, mu)
             return None if next(calls) % 2 == 0 else shifted_lu(B, mu)
 
         monkeypatch.setattr(spectrum_mod, "_shifted_lu", every_other_fails)
@@ -319,6 +334,110 @@ class TestSpectrumSlicing:
         assert "inertia counts" in str(info.value) and "found" in str(info.value)
 
 
+class TestOneBlockSlicing(TestSpectrumSlicing):
+    """The same certificates on the slit square with sigma = 0.3 x, which no
+    lattice reflection maps onto itself."""
+
+    BLOCKS = 1
+
+    @pytest.fixture(scope="class")
+    def slit_op(self, slit_square):
+        return assemble_fdm(slit_square, MetricSpec(ScalarField("0.3*x"), 1.0),
+                            h=1 / 16)
+
+
+# The slit square turned a quarter about its centre: the slit runs from
+# (1, 1/2) to (1/2, 1/2), and the mirror is y -> 1 - y.
+TURNED_SLIT_DOC = {"kind": "slit-polygon", "params": {
+    "vertices": SLIT_SQUARE_DOC["params"]["vertices"],
+    "slits": [[[1.0, 0.5], [0.5, 0.5]]]}}
+UNIT_SQUARE_DOC = {"kind": "rectangle", "params": {"a": 1.0, "b": 1.0}}
+
+# kind: (domain, sigma at u = 1, the mirror in coordinates)
+_REFLECTIONS = {
+    "x-mirror": (SLIT_SQUARE_DOC, None, lambda x, y: (1 - x, y)),
+    "y-mirror": (TURNED_SLIT_DOC, None, lambda x, y: (x, 1 - y)),
+    "diagonal": (UNIT_SQUARE_DOC, "0.2*x*y", lambda x, y: (y, x)),
+    "anti-diagonal": (UNIT_SQUARE_DOC, "0.2*x*(1 - y)",
+                      lambda x, y: (1 - y, 1 - x)),
+}
+
+
+def _metric(sigma):
+    return None if sigma is None else MetricSpec(ScalarField(sigma), 1.0)
+
+
+class TestReflections:
+    """Operators a lattice reflection maps onto themselves solve as two blocks."""
+
+    @pytest.mark.parametrize("kind", sorted(_REFLECTIONS))
+    def test_blocks_match_the_dense_solve(self, kind):
+        doc, sigma, mirror = _REFLECTIONS[kind]
+        op = assemble_fdm(build_domain(doc), _metric(sigma), h=1 / 16)
+        x, y = op.nodes.T
+        np.testing.assert_allclose(op.nodes[op.reflection],
+                                   np.column_stack(mirror(x, y)), atol=1e-12)
+        assert len(spectrum_mod._blocks(op, op.symmetrized().tocsc())) == 2
+        lam, vec = np.linalg.eigh(op.symmetrized().toarray())
+        k = 100  # moved up to a gap, so no degenerate pair is cut in two
+        while lam[k] - lam[k - 1] < 1e-8 * lam[k]:
+            k += 1
+        ds = solve_eigs(op, k, seed=0)
+        np.testing.assert_allclose(ds.eigenvalues, lam[:k], rtol=1e-10)
+        cut = ds.completeness()
+        assert np.count_nonzero(ds.eigenvalues < cut) == np.count_nonzero(lam < cut)
+        # unit in <phi, phi>_w, and the same weighted trace of an asymmetric
+        # psi as the dense eigenvectors give
+        np.testing.assert_allclose(op.w * op.h ** 2 @ ds.eigenvectors ** 2, 1.0,
+                                   rtol=1e-12)
+        t = 2 * spectrum_mod.TAIL_THRESHOLD / cut
+        psi = 1 + x + 2 * y
+        dense = np.exp(-t * lam[:k]) @ (psi @ vec[:, :k] ** 2)
+        assert ds.weighted_trace("1 + x + 2*y", t) == pytest.approx(dense, rel=1e-10)
+
+    @pytest.mark.parametrize("doc, sigma", [
+        (SLIT_SQUARE_DOC, "0.3*x"),
+        # asymmetric about the diagonal by ~1e-12, far above 8 eps
+        (UNIT_SQUARE_DOC, "0.2*x*y + 1e-12*x"),
+    ], ids=["slit-0.3x", "square-0.2xy+1e-12x"])
+    def test_asymmetric_operators_keep_one_block(self, doc, sigma):
+        metric = _metric(sigma)
+        op = assemble_fdm(build_domain(doc), metric, h=1 / 16)
+        assert op.reflection is None
+        assert op.w.tobytes() == metric.weight(*op.nodes.T).tobytes()
+        assert len(spectrum_mod._blocks(op, op.symmetrized().tocsc())) == 1
+
+    @pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+    def test_weights_snap_to_exact_symmetry(self, square, h):
+        metric = _metric("0.2*x*y")
+        op = assemble_fdm(square, metric, h=h)
+        raw = metric.weight(*op.nodes.T)
+        P = op.reflection
+        # (0.2 a) b and (0.2 b) a round apart at some mirrored pairs
+        assert np.count_nonzero(raw != raw[P]) > 0
+        assert np.array_equal(op.w, op.w[P])
+        assert np.all(np.abs(op.w - raw) <= 8 * np.finfo(float).eps * raw)
+
+    @pytest.mark.parametrize("h, k", [(1 / 16, 100), (1 / 32, 300)])
+    def test_slit_square_odd_block_is_the_half_square(self, slit_square, h, k):
+        # the modes odd about x = 1/2 are known exactly on the lattice
+        op = assemble_fdm(slit_square, None, h=h)
+        ds = solve_eigs(op, k, seed=0)
+        family = slit_square_odd_fdm(h)
+        below = family[family <= ds.eigenvalues[-1]]
+        assert below.size > k // 4
+        nearest = np.abs(ds.eigenvalues[None, :] - below[:, None]).min(axis=1)
+        assert np.max(nearest / below) <= 1e-12
+        # the odd block's inertia at the last certified edge counts the family
+        blocks = spectrum_mod._blocks(op, op.symmetrized().tocsc())
+        Bs = [B for B, _ in blocks]
+        edge = max(hi for _, hi, _, _ in spectrum_mod._window_edges(
+            Bs, k, op.volume))
+        assert Bs[1].shape[0] == family.size
+        _, odd_below = spectrum_mod._shifted_lu(Bs[1], edge)
+        assert odd_below == np.count_nonzero(family < edge)
+
+
 def _eigenpair_bytes(op, k):
     ds = solve_eigs(op, k, seed=0)
     return ds.eigenvalues.tobytes(), ds.eigenvectors.tobytes()
@@ -339,24 +458,39 @@ class TestParallelWindows:
 
     @pytest.fixture(scope="class")
     def ops(self, slit_square):
-        # three windows at k = 100, and ten on the finer grid at k = 517
-        return {100: assemble_fdm(slit_square, None, h=1 / 16),
-                517: assemble_fdm(slit_square, None, h=1 / 32)}
+        # the flat slit square solves as two blocks, with sigma = 0.3 x as one
+        one_block = MetricSpec(ScalarField("0.3*x"), 1.0)
+        return {(k, blocks): assemble_fdm(slit_square,
+                                          None if blocks == 2 else one_block,
+                                          h=1 / 16 if k == 100 else 1 / 32)
+                for k in (100, 517) for blocks in (1, 2)}
+
+    @staticmethod
+    def _windows(op, k):
+        blocks = spectrum_mod._blocks(op, op.symmetrized().tocsc())
+        return spectrum_mod._window_edges([B for B, _ in blocks], k, op.volume)
 
     def test_window_counts(self, ops):
-        for k, op in ops.items():
-            windows = spectrum_mod._window_edges(op.symmetrized().tocsc(), k,
-                                                 op.volume)
-            assert len(windows) == (3 if k == 100 else 10)
+        # (lo, hi, m, block): two blocks share two spans at k = 100 (four
+        # windows) and eight at k = 517 (sixteen); one block has three and
+        # eleven windows
+        expected = {(100, 2): (2, 4), (517, 2): (8, 16),
+                    (100, 1): (3, 3), (517, 1): (11, 11)}
+        for key, op in ops.items():
+            windows = self._windows(op, key[0])
+            spans = {(lo, hi) for lo, hi, _, _ in windows}
+            assert (len(spans), len(windows)) == expected[key]
+            assert {b for *_, b in windows} == set(range(key[1]))
 
-    @pytest.mark.parametrize("k", [100, 517])
-    def test_same_bits_for_any_worker_count(self, ops, k, monkeypatch):
+    @pytest.mark.parametrize("k, blocks", [(100, 2), (517, 2), (100, 1), (517, 1)],
+                             ids=["100", "517", "100-one-block", "517-one-block"])
+    def test_same_bits_for_any_worker_count(self, ops, k, blocks, monkeypatch):
         # the small operator too goes to the pool here
         monkeypatch.setattr(spectrum_mod, "_POOL_NODES", 0)
         got = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
-            got.append(_eigenpair_bytes(ops[k], k))
+            got.append(_eigenpair_bytes(ops[k, blocks], k))
         assert got[0] == got[1] == got[2]
 
     @pytest.mark.parametrize("k", [100, 517])
@@ -368,20 +502,22 @@ class TestParallelWindows:
             return [fn(job, i) for i in range(count)]
 
         monkeypatch.setattr(spectrum_mod, "fork_map", fork_map)
-        _eigenpair_bytes(ops[k], k)
-        # n = 217 at k = 100 stays in the caller; n = 945 goes to the pool
-        assert (ops[k].n_nodes < spectrum_mod._POOL_NODES) == (k == 100)
-        assert pooled == ([] if k == 100 else [10])
+        op = ops[k, 2]
+        _eigenpair_bytes(op, k)
+        # n = 217 at k = 100 stays in the caller; n = 945 goes to the pool,
+        # all sixteen windows of both blocks in one map
+        assert (op.n_nodes < spectrum_mod._POOL_NODES) == (k == 100)
+        assert pooled == ([] if k == 100 else [16])
 
     @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
     def test_daemonic_caller_runs_serially(self, ops, monkeypatch):
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(spectrum_mod, "_POOL_NODES", 0)
-        ref = _eigenpair_bytes(ops[100], 100)
+        ref = _eigenpair_bytes(ops[100, 2], 100)
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         proc = ctx.Process(target=_solve_in_daemon,
-                           args=(ops[100], 100, queue), daemon=True)
+                           args=(ops[100, 2], 100, queue), daemon=True)
         proc.start()
         workers, got = queue.get(timeout=120)
         proc.join(timeout=60)
