@@ -25,7 +25,7 @@ reports the gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .errors import SpecError
@@ -56,17 +56,7 @@ class AnomalyReport:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "form": self.form,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "breakdown": self.breakdown,
-            "gap": self.gap,
-            "rel_gap": self.rel_gap,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass

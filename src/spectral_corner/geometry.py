@@ -124,7 +124,12 @@ class Domain:
 
     # -- containment ------------------------------------------------------
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Strict interior test (ignores slits; see walker for slit logic)."""
+        """Interior test; ignores slits (see walker for slit logic).
+
+        Strict for rectangles, disks and sectors.  For polygons it is ray
+        casting (``_points_in_polygon``), under which a point on a wall may
+        test either way; ``assemble_fdm`` removes wall points itself.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         x, y = pts[:, 0], pts[:, 1]
         if self.kind == "rectangle":
@@ -463,7 +468,12 @@ def _check_simple(verts: np.ndarray):
 
 
 def _points_in_polygon(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Vectorized ray casting (strict interior up to grazing cases)."""
+    """Vectorized ray casting: exact off the boundary.
+
+    A point on an edge tests inside or outside depending on which way the
+    polygon faces there (inside where the interior lies toward +x of a
+    vertical edge or +y of a horizontal one, for example).
+    """
     x, y = pts[:, 0], pts[:, 1]
     inside = np.zeros(len(pts), dtype=bool)
     n = len(verts)

@@ -298,8 +298,9 @@ class DiscreteOperator:
     """5-point Dirichlet Laplacian with a diagonal conformal weight.
 
     Generalized problem A x = lambda W x, W = diag(e^{2 u sigma}), reduced
-    to the symmetric B = W^{-1/2} A W^{-1/2}.  Slit nodes carry the Dirichlet
-    condition, so stencils never couple opposite slit sides.
+    to the symmetric B = W^{-1/2} A W^{-1/2}.  Wall and slit lattice points
+    are not unknowns (the Dirichlet condition), so stencils never couple
+    opposite slit sides.
 
     ``reflection`` is None, or a lattice reflection that maps the operator
     onto itself: the node permutation P that mirrors node i onto node P[i],
@@ -341,6 +342,15 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     Disks and sectors, cones included, have no vertex lattice and are
     rejected with their kind; ``analytic_spectrum`` covers them.
 
+    The unknowns are the lattice points that ``domain.contains`` admits and
+    that lie on none of ``domain.walls``, the polygon's edges and slit
+    segments.  A point on a wall is removed whichever side of it the
+    interior lies, so a polygon and its mirror images give the same
+    spectrum.  A is the 5-point Laplacian kron(T_x, I) + kron(I, T_y) of the
+    whole bounding-box lattice, T the 1-D second difference over h^2,
+    restricted to the unknowns: dropping the other rows and columns is the
+    Dirichlet condition.
+
     The operator records the first lattice reflection (``_lattice_reflection``)
     that maps its interior nodes onto themselves and its weights onto
     themselves to within 8 eps relative: the mirrors in x and in y and, when
@@ -377,34 +387,21 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     ys = y0 + h * np.arange(ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    interior = domain.contains(pts)
-    for p0, p1 in domain.slit_segments:
-        interior &= ~_on_closed_segment(pts, p0, p1, tol=1e-9 * h)
-    interior = interior.reshape(nx + 1, ny + 1)
-    # boundary lattice lines are never interior
-    interior[0, :] = interior[-1, :] = False
-    interior[:, 0] = interior[:, -1] = False
-
-    idx = -np.ones((nx + 1, ny + 1), dtype=np.int64)
-    ii, jj = np.nonzero(interior)
-    n = ii.size
+    keep = domain.contains(pts)
+    for p0, p1 in domain.walls:
+        keep &= ~_on_closed_segment(pts, p0, p1, tol=1e-9 * h)
+    n = int(np.count_nonzero(keep))
     if n == 0:
         raise SpecError("grid too coarse: no interior nodes")
-    idx[ii, jj] = np.arange(n)
-    nodes = np.column_stack([xs[ii], ys[jj]])
+    idx = np.where(keep, np.cumsum(keep) - 1, -1).reshape(nx + 1, ny + 1)
+    nodes = pts[keep]
 
-    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 4.0 / h**2)]
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ni, nj = ii + di, jj + dj
-        ok = (ni >= 0) & (ni <= nx) & (nj >= 0) & (nj <= ny)
-        nbr = np.where(ok, idx[ni % (nx + 1), nj % (ny + 1)], -1)
-        has = nbr >= 0
-        rows.append(np.arange(n)[has])
-        cols.append(nbr[has])
-        vals.append(np.full(int(has.sum()), -1.0 / h**2))
-    A = sps.csr_matrix((np.concatenate(vals),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n, n))
+    def second_difference(m):
+        return sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m)) / h**2
+
+    full = (sps.kron(second_difference(nx + 1), sps.eye(ny + 1), format="csr")
+            + sps.kron(sps.eye(nx + 1), second_difference(ny + 1), format="csr"))
+    A = full[keep][:, keep]
 
     if metric is None:
         metric = MetricSpec.flat()

@@ -54,6 +54,20 @@ def slit_square_odd_fdm(h):
     return np.sort(lam.ravel())
 
 
+def l_shape_fdm(h):
+    """5-point Dirichlet eigenvalues of [0,2]^2 minus [1,2]^2 that are known.
+
+    Each lattice sine sin(a pi x) sin(b pi y), 1 <= a, b < 1/h, vanishes on
+    x, y in {0, 1, 2}, so on every wall of the L and of its mirror images:
+    it is a lattice mode of each of them, with eigenvalue
+    (4/h^2)(sin^2(a pi h/2) + sin^2(b pi h/2)).  As h -> 0 these tend to
+    pi^2 (a^2 + b^2).  The (a, b) and (b, a) modes are two modes.  Ascending.
+    """
+    steps = round(1 / h)
+    s2 = np.sin(np.arange(1, steps) * math.pi * h / 2) ** 2
+    return np.sort(((4 / h ** 2) * (s2[:, None] + s2[None, :])).ravel())
+
+
 def halfplane_ball_trace(eps, t):
     """int_{B_eps cap {y>0}} (1/4pi t)(1 - e^{-y^2/t}) dx dy by quadrature."""
     val, _ = integrate.dblquad(

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import multiprocessing
@@ -15,9 +16,9 @@ from spectral_corner import (MetricSpec, NumericalError, ScalarField,
 from spectral_corner import parallel
 from spectral_corner import spectrum as spectrum_mod
 
-from .conftest import SLIT_SQUARE_DOC, make_sector
+from .conftest import BENT_SLIT_DOC, SLIT_SQUARE_DOC, make_sector
 from .oracles import _bessel_zeros_upto as brentq_zeros_upto
-from .oracles import segments_cross_many, slit_square_odd_fdm
+from .oracles import l_shape_fdm, segments_cross_many, slit_square_odd_fdm
 
 
 def fdm_square_eigenvalue(m, n, h):
@@ -245,6 +246,87 @@ class TestDiscreteOperator:
         lam_slit = solve_eigs(assemble_fdm(slit_square, None, h=1 / 32), 1,
                               seed=0).eigenvalues[0]
         assert lam_slit > lam_sq + 1.0
+
+
+def _polygon(vertices):
+    return {"kind": "polygon", "params": {"vertices": vertices}}
+
+
+# [0,2]^2 minus [1,2]^2 and its images under the mirrors x -> 2 - x and
+# y -> 2 - y, and both: each faces its re-entrant walls another way
+L_VERTICES = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
+L_ORIENTATIONS = {
+    "L": lambda x, y: (x, y),
+    "mirror-x": lambda x, y: (2 - x, y),
+    "mirror-y": lambda x, y: (x, 2 - y),
+    "turned-180": lambda x, y: (2 - x, 2 - y),
+}
+
+
+def _l_shape_fdm(orientation, h):
+    mirror = L_ORIENTATIONS[orientation]
+    doc = _polygon([list(mirror(x, y)) for x, y in L_VERTICES])
+    return assemble_fdm(build_domain(doc), None, h=h)
+
+
+@functools.cache
+def _l_shape_eigenvalues(orientation, h, k=150):
+    return solve_eigs(_l_shape_fdm(orientation, h), k, seed=0).eigenvalues
+
+
+def _distance_to_segment(pts, a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ab = b - a
+    s = np.clip((pts - a) @ ab / (ab @ ab), 0.0, 1.0)
+    return np.hypot(*(pts - a - s[:, None] * ab).T)
+
+
+class TestNodeRule:
+    """An unknown is a lattice point inside the domain and on none of its
+    walls, whichever side of a wall the interior lies."""
+
+    @pytest.mark.parametrize("doc", [
+        # notched from the top, notched from the right, the L mirrored in x
+        _polygon([[0, 0], [3, 0], [3, 2], [2, 2], [2, 1], [1, 1], [1, 2], [0, 2]]),
+        _polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [2, 2], [2, 3], [0, 3]]),
+        _polygon([[0, 0], [2, 0], [2, 2], [1, 2], [1, 1], [0, 1]]),
+        SLIT_SQUARE_DOC, BENT_SLIT_DOC,
+    ], ids=["U", "C", "mirrored-L", "slit-square", "bent-slit"])
+    def test_no_unknown_lies_on_a_wall(self, doc):
+        domain = build_domain(doc)
+        op = assemble_fdm(domain, None, h=1 / 8)
+        for a, b in domain.walls:
+            assert _distance_to_segment(op.nodes, a, b).min() > 1e-9
+
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 32], ids=["h=1/16", "h=1/32"])
+    @pytest.mark.parametrize("orientation", list(L_ORIENTATIONS))
+    def test_l_shape_contains_the_lattice_sines(self, orientation, h):
+        lam = _l_shape_eigenvalues(orientation, h)
+        family = l_shape_fdm(h)
+        below = family[family <= lam[-1]]
+        assert below.size > 20
+        nearest = np.abs(lam[None, :] - below[:, None]).min(axis=1)
+        assert np.max(nearest / below) <= 1e-12
+
+    @pytest.mark.parametrize("orientation", list(L_ORIENTATIONS)[1:])
+    def test_l_shape_operator_is_the_same_in_any_orientation(self, orientation):
+        ref = _l_shape_fdm("L", 1 / 16)
+        op = _l_shape_fdm(orientation, 1 / 16)
+        # each mirror is its own inverse; the reference numbers x-major
+        back = np.column_stack(L_ORIENTATIONS[orientation](*op.nodes.T))
+        order = np.lexsort((back[:, 1], back[:, 0]))
+        np.testing.assert_array_equal(back[order], ref.nodes)
+        assert (op.A[order][:, order] != ref.A).nnz == 0
+
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 32], ids=["h=1/16", "h=1/32"])
+    def test_l_shape_solves_the_same_in_any_orientation(self, h):
+        # the operators are one matrix renumbered (test above); Lanczos on
+        # the renumbered matrix rounds apart by up to 2.7e-12 of a mode at
+        # h = 1/32, and dense eigh's lambda_1 differs from it by 8e-12
+        ref = _l_shape_eigenvalues("L", h)
+        for orientation in L_ORIENTATIONS:
+            np.testing.assert_allclose(_l_shape_eigenvalues(orientation, h), ref,
+                                       rtol=1e-11)
 
 
 class TestSpectrumSlicing:
