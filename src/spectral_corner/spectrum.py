@@ -3,13 +3,14 @@
 Analytic spectra cover rectangles, disks, and circular sectors of any
 opening angle alpha*pi > 0 (alpha > 2 is a cone sector).  Polygonal and slit
 domains with a conformal weight e^{2 u sigma} use a 5-point finite
-difference discretization and a spectrum-slicing shift-invert Lanczos
-eigensolver whose eigenvalue counts are certified by Sylvester inertia.
-An operator that a lattice reflection maps onto itself is solved as two
-independent half-size blocks, its modes even and odd under the mirror; the
-certificate is then the sum of the blocks' inertia counts.  The windows run
-on forked worker processes (``parallel``), one per usable CPU, with the
-same bits for any number of workers.
+difference discretization.  An operator that a lattice reflection maps
+onto itself is solved as two independent half-size blocks, its modes even
+and odd under the mirror.  A block small for the number of modes asked
+(n_b^2 <= 1300 k) is solved densely, every eigenvalue of it at once.  Any
+other operator goes to a spectrum-slicing shift-invert Lanczos eigensolver
+whose eigenvalue counts are certified by Sylvester inertia, summed over
+the blocks; its windows run on forked worker processes (``parallel``), one
+per usable CPU, with the same bits for any number of workers.
 
 Every spectrum is a trace source (``TraceSource``): the truncated sum over
 its eigenvalues.  Rectangle spectra also carry their exact theta-product
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spsla
 from scipy.special import exp1
@@ -477,10 +479,13 @@ class DiscreteSpectrum:
     def completeness(self) -> float:
         """COMPLETE_SHARE lambda_k: no eigenvalue of the operator below it is missing.
 
-        ``solve_eigs`` proves this by Sylvester inertia on every path that
-        returns: its edges count every eigenvalue below an edge at or above
-        lambda_k, summed over the operator's blocks, and each window of each
-        block returns exactly its count.
+        ``solve_eigs`` proves this on both of its routes.  The dense route
+        computes every eigenvalue of every block, and B is congruent to the
+        block diagonal, so the k smallest over the blocks are the k smallest
+        of B.  The sliced route proves it by Sylvester inertia: its edges
+        count every eigenvalue below an edge at or above lambda_k, summed
+        over the blocks, and each window of each block returns exactly its
+        count.
         """
         return COMPLETE_SHARE * float(self.eigenvalues[-1])
 
@@ -563,14 +568,25 @@ _EXTRA = 6
 # window once; if that fails too the solve fails.
 _NUDGE = 1e-3
 # Window halvings allowed while a window holds more than 2 * _WINDOW modes,
-# as windows near the middle of a coarse grid's spectrum do, or all n.
+# as windows near the middle of a block's spectrum do when k is a large
+# share of its size, or all n.
 _MAX_HALVINGS = 50
 # Operators with fewer nodes than this solve their windows in the caller.
 # Timed on a 2-vCPU Xeon on the square and the slit square: at n = 217-625
 # (h = 1/16 to 1/26) the pool took 1.2-3x the time of one process, at
 # n = 715-729 (h = 1/28) about the same, at n = 945-961 (h = 1/32)
-# 0.6-0.9x.
+# 0.6-0.9x.  Those timings are of sliced solves at k = 100-517; the h = 1/32
+# grids take the sliced route only for k below n_b^2 / _DENSE_RATIO, about
+# 180.
 _POOL_NODES = 700
+# An operator whose tallest block has n_b nodes is solved densely when
+# n_b^2 <= _DENSE_RATIO * k.  Dense costs ~n_b^3 whatever k is, slicing
+# ~k n_b.  On a 2-vCPU Xeon (square, sigma = 0.2 x y, one BLAS thread) the
+# two routes broke even at n_b^2 / k ~ 1600 for n_b = 946 and ~1300 for
+# n_b = 2016; at n_b = 496 dense won already at k = 50.  With BLAS on both
+# CPUs dense wins up to n_b^2 / k = 2300-4000.  Since k < n <= 2 n_b, a
+# dense block never exceeds 2 _DENSE_RATIO = 2600 nodes (54 MB).
+_DENSE_RATIO = 1300
 
 
 def _shifted_lu(B: sps.csc_matrix, mu: float):
@@ -737,25 +753,65 @@ def _sliced_eigsh(blocks: list, n: int, k: int, vol_w: float,
         lams = [_solve_window(job, i) for i in range(len(windows))]
     else:
         lams = fork_map(_solve_window, job, len(windows), "solve_eigs")
-    lam = np.concatenate(lams)
+    parts = []
+    for lam, (_, _, m, b), c in zip(lams, windows, cols):
+        B, Q = blocks[b]
+        parts.append((lam, out[:B.shape[0], c:c + m], Q))
+    return _merge(parts, n, k)
+
+
+def _dense_eigh(blocks: list, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest eigenpairs of B from one dense eigh per block.
+
+    blocks is ``_blocks``' list of (B_b, Q_b).  Every eigenvalue of every
+    block is computed, so the k smallest over the blocks are the k smallest
+    of B.
+    """
+    parts = []
+    for B, Q in blocks:
+        # LAPACK overwrites the Fortran-ordered copy with the eigenvectors
+        lam, y = sla.eigh(B.toarray(order="F"), driver="evd", overwrite_a=True,
+                          check_finite=False)
+        parts.append((lam, y, Q))
+    return _merge(parts, n, k)
+
+
+def _merge(parts: list, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest eigenpairs over parts (lam, y, Q), in one (n, k) result.
+
+    Each part is eigenpairs of one block, y's columns belonging to lam; its
+    kept columns are prolongated by the block's Q (None: the identity)
+    straight into their column of the result, so the result depends only on
+    the parts and their order.
+    """
+    lam = np.concatenate([lam_p for lam_p, _, _ in parts])
     order = np.argsort(lam)[:k]
     slot = np.full(lam.size, -1)  # column of the result each mode goes to
     slot[order] = np.arange(k)
     Y = np.empty((n, k))
-    for (_, _, m, b), c in zip(windows, cols):
-        B, Q = blocks[b]
-        dest = slot[c:c + m]
-        y = out[:B.shape[0], c:c + m][:, dest >= 0]
+    start = 0
+    for lam_p, y, Q in parts:
+        dest = slot[start:start + lam_p.size]
+        start += lam_p.size
+        y = y[:, dest >= 0]
         Y[:, dest[dest >= 0]] = y if Q is None else Q @ y
     return lam[order], Y
 
 
 def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
-    """k smallest eigenpairs of A x = lambda W x by certified spectrum slicing.
+    """k smallest eigenpairs of A x = lambda W x, with none missing below lambda_k.
 
-    The spectrum of B = W^{-1/2} A W^{-1/2} is cut into windows [lo, hi) of
-    about 40 eigenvalues each by the weighted Weyl count.  At every edge the
-    number of eigenvalues below it is read off the inertia of an LDL^T-like
+    B = W^{-1/2} A W^{-1/2} is split into blocks (``_blocks``): two when the
+    operator has a ``reflection``, else B itself.  When the tallest block
+    has n_b nodes with n_b^2 <= ``_DENSE_RATIO`` (1300) k, each block is
+    solved by one dense LAPACK eigh in this process and the k smallest
+    eigenvalues over the blocks are kept (``_dense_eigh``); every eigenvalue
+    is computed, so none below lambda_k can be missing.  Any other operator
+    is solved by certified spectrum slicing, as follows.
+
+    The spectrum of B is cut into windows [lo, hi) of about 40 eigenvalues
+    each by the weighted Weyl count.  At every edge the number of
+    eigenvalues below it is read off the inertia of an LDL^T-like
     factorization of B - edge I; each window then runs shift-invert Lanczos
     at its midpoint and must return exactly the counted number of modes.
     Windows advance until the count reaches k, so no eigenvalue below
@@ -774,6 +830,8 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     prolongated back to the nodes.  Without a reflection there is one
     block, B itself.  The jobs draw their starting vectors from
     ``default_rng(seed)`` in job order: window by window, blocks in order.
+    The seed feeds only these Lanczos start vectors; the dense route does
+    not use it.
 
     The edges are certified in this process; the jobs then run on a
     pool of forked workers (``parallel.fork_map``), one per usable CPU
@@ -796,8 +854,12 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
                         f"h={op.h:g} grid has {n} interior nodes (reduce h "
                         "to raise the bound)")
     B = op.symmetrized().tocsc()
-    lam, Y = _sliced_eigsh(_blocks(op, B), n, k, op.volume,
-                           np.random.default_rng(seed))
+    blocks = _blocks(op, B)
+    if max(B_b.shape[0] for B_b, _ in blocks) ** 2 <= _DENSE_RATIO * k:
+        lam, Y = _dense_eigh(blocks, n, k)
+    else:
+        lam, Y = _sliced_eigsh(blocks, n, k, op.volume,
+                               np.random.default_rng(seed))
     resid = np.linalg.norm(B @ Y - Y * lam[None, :], axis=0)
     worst = float(np.max(resid / np.maximum(lam, 1e-300)))
     if worst > 1e-8:

@@ -334,11 +334,16 @@ class TestSpectrumSlicing:
 
     The flat slit square is its own mirror image about x = 1/2, so it
     solves as two blocks; ``TestOneBlockSlicing`` runs every test again on
-    an operator without a reflection.
+    an operator without a reflection.  At K = 100 these operators are small
+    enough for the dense route, so every test here forces slicing.
     """
 
     K = 100  # two spans, four windows on the h = 1/16 slit square (n = 217)
     BLOCKS = 2
+
+    @pytest.fixture(autouse=True)
+    def sliced(self, monkeypatch):
+        monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
 
     @pytest.fixture(scope="class")
     def slit_op(self, slit_square):
@@ -450,7 +455,11 @@ def _metric(sigma):
 
 
 class TestReflections:
-    """Operators a lattice reflection maps onto themselves solve as two blocks."""
+    """Operators a lattice reflection maps onto themselves solve as two blocks.
+
+    At these sizes solve_eigs takes the dense route; ``TestSlicedReflections``
+    runs every test again with slicing forced.
+    """
 
     @pytest.mark.parametrize("kind", sorted(_REFLECTIONS))
     def test_blocks_match_the_dense_solve(self, kind):
@@ -520,6 +529,76 @@ class TestReflections:
         assert odd_below == np.count_nonzero(family < edge)
 
 
+class TestSlicedReflections(TestReflections):
+    """The same two-block checks on the sliced route."""
+
+    @pytest.fixture(autouse=True)
+    def sliced(self, monkeypatch):
+        monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
+
+
+def _solve_on_route(op, k):
+    """solve_eigs(op, k) under the size rule, and the route it took."""
+    taken = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in [("dense", spectrum_mod._dense_eigh),
+                         ("sliced", spectrum_mod._sliced_eigsh)]:
+            mp.setattr(spectrum_mod, fn.__name__,
+                       lambda *a, fn=fn, name=name: taken.append(name) or fn(*a))
+        ds = solve_eigs(op, k, seed=0)
+    [name] = taken
+    return ds, name
+
+
+class TestDenseRoute:
+    """Operators whose blocks are small for k take one dense eigh per block,
+    and agree with the certified slicing they skip."""
+
+    @pytest.mark.parametrize("doc, sigma, k", [
+        (UNIT_SQUARE_DOC, "0.2*x*y", 516),  # the anomaly benchmark's coarse grid
+        (SLIT_SQUARE_DOC, None, 400),  # the slit-tip benchmark's coarse grid
+    ], ids=["square-0.2xy", "slit-square"])
+    def test_agrees_with_slicing(self, doc, sigma, k, monkeypatch):
+        op = assemble_fdm(build_domain(doc), _metric(sigma), h=1 / 32)
+        dense, taken = _solve_on_route(op, k)
+        assert taken == "dense"
+        monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
+        sliced = solve_eigs(op, k, seed=0)
+        np.testing.assert_allclose(dense.eigenvalues, sliced.eigenvalues,
+                                   rtol=1e-10)
+        full = np.linalg.eigvalsh(op.symmetrized().toarray())
+        for ds in (dense, sliced):
+            cut = ds.completeness()
+            assert np.count_nonzero(ds.eigenvalues < cut) \
+                == np.count_nonzero(full < cut)
+            np.testing.assert_allclose(op.w * op.h ** 2 @ ds.eigenvectors ** 2,
+                                       1.0, rtol=1e-12)
+        t = 2 * spectrum_mod.TAIL_THRESHOLD / dense.completeness()
+        assert dense.weighted_trace("1 + x + 2*y", t) == pytest.approx(
+            sliced.weighted_trace("1 + x + 2*y", t), rel=1e-10)
+
+    def test_size_rule_picks_the_route(self, slit_square):
+        # the h = 1/32 slit square's taller block has n_b = 480 nodes
+        op = assemble_fdm(slit_square, None, h=1 / 32)
+        n_b = max(B.shape[0] for B, _ in
+                  spectrum_mod._blocks(op, op.symmetrized().tocsc()))
+        k = math.ceil(n_b ** 2 / spectrum_mod._DENSE_RATIO)
+        assert n_b ** 2 <= spectrum_mod._DENSE_RATIO * k
+        assert _solve_on_route(op, k)[1] == "dense"
+        assert _solve_on_route(op, k - 1)[1] == "sliced"
+
+    @pytest.mark.parametrize("ratio", [math.inf, 0], ids=["dense", "sliced"])
+    def test_l_shape_contains_the_lattice_sines(self, ratio, monkeypatch):
+        monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", ratio)
+        h = 1 / 16
+        lam = solve_eigs(_l_shape_fdm("L", h), 150, seed=0).eigenvalues
+        family = l_shape_fdm(h)
+        below = family[family <= lam[-1]]
+        assert below.size > 20
+        nearest = np.abs(lam[None, :] - below[:, None]).min(axis=1)
+        assert np.max(nearest / below) <= 1e-12
+
+
 def _eigenpair_bytes(op, k):
     ds = solve_eigs(op, k, seed=0)
     return ds.eigenvalues.tobytes(), ds.eigenvectors.tobytes()
@@ -567,8 +646,10 @@ class TestParallelWindows:
     @pytest.mark.parametrize("k, blocks", [(100, 2), (517, 2), (100, 1), (517, 1)],
                              ids=["100", "517", "100-one-block", "517-one-block"])
     def test_same_bits_for_any_worker_count(self, ops, k, blocks, monkeypatch):
-        # the small operator too goes to the pool here
+        # the small operator too goes to the pool here, and no operator to
+        # the dense route
         monkeypatch.setattr(spectrum_mod, "_POOL_NODES", 0)
+        monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
         got = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
@@ -585,9 +666,13 @@ class TestParallelWindows:
 
         monkeypatch.setattr(spectrum_mod, "fork_map", fork_map)
         op = ops[k, 2]
+        # at these k both operators take the dense route, which never forks
         _eigenpair_bytes(op, k)
-        # n = 217 at k = 100 stays in the caller; n = 945 goes to the pool,
-        # all sixteen windows of both blocks in one map
+        assert pooled == []
+        monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
+        _eigenpair_bytes(op, k)
+        # sliced, n = 217 at k = 100 stays in the caller; n = 945 goes to
+        # the pool, all sixteen windows of both blocks in one map
         assert (op.n_nodes < spectrum_mod._POOL_NODES) == (k == 100)
         assert pooled == ([] if k == 100 else [16])
 
@@ -595,6 +680,7 @@ class TestParallelWindows:
     def test_daemonic_caller_runs_serially(self, ops, monkeypatch):
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(spectrum_mod, "_POOL_NODES", 0)
+        monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
         ref = _eigenpair_bytes(ops[100, 2], 100)
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
