@@ -9,8 +9,9 @@ and odd under the mirror.  A block small for the number of modes asked
 (n_b^2 <= 1300 k) is solved densely, every eigenvalue of it at once.  Any
 other operator goes to a spectrum-slicing shift-invert Lanczos eigensolver
 whose eigenvalue counts are certified by Sylvester inertia, summed over
-the blocks; its windows run on forked worker processes (``parallel``), one
-per usable CPU, with the same bits for any number of workers.
+the blocks.  Its windows are sized per block, about 40 of a block's modes
+each, and run on forked worker processes (``parallel``), one per usable
+CPU, with the same bits for any number of workers.
 
 Every spectrum is a trace source (``TraceSource``): the truncated sum over
 its eigenvalues.  Rectangle spectra also carry their exact theta-product
@@ -557,9 +558,17 @@ def spectrum_for(domain: Domain, metric: MetricSpec, k: int, h: float,
 
 
 # Spectrum slicing after Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15
-# (1994).  A window [lo, hi) spans this many eigenvalues by the Weyl count
-# 4 pi N / vol_w.  Over 24-64, solve times on the benchmark grids
-# (n ~ 1e3-4e3, k = 400-516) moved by under a quarter.
+# (1994), whose cost is set by factorizations per computed mode.  Each
+# block's window [lo, hi) spans this many of the block's eigenvalues by the
+# Weyl count 4 pi N / vol_w, which the blocks share about evenly, so a span
+# over two blocks is twice as wide as over one.  Over 24-64 on one block,
+# solve times on the benchmark grids (n ~ 1e3-4e3, k = 400-516) moved by
+# under a quarter.  On a 2-vCPU Xeon with BLAS pinned (medians of 9 solves
+# on the pool), doubling the span of a one-block operator (slit square,
+# sigma = 0.3 x, u = 1, h = 1/64, k = 400) took 1.15-1.21 s against
+# 0.89-0.92 s; on two blocks (square, sigma = 0.2 x y, h = 1/64, k = 517)
+# 40 modes per block instead of 40 per span halved the factorizations
+# (48 to 24) and took 0.53-0.55 s against 0.62-0.69 s.
 _WINDOW = 40
 # Modes requested beyond a window's inertia count: the window's own modes are
 # the ones nearest its midpoint, the extra ones give Lanczos a spectral gap.
@@ -567,25 +576,41 @@ _EXTRA = 6
 # A shift that yields no inertia certificate moves by this share of its
 # window once; if that fails too the solve fails.
 _NUDGE = 1e-3
+# A window whose modes miss the residual contract is solved once more with
+# its Lanczos shift moved up by this share of the window.  The factor
+# pivots on the diagonal only (``_shifted_lu``), so a shift that lands near
+# an eigenvalue can lose accuracy in it: on the h = 1/64 slit square's odd
+# block, window [0, 784.4), the midpoint 392.2163 is 0.025 from one, and
+# mode 49.3143 came back with residuals up to 1.4e-8 over seeds 0-7; at
+# 490.27 the worst was 1.2e-12 to 9.1e-12.
+_RESHIFT = 1 / 8
+# Residual contract: ||B y - lam y|| / ||y|| <= _RESIDUAL * lam for every
+# returned eigenpair.
+_RESIDUAL = 1e-8
 # Window halvings allowed while a window holds more than 2 * _WINDOW modes,
 # as windows near the middle of a block's spectrum do when k is a large
 # share of its size, or all n.
 _MAX_HALVINGS = 50
 # Operators with fewer nodes than this solve their windows in the caller.
 # Timed on a 2-vCPU Xeon on the square and the slit square: at n = 217-625
-# (h = 1/16 to 1/26) the pool took 1.2-3x the time of one process, at
-# n = 715-729 (h = 1/28) about the same, at n = 945-961 (h = 1/32)
-# 0.6-0.9x.  Those timings are of sliced solves at k = 100-517; the h = 1/32
-# grids take the sliced route only for k below n_b^2 / _DENSE_RATIO, about
-# 180.
+# (h = 1/16 to 1/26) the pool took 1.2-3x the time of one process.  With
+# windows sized per block (BLAS pinned, medians of 7), the h = 1/32 slit
+# square (n = 945, n_b = 480, k = 100-170, four windows) took 0.08-0.11 s
+# in the caller against 0.13-0.15 s pooled, the h = 1/32 square with
+# sigma = 0.2 x y (n = 961, k = 150) 0.09 s either way, and the h = 1/36
+# square (n = 1225, n_b = 630, k = 300, eight windows) 0.26-0.29 s against
+# 0.19-0.20 s.  A rule on the tallest block at 700 would keep that last one
+# in the caller, so the rule reads the node count.
 _POOL_NODES = 700
 # An operator whose tallest block has n_b nodes is solved densely when
 # n_b^2 <= _DENSE_RATIO * k.  Dense costs ~n_b^3 whatever k is, slicing
 # ~k n_b.  On a 2-vCPU Xeon (square, sigma = 0.2 x y, one BLAS thread) the
-# two routes broke even at n_b^2 / k ~ 1600 for n_b = 946 and ~1300 for
-# n_b = 2016; at n_b = 496 dense won already at k = 50.  With BLAS on both
-# CPUs dense wins up to n_b^2 / k = 2300-4000.  Since k < n <= 2 n_b, a
-# dense block never exceeds 2 _DENSE_RATIO = 2600 nodes (54 MB).
+# two routes break even at n_b^2 / k ~ 1000-1100 for n_b = 946 (sliced
+# 0.32-0.42 s at k = 800 against dense 0.37-0.39 s) and ~1100-1250 for
+# n_b = 2016; at n_b = 496 dense won already at k = 50.  Between 1000 and
+# 1300 the two are within the noise of the timings.  With BLAS on both CPUs
+# dense wins up to n_b^2 / k = 2300-4000.  Since k < n <= 2 n_b, a dense
+# block never exceeds 2 _DENSE_RATIO = 2600 nodes (54 MB).
 _DENSE_RATIO = 1300
 
 
@@ -674,9 +699,11 @@ def _window_edges(Bs: list, k: int,
     edge are the sum of the blocks' inertia counts there (Sylvester's law,
     through the orthogonal [Q_b] of ``_blocks``); edges advance until that
     sum reaches k.  Each span between edges gives one window per block with
-    modes in it, in block order.
+    modes in it, in block order.  A span is 4 pi _WINDOW len(Bs) / vol_w
+    wide, so each block's window holds about _WINDOW modes by the Weyl count
+    whatever the number of blocks.
     """
-    width = 4 * math.pi * _WINDOW / vol_w
+    width = 4 * math.pi * _WINDOW * len(Bs) / vol_w
     lo, below_lo = 0.0, [0] * len(Bs)  # B is positive definite
     windows = []
     while sum(below_lo) < k:
@@ -703,24 +730,43 @@ def _solve_window(job: tuple, i: int) -> np.ndarray:
     """Eigenvalues of window i; its eigenvectors go to out[:n_b, cols[i]:...].
 
     job is (Bs, windows, v0s, cols, out).  Lanczos on block b must find
-    exactly the m eigenvalues inertia counts in [lo, hi).
+    exactly the m eigenvalues inertia counts in [lo, hi).  Its shift is the
+    window's midpoint; when a mode found there misses the residual contract
+    on B_b, the window is solved once more at a shift moved up by
+    ``_RESHIFT`` of its width.  That asks for 2 _RESHIFT m more modes, about
+    as many as lie above the window but nearer the new shift than its lower
+    edge.  Whatever the second solve gives is returned, and ``solve_eigs``
+    checks it on B.
     """
     Bs, windows, v0s, cols, out = job
     lo, hi, m, b = windows[i]
     B = Bs[b]
     n = B.shape[0]
-    mid, [(lu, _)] = _certified_lus([B], 0.5 * (lo + hi), _NUDGE * (hi - lo))
-    OPinv = spsla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    lam, Y = _eigsh(B, min(m + _EXTRA, n - 1), mid, v0s[i], OPinv)
-    inside = (lam >= lo) & (lam < hi)
-    found = int(np.count_nonzero(inside))
-    if found != m:
-        raise NumericalError(
-            "solve_eigs",
-            f"window [{lo:.10g}, {hi:.10g}) of block {b}: inertia counts {m} "
-            f"eigenvalues, Lanczos found {found}")
-    out[:n, cols[i]:cols[i] + m] = Y[:, inside]
-    return lam[inside]
+    for share in (0.0, _RESHIFT):
+        shift, [(lu, _)] = _certified_lus(
+            [B], 0.5 * (lo + hi) + share * (hi - lo), _NUDGE * (hi - lo))
+        OPinv = spsla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        nev = min(m + _EXTRA + math.ceil(2 * share * m), n - 1)
+        lam, Y = _eigsh(B, nev, shift, v0s[i], OPinv)
+        del lu, OPinv  # free the factor before a second one is made
+        inside = (lam >= lo) & (lam < hi)
+        found = int(np.count_nonzero(inside))
+        if found != m:
+            raise NumericalError(
+                "solve_eigs",
+                f"window [{lo:.10g}, {hi:.10g}) of block {b}: inertia counts {m} "
+                f"eigenvalues, Lanczos found {found}")
+        lam, Y = lam[inside], Y[:, inside]
+        if _worst_residual(B, lam, Y) <= _RESIDUAL:
+            break
+    out[:n, cols[i]:cols[i] + m] = Y
+    return lam
+
+
+def _worst_residual(B, lam: np.ndarray, Y: np.ndarray) -> float:
+    """max_j ||B y_j - lam_j y_j|| / (||y_j|| lam_j) over unit columns y_j."""
+    resid = np.linalg.norm(B @ Y - Y * lam[None, :], axis=0)
+    return float(np.max(resid / np.maximum(lam, 1e-300)))
 
 
 def _sliced_eigsh(blocks: list, n: int, k: int, vol_w: float,
@@ -810,28 +856,31 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     is solved by certified spectrum slicing, as follows.
 
     The spectrum of B is cut into windows [lo, hi) of about 40 eigenvalues
-    each by the weighted Weyl count.  At every edge the number of
-    eigenvalues below it is read off the inertia of an LDL^T-like
+    per block by the weighted Weyl count (``_WINDOW``).  At every edge the
+    number of eigenvalues below it is read off the inertia of an LDL^T-like
     factorization of B - edge I; each window then runs shift-invert Lanczos
     at its midpoint and must return exactly the counted number of modes.
+    A window whose modes miss the residual contract below on their block
+    is solved once more at a shift moved up by an eighth of the window.
     Windows advance until the count reaches k, so no eigenvalue below
     lambda_k is missing.  An edge that cannot be certified is nudged once by
-    a small share of its window; if it still has no certificate, or a window
-    never thins out to at most 80 modes, ``NumericalError("solve_eigs")``
-    names the shift.
+    a small share of its window; if it still has no certificate, or a
+    block's window never thins out to at most 80 modes,
+    ``NumericalError("solve_eigs")`` names the shift.
 
     When the operator has a ``reflection`` P, B splits into two independent
     blocks, B_e on the modes even under P and B_o on the odd ones
-    (``_blocks``), each about half the size.  Every edge factors both blocks
-    at the same shift, and a nudge moves both; the count below the edge is
-    the sum of their inertia counts, since B is congruent to the block
-    diagonal of B_e and B_o.  Each window then runs Lanczos on each block
-    that has modes in it, as separate jobs, and the eigenvectors are
-    prolongated back to the nodes.  Without a reflection there is one
-    block, B itself.  The jobs draw their starting vectors from
-    ``default_rng(seed)`` in job order: window by window, blocks in order.
-    The seed feeds only these Lanczos start vectors; the dense route does
-    not use it.
+    (``_blocks``), each about half the size.  The span between two edges is
+    then twice as wide, so each block's window still holds about 40 modes.
+    Every edge factors both blocks at the same shift, and a nudge moves
+    both; the count below the edge is the sum of their inertia counts,
+    since B is congruent to the block diagonal of B_e and B_o.  Each window
+    then runs Lanczos on each block that has modes in it, as separate jobs,
+    and the eigenvectors are prolongated back to the nodes.  Without a
+    reflection there is one block, B itself.  The jobs draw their starting
+    vectors from ``default_rng(seed)`` in job order: window by window,
+    blocks in order.  The seed feeds only these Lanczos start vectors; the
+    dense route does not use it.
 
     The edges are certified in this process; the jobs then run on a
     pool of forked workers (``parallel.fork_map``), one per usable CPU
@@ -860,9 +909,8 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     else:
         lam, Y = _sliced_eigsh(blocks, n, k, op.volume,
                                np.random.default_rng(seed))
-    resid = np.linalg.norm(B @ Y - Y * lam[None, :], axis=0)
-    worst = float(np.max(resid / np.maximum(lam, 1e-300)))
-    if worst > 1e-8:
+    worst = _worst_residual(B, lam, Y)
+    if worst > _RESIDUAL:
         raise NumericalError("solve_eigs",
                              f"residual {worst:.3g} exceeds 1e-8 contract")
     # back-transform x = W^{-1/2} y; <phi, phi>_w = sum y^2 = 1
