@@ -53,7 +53,9 @@ class Segment:
         self.p1 = np.asarray(p1, dtype=float)
         d = self.p1 - self.p0
         self.length = float(np.hypot(*d))
-        if self.length == 0:
+        # walkers and projections divide by d @ d, which can underflow to 0
+        # on a wall that hypot still measures
+        if float(d @ d) == 0.0:
             raise SpecError("degenerate boundary segment")
         t = d / self.length
         if outward_normal is None:
@@ -595,8 +597,7 @@ def _ear_clip(verts: np.ndarray) -> list[np.ndarray]:
         for k in range(n):
             i0, i1, i2 = idx[(k - 1) % n], idx[k], idx[(k + 1) % n]
             a, b, c = verts[i0], verts[i1], verts[i2]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross <= 0:
+            if _orient(a, b, c) <= 0:
                 continue
             ear = True
             for j in idx:
@@ -616,11 +617,8 @@ def _ear_clip(verts: np.ndarray) -> list[np.ndarray]:
 
 
 def _point_in_triangle(p, a, b, c) -> bool:
-    def s(u, v, w):
-        return (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
-
-    d1, d2, d3 = s(a, b, p), s(b, c, p), s(c, a, p)
-    return (d1 >= 0) and (d2 >= 0) and (d3 >= 0)
+    return _orient(a, b, p) >= 0 and _orient(b, c, p) >= 0 \
+        and _orient(c, a, p) >= 0
 
 
 def _subdivide(tri: np.ndarray, level: int):
@@ -644,7 +642,7 @@ def _triangle_gauss(fn, tri, x0, w0) -> float:
     U, V = np.meshgrid(u, u, indexing="ij")
     X = a[0] * (1 - U) + b[0] * U * (1 - V) + c[0] * U * V
     Y = a[1] * (1 - U) + b[1] * U * (1 - V) + c[1] * U * V
-    area2 = abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+    area2 = abs(_orient(a, b, c))
     vals = np.asarray(fn(X, Y), dtype=float) * area2 * U
     return float(wu @ vals @ wu)
 

@@ -582,7 +582,11 @@ _NUDGE = 1e-3
 # an eigenvalue can lose accuracy in it: on the h = 1/64 slit square's odd
 # block, window [0, 784.4), the midpoint 392.2163 is 0.025 from one, and
 # mode 49.3143 came back with residuals up to 1.4e-8 over seeds 0-7; at
-# 490.27 the worst was 1.2e-12 to 9.1e-12.
+# 490.27 the worst was 1.2e-12 to 9.1e-12.  A partially pivoted window
+# factor with no retry kept every residual below 2e-12, but each solve took
+# 15-22% longer (BLAS pinned, medians of 7): 0.49-0.52 s against
+# 0.59-0.60 s on the anomaly operator at h = 1/64, k = 517, and
+# 0.83-0.85 s against 0.99-1.01 s on the slit square with sigma = 0.3 x.
 _RESHIFT = 1 / 8
 # Residual contract: ||B y - lam y|| / ||y|| <= _RESIDUAL * lam for every
 # returned eigenpair.
@@ -600,7 +604,17 @@ _MAX_HALVINGS = 50
 # sigma = 0.2 x y (n = 961, k = 150) 0.09 s either way, and the h = 1/36
 # square (n = 1225, n_b = 630, k = 300, eight windows) 0.26-0.29 s against
 # 0.19-0.20 s.  A rule on the tallest block at 700 would keep that last one
-# in the caller, so the rule reads the node count.
+# in the caller, so the rule reads the node count.  Below 700 nodes the
+# pool's gain follows the window count (BLAS pinned, medians of 7-11):
+# with two windows the caller took 20-33 ms against 54-72 ms pooled (h =
+# 1/24 square, sigma = 0.2 x y, k = 20-50); with five (one-block h = 1/26
+# slit square, sigma = 0.3 x, k = 250) each side won two of four runs,
+# 116-154 ms against 104-167 ms; with six or seven the pool won every run,
+# 102-105 ms against 123-129 ms (the square at k = 250) and 131-141 ms
+# against 190-197 ms (the slit square at k = 350).  Dense took 45-62 ms on
+# that 612-node block at every k, 3x the caller at k = 20, and 15-22 ms on
+# the square's two blocks.  The rule stays; a window-count rule or a dense
+# floor would be re-timed as a change of its own.
 _POOL_NODES = 700
 # An operator whose tallest block has n_b nodes is solved densely when
 # n_b^2 <= _DENSE_RATIO * k.  Dense costs ~n_b^3 whatever k is, slicing
@@ -791,7 +805,12 @@ def _sliced_eigsh(blocks: list, n: int, k: int, vol_w: float,
     v0s = [rng.standard_normal(Bs[b].shape[0]) for *_, b in windows]
     cols = np.cumsum([0] + [m for _, _, m, _ in windows]).tolist()
     height = max(B.shape[0] for B in Bs)
-    # an anonymous MAP_SHARED mapping: the workers' writes land here
+    # an anonymous MAP_SHARED mapping: the workers' writes land here.
+    # Workers that return their eigenvectors instead give the same bytes in
+    # the same time, but the pickled copies raise the caller's peak RSS: in
+    # a fresh process running three h = 1/32 Richardson pairs (2-vCPU Xeon,
+    # BLAS pinned) from 159 to 168 MB on the anomaly operator and from 118
+    # to 125-126 MB on the flat slit square.
     out = np.ndarray((height, cols[-1]),
                      buffer=mmap.mmap(-1, 8 * height * cols[-1]))
     job = (Bs, windows, v0s, cols, out)

@@ -90,19 +90,17 @@ def a_remainder(q: WedgeBallQuery) -> float:
         val = _kl_integral(alpha, eps, t)
     else:
         inv = 1.0 / (2.0 * alpha)
-        K = int(math.ceil(inv)) - 1  # largest K with 2 K alpha < 1
         boundary = abs(inv - round(inv)) < 1e-13  # alpha = 1/(2K) exactly
+        # the last image with 2 k alpha < 1; on the boundary the next one
+        # sits on the contour
+        K = (round(inv) if boundary else math.ceil(inv)) - 1
         val = 0.0
+        for k in range(1, K + 1):
+            s2 = math.sin(k * alpha * math.pi) ** 2
+            val -= alpha / 4.0 * math.exp(-eps**2 * s2 / t) / s2
         if boundary:
-            Kb = int(round(inv))
-            for k in range(1, Kb):
-                s2 = math.sin(k * alpha * math.pi) ** 2
-                val -= alpha / 4.0 * math.exp(-eps**2 * s2 / t) / s2
             val -= alpha / 8.0 * math.exp(-eps**2 / t)
         else:
-            for k in range(1, K + 1):
-                s2 = math.sin(k * alpha * math.pi) ** 2
-                val -= alpha / 4.0 * math.exp(-eps**2 * s2 / t) / s2
             val += _kl_integral(alpha, eps, t)
     return val
 

@@ -108,6 +108,20 @@ def _clipped_remainder(provider: TraceSource, coeffs: ExpansionCoefficients,
     return np.where(np.abs(delta) < floor, 0.0, delta)
 
 
+def _low_integrand(provider: TraceSource, coeffs: ExpansionCoefficients,
+                   s: float):
+    """t^{s-1} times the clipped remainder; t^{1-s} is exact at s = 0."""
+    def integrand(t):
+        t = np.asarray(t, dtype=float)
+        delta = _clipped_remainder(provider, coeffs, t)
+        out = np.zeros_like(delta)
+        mask = delta != 0.0
+        out[mask] = delta[mask] / t[mask] ** (1 - s)
+        return out
+
+    return integrand
+
+
 def zeta_continued(provider: TraceSource, coeffs: ExpansionCoefficients,
                    s: float) -> float:
     """Evaluate the continued zeta(s) on Re s > -1/2, s not in {1/2, 1}.
@@ -122,16 +136,8 @@ def zeta_continued(provider: TraceSource, coeffs: ExpansionCoefficients,
     if provider.t_min > 0:
         raise SpecError("zeta_continued needs an exact trace provider")
     a_m1, a_mh, a_0 = coeffs.a_m1, coeffs.a_mhalf, coeffs.a_0
-
-    def low_integrand(t):
-        t = np.asarray(t, dtype=float)
-        delta = _clipped_remainder(provider, coeffs, t)
-        out = np.zeros_like(delta)
-        mask = delta != 0.0
-        out[mask] = t[mask] ** (s - 1) * delta[mask]
-        return out
-
-    i_low, _ = tanh_sinh(low_integrand, 0.0, 1.0, tol=1e-13)
+    i_low, _ = tanh_sinh(_low_integrand(provider, coeffs, s), 0.0, 1.0,
+                         tol=1e-13)
     i_high = _upper_mellin(provider, s)
     principal = i_low + i_high + a_m1 / (s - 1.0) + a_mh / (s - 0.5)
     return principal / gamma_fn(s) + a_0 / gamma_fn(s + 1.0)
@@ -169,14 +175,7 @@ def zeta_prime_at_zero(provider: TraceSource, coeffs: ExpansionCoefficients,
     a_m1, a_mh, a_0 = coeffs.a_m1, coeffs.a_mhalf, coeffs.a_0
     budget: dict[str, float] = {}
     details: dict = {}
-
-    def low_integrand(t):
-        t = np.asarray(t, dtype=float)
-        delta = _clipped_remainder(provider, coeffs, t)
-        out = np.zeros_like(delta)
-        mask = delta != 0.0
-        out[mask] = delta[mask] / t[mask]
-        return out
+    low_integrand = _low_integrand(provider, coeffs, 0.0)
 
     if provider.t_min == 0.0:
         i_low, q_err = tanh_sinh(low_integrand, 0.0, 1.0, tol=1e-13)

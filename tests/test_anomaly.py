@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spectral_corner import (PipelineConfig, ScalarField, SpecError,
+from spectral_corner import (PipelineConfig, ScalarField, SpecError, anomaly,
                              boundary_integral, build_domain,
                              interior_integral, pa_rhs, pa_verify)
 
@@ -123,6 +123,7 @@ class TestSpectralVerification:
         assert report.rhs == pytest.approx(0.15, abs=1e-12)
         assert abs(report.gap) < 1e-10
         diff = report.details["differentiated"]
+        assert set(diff) == {"lhs", "rhs", "gap", "du", "breakdown"}
         assert diff["gap"] == pytest.approx(0.0, abs=1e-6)
         assert diff["rhs"] == pytest.approx(-0.15, abs=1e-10)
 
@@ -133,3 +134,20 @@ class TestSpectralVerification:
         assert report.details["route"] == "closed-form-truncated"
         assert report.tolerance == 2e-2
         assert report.passed
+
+    @pytest.mark.parametrize("differentiated, legs", [
+        (True, [-anomaly._DU, 0.0, anomaly._DU, 1.0]), (False, [0.0, 1.0])])
+    def test_spectrum_legs(self, square, monkeypatch, differentiated, legs):
+        # u = 0 and 1 for the integrated identity, u = +-du for the central
+        # difference; nothing else solves a spectrum
+        calls = []
+        solve = anomaly._zeta_prime
+
+        def counted(domain, sigma, u, cfg, budget):
+            calls.append(u)
+            return solve(domain, sigma, u, cfg, budget)
+
+        monkeypatch.setattr(anomaly, "_zeta_prime", counted)
+        pa_verify(square, 0.3,
+                  PipelineConfig(check_differentiated=differentiated))
+        assert sorted(calls) == legs

@@ -145,6 +145,13 @@ class TestBuildDomain:
                 "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
                 "slits": [[[0.5, 0.2], [0.5, 0.6]]]}})
 
+    def test_wall_whose_squared_length_underflows_rejected(self):
+        # hypot measures the first wall as 1e-200, but d @ d is 0.0, and
+        # distances and projections divide by it
+        with pytest.raises(SpecError, match="degenerate boundary segment"):
+            build_domain({"kind": "polygon", "params": {"vertices": [
+                [0, 0], [1e-200, 0], [1, 0], [1, 1], [0, 1]]}})
+
     def test_containment(self, square, slit_square):
         pts = np.array([[0.5, 0.5], [1.5, 0.5], [0.0, 0.0]])
         np.testing.assert_array_equal(square.contains(pts),

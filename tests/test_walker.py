@@ -58,6 +58,12 @@ _COORD = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
 _POINT = st.tuples(_COORD, _COORD)
 
 
+def _wall_accepted(wall):
+    """A wall geometry.Segment builds: its squared length is not 0."""
+    d = np.subtract(wall[1], wall[0])
+    return float(d @ d) > 0.0
+
+
 def _block_offsets(rng, m, steps, t, block):
     """Offsets of m bridges, refined block by block and concatenated."""
     noise = walker._refinement_noise(rng, m, steps)
@@ -83,8 +89,8 @@ class TestKernels:
 
     @settings(max_examples=60, deadline=None)
     @given(pts=st.lists(_POINT, min_size=1, max_size=40),
-           walls=st.lists(st.tuples(_POINT, _POINT).filter(
-               lambda w: w[0] != w[1]), max_size=4),
+           walls=st.lists(st.tuples(_POINT, _POINT).filter(_wall_accepted),
+                          max_size=4),
            arcs=st.lists(st.tuples(_POINT, st.floats(0.1, 2.0)), max_size=2))
     def test_distance_matches_oracle(self, pts, walls, arcs):
         segs = [(np.array(p0), np.array(p1)) for p0, p1 in walls]
