@@ -5,19 +5,28 @@ theta-type sum used for exact rectangle heat traces, and quadrature
 rules.  All functions here are pure.
 
 Bessel zeros for many orders are found in vectorised solves over chunks
-of consecutive orders: a sign-change scan over one flat grid holding the
-chunk's orders brackets each zero, and safeguarded Halley steps, two jv
-calls each, refine all its brackets together, each zero stopping on its
-own.  Each order's scan starts at a proven lower bound for its first
-zero, not at nu, so the turning-point region where J_nu is positive and
-tiny costs no scan points.  A call that scans more than _CHUNK_POINTS
-points runs its chunks on the forked worker pool of ``parallel``; every
-zero depends only on its own order and bracket, so the chunking and the
-number of workers never change its bits.
+of consecutive orders.  Each zero j_{nu,m} is seeded from its asymptotic
+expansion in (nu, m), McMahon's for large m and Olver's uniform one
+otherwise, and Halley steps, two jv calls each, refine all seeds
+together, each zero stopping on its own.  The seeds are accurate enough
+that nearly every zero stops after one step.  A certificate then proves
+that an order's zeros are its first ones and all of them up to x_max:
+interlacing with the order before it in the chunk when that order lies
+at most 2 below and is certified itself (Palmai & Apagyi, J. Math. Anal.
+Appl. 375, 2011), and otherwise a sign-change scan of the order that
+brackets each zero.  The scan starts at a proven lower bound for the
+first zero, not at nu, so the turning-point region where J_nu is positive
+and tiny costs no scan points.  An order that fails is solved from its
+scan brackets instead, so the certificates cost one jv call at x_max per
+order and one scan per chunk.  A call whose orders would scan more than
+_CHUNK_POINTS points runs its chunks on the forked worker pool of
+``parallel``.  Every zero depends only on its own order, so the chunking
+and the number of workers never change its bits.
 
-A zero stops right after a Halley step delta that stays inside its
-bracket and has |delta|^3 <= 1e-15 x.  Halley's error after a step is
-about C delta^3 with C = (f''/f')^2 / 4 - f'''/(6 f').  At a zero of J_nu,
+A zero stops right after a Halley step delta with |delta|^3 <= 1e-15 x
+that, for a zero solved in a scan bracket, stays inside it.  Halley's
+error after a step is about C delta^3 with
+C = (f''/f')^2 / 4 - f'''/(6 f').  At a zero of J_nu,
 f''/f' = -1/x and f'''/f' = -1 + (nu^2 + 2)/x^2, so
 C = 1/6 - (2 nu^2 + 1)/(12 x^2), and |C| < 1/6 since x > max(nu, 2.4).
 The step just applied thus leaves an error below 1e-15 x / 6, and no
@@ -66,8 +75,11 @@ def bessel_j(nu: float, x) -> float | np.ndarray:
 # Consecutive positive zeros of J_nu are separated by at least ~3.1 for any
 # nu >= 0 (spacing tends to pi from below for nu < 1/2, from above otherwise),
 # so a scan step of 1.5 puts every zero in its own bracket and skips none.
-# All orders share one flat scan grid, evaluated in a single jv call.
+# All scanned orders share one flat scan grid, evaluated in a single jv call.
+# The same spacing bounds how many zeros lie between a scan start and x_max,
+# and so how many seeds an order needs.
 _SCAN_STEP = 1.5
+_MIN_SPACING = 3.1
 
 # j_{nu,1} > nu + 1.85575... nu^(1/3), where 1.85575... = -a_1 2^(-1/3) and
 # a_1 = -2.33811 is the first zero of Ai (Qu & Wong, Trans. AMS 351, 1999).
@@ -75,17 +87,40 @@ _SCAN_STEP = 1.5
 # where J_nu is positive and tiny, rather than at nu.
 _FIRST_ZERO_SLACK = 1.8557
 
-# Halley steps allowed per zero before the solve gives up and raises.
+# Halley steps allowed per zero: a seeded zero still moving after this many
+# fails its certificate, a bracketed one raises.
 _MAX_STEPS = 40
 
-# Scan points per chunk of orders on the worker pool; a call with no more
-# scan points than this runs in the caller.  Timed on a 2-vCPU Xeon against
-# one-chunk calls on the alpha = 1.5 sector orders, alternating, OpenBLAS
-# pinned to one thread: a call cut in two took 2.2x at 3200 points (23 ms),
-# 1.0x at 4700 (57 ms) and 0.8x at 6200 (110 ms); at the default thread
-# count the 6200-point call read 0.8-1.3x over four runs.  A 15000-point
-# call (one 4000-mode sector of the closed-form benchmark) took 0.6-0.66x
-# in 2 to 6 chunks in both settings.
+# An order at most this far above the previous order of its chunk has its
+# zeros interlaced with that order's (Palmai & Apagyi, J. Math. Anal. Appl.
+# 375, 2011).
+_INTERLACE_GAP = 2.0
+
+# The first zeros of Ai (DLMF Table 9.9.1).  Later ones come from DLMF
+# 9.9.6 and 9.9.18, whose relative error is 1.4e-11 at k = 5 and falls
+# with k.
+_AIRY_ZEROS = np.array([-2.338107410459767, -4.087949444130971,
+                        -5.520559828095551, -6.786708090071759])
+
+# Newton steps for z(zeta) in Olver's seed; five reach the root to 5e-13
+# from the start below it for every nu >= 1, m <= 2 nu.
+_OLVER_NEWTON = 6
+
+# Scan points per chunk of orders on the worker pool; a call whose orders
+# would scan no more points than this runs in the caller.  Only the first
+# order of a chunk is scanned, but the seeds, Halley steps and checks grow
+# with the zeros, as the scan points do.  Timed on a 2-vCPU Xeon against
+# one-chunk calls on the alpha = 1.5 sector orders, alternating, 15 runs,
+# OpenBLAS pinned to one thread: a call cut in two took 3.9x at 3300
+# points (8 ms), 2.0x at 5600 (28 ms), 1.2x at 6600 (42 ms), 0.95x at 7800
+# (55 ms), 0.88x at 9100 (61 ms) and 0.70x at 15200 (102 ms); at the
+# default thread count 1.04x, 1.13x, 0.93x and 0.75x at 6600 to 15200.
+# The crossover lies near 7500 points, so calls just above 6000 lose up to
+# 1.2x.  On closed-form benchmark passes (four calls of 15000 points) six
+# alternating runs read a median wall_s of 0.383 s pooled against 0.395 s
+# in the caller; wall_ref read 134 against 179, since the workers slow the
+# host-speed kernel sampled during a pass (ref_s 2.8-3.1 ms against
+# 2.1-2.5 ms).
 _CHUNK_POINTS = 6000
 
 
@@ -94,30 +129,58 @@ def bessel_zeros_upto(nu, x_max: float) -> np.ndarray:
 
     nu is one order or a 1-D array of orders.  The zeros come back as one
     flat array, grouped by order in the order given and ascending within
-    each order.  Each zero is bracketed by a sign change on the step-1.5
-    scan, which starts at nu + 1.8557 nu^(1/3), below j_{nu,1}.  It is
-    seeded at the regula-falsi point of its bracket and refined by
-    safeguarded Halley steps.  It stops after a step delta that stays in
-    its bracket with |delta|^3 <= 1e-15 x, which by Halley's cubic error
-    bound (see the module docstring) leaves it within 1e-15 x / 6 of the
-    zero.  A step that leaves the bracket falls back to the midpoint and
-    never stops a zero, however small it is.  A zero still moving after
-    _MAX_STEPS steps raises NumericalError.
+    each order.
+
+    Each zero j_{nu,m} starts from a seed that depends on (nu, m) alone:
+    McMahon's expansion (DLMF 10.21.19) when nu < 1 or m > 2 nu, otherwise
+    Olver's uniform expansion with its first correction (DLMF 10.21.43).
+    Halley steps refine it and stop after a step delta with
+    |delta|^3 <= 1e-15 x, which by Halley's cubic error bound (see the
+    module docstring) leaves it within 1e-15 x / 6 of the zero it
+    converged to.  The seeds below x_max, moved by one where their parity
+    disagrees with the sign of J_nu(x_max), give the count of zeros.
+
+    A certificate then proves that each order's seeded zeros are
+    j_{nu,1}, ..., j_{nu,n} and that j_{nu,n+1} > x_max:
+
+    * interlacing, when the previous order mu of the chunk lies within
+      (0, 2] below nu and is certified itself: n is mu's count or one
+      less, and each zero lies strictly between mu's m-th and (m+1)-th
+      zeros.  Gaps up to 1 follow from the interlacing of J_nu and
+      J_{nu+1} with j_{nu,m} increasing in nu (DLMF 10.21(i), (iv)); gaps
+      up to 2 from Palmai & Apagyi, J. Math. Anal. Appl. 375 (2011).
+    * otherwise, and for an order that fails interlacing, the order's
+      sign-change scan with step 1.5, which starts at
+      nu + 1.8557 nu^(1/3) < j_{nu,1}: n is its bracket count or one
+      less, and each zero lies in its own bracket.
+
+    Either way J_nu(x_max) must be nonzero with the sign of n zeros below
+    it, every zero must have converged within _MAX_STEPS steps, and none
+    may lie past x_max.  An order that fails its scan certificate is
+    solved without seeds: each scan bracket is seeded at its regula-falsi
+    point and refined by safeguarded Halley steps, where a step that
+    leaves the bracket falls back to the midpoint and never stops a zero.
+    A zero still moving after _MAX_STEPS steps there raises
+    NumericalError.  A certificate only accepts or rejects, and either
+    one accepts an order's converged zeros unless one of them lies within
+    rounding of an end of its scan bracket, so each order's zeros are a
+    function of that order and x_max alone.
 
     The orders are cut into ceil(P / _CHUNK_POINTS) chunks of consecutive
-    whole orders, each starting about an equal share of the P scan points.
-    A call whose scan fits one chunk runs here.  Otherwise the chunks run
-    on a pool of forked workers (``parallel.fork_map``), one per usable
-    CPU, and are joined in order; they run here instead when there is one
-    usable CPU, when the platform cannot fork, when this process is itself
-    a daemonic multiprocessing worker, or when it runs other Python
-    threads.  Each zero is computed elementwise from its own order and
-    bracket, so it has the same bits for any chunking and any number of
-    workers.  A worker that dies raises
+    whole orders, each starting about an equal share of the P scan points
+    the orders would take.  A call whose scan fits one chunk runs here.
+    Otherwise the chunks run on a pool of forked workers
+    (``parallel.fork_map``), one per usable CPU, and are joined in order;
+    they run here instead when there is one usable CPU, when the platform
+    cannot fork, when this process is itself a daemonic multiprocessing
+    worker, or when it runs other Python threads.  Since no zero depends
+    on which certificate accepted it, it has the same bits for any
+    chunking and any number of workers.  A worker that dies raises
     ``NumericalError("bessel_zeros_upto")``.
     """
     # np.cbrt rounds some elements of a strided view differently than of a
-    # contiguous array, which moved scan starts and so some zeros by an ulp
+    # contiguous array, which moved scan starts and so some zeros by an ulp;
+    # every array the seeds are computed on is contiguous for the same reason
     nus = np.ascontiguousarray(nu, dtype=float)
     if nus.ndim != 1:
         raise SpecError("bessel_zeros_upto requires a scalar or 1-D array of orders")
@@ -150,15 +213,46 @@ def _chunk_zeros(job: tuple, i: int) -> np.ndarray:
     nus, start, n, x_max, edges = job
     cut = slice(edges[i], edges[i + 1])
     nus, start, n = nus[cut], start[cut], n[cut]
-    order = np.repeat(np.arange(nus.size), n)
-    first = np.repeat(np.cumsum(n) - n, n)
-    grid = start[order] + (np.arange(order.size) - first) * _SCAN_STEP
-    vals = _sci_special.jv(nus[order], grid)
-    sign = np.signbit(vals)
-    idx = np.nonzero((sign[1:] != sign[:-1]) & (order[1:] == order[:-1]))[0]
-    zeros = _halley_zeros(nus[order[idx]], grid[idx], grid[idx + 1],
-                          vals[idx], vals[idx + 1])
-    return zeros[zeros <= x_max]
+    # an order whose scan would start at or past x_max has no zero up to it
+    live = n > 0
+    f_max = np.ones(nus.size)
+    f_max[live] = _sci_special.jv(nus[live], x_max)
+    count, seeds = _counted_seeds(nus, start, live, np.signbit(f_max), x_max)
+    owner = np.repeat(np.arange(nus.size), count)
+    first = np.cumsum(count) - count
+    index = np.arange(owner.size) - first[owner]
+    zeros, converged = _seeded_halley(nus[owner], seeds)
+    sound = f_max != 0
+    sound[owner[~converged | (zeros > x_max)]] = False
+
+    gap = np.diff(nus, prepend=np.nan)
+    interlaced = sound & _interlaced(zeros, owner, index, count)
+    # orders certified by their scan: those with no lower order within the
+    # gap, then each order that fails interlacing or whose lower order failed
+    need = new = live & ~((gap > 0) & (gap <= _INTERLACE_GAP))
+    bracketed = np.zeros(nus.size, dtype=bool)
+    while True:
+        sel = np.flatnonzero(new)
+        if sel.size:
+            bracketed[sel] = sound[sel] & _bracketed(nus, start, n, sel, zeros,
+                                                     owner, index, count)
+        certified = ~live | np.where(need, bracketed, interlaced)
+        new = live & ~need & ~(certified & np.r_[True, certified[:-1]])
+        if not new.any():
+            break
+        need = need | new
+
+    keep = certified[owner]
+    zeros, owner = zeros[keep], owner[keep]
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        order, lo, hi, f_lo, f_hi = _scan(nus[redo], start[redo], n[redo])
+        found = _halley_zeros(nus[redo][order], lo, hi, f_lo, f_hi)
+        below = found <= x_max
+        zeros = np.concatenate([zeros, found[below]])
+        owner = np.concatenate([owner, redo[order[below]]])
+        zeros = zeros[np.argsort(owner, kind="stable")]
+    return zeros
 
 
 def _scan_start(nu: np.ndarray) -> np.ndarray:
@@ -166,29 +260,185 @@ def _scan_start(nu: np.ndarray) -> np.ndarray:
     return np.maximum(nu + _FIRST_ZERO_SLACK * np.cbrt(nu), 1e-8)
 
 
+def _scan(nus, start, n) -> tuple:
+    """Sign-change brackets of the orders' scans, one jv call for all.
+
+    Returns (order, lo, hi, f_lo, f_hi): the index into nus each bracket
+    belongs to, its ends and J_nu at them, ascending within each order.
+    """
+    order = np.repeat(np.arange(nus.size), n)
+    first = np.repeat(np.cumsum(n) - n, n)
+    grid = start[order] + (np.arange(order.size) - first) * _SCAN_STEP
+    vals = _sci_special.jv(nus[order], grid)
+    sign = np.signbit(vals)
+    idx = np.nonzero((sign[1:] != sign[:-1]) & (order[1:] == order[:-1]))[0]
+    return order[idx], grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]
+
+
+def _counted_seeds(nus, start, live, odd, x_max) -> tuple:
+    """Each order's count of zeros up to x_max and the seeds of those zeros.
+
+    The count is that of the seeds up to x_max.  Where its parity disagrees
+    with odd (J_nu(x_max) < 0, an odd number of zeros below x_max), it
+    moves by one towards the seed nearer x_max.  Seeds are made for at
+    most _MIN_SPACING-spaced zeros from the scan start, plus one.
+    """
+    tops = np.where(live, np.floor((x_max - start) / _MIN_SPACING) + 2,
+                    0).astype(np.int64)
+    order = np.repeat(np.arange(nus.size), tops)
+    first = np.cumsum(tops) - tops
+    m = np.arange(order.size) - first[order] + 1
+    seeds = _zero_seeds(nus[order], m)
+    count = np.bincount(order[seeds <= x_max], minlength=nus.size)
+    last = np.append(seeds, -np.inf)[np.where(count > 0, first + count - 1, seeds.size)]
+    after = np.append(seeds, np.inf)[np.where(count < tops, first + count, seeds.size)]
+    step = np.where(after - x_max < x_max - last, 1, -1)
+    count = count + np.where((count % 2 == 1) != odd, step, 0)
+    return count, seeds[m <= count[order]]
+
+
+def _zero_seeds(nu: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Asymptotic estimates of j_{nu,m}, each from its own (nu, m) alone."""
+    out = np.empty(nu.size)
+    mcmahon = (nu < 1) | (m > 2 * nu)
+    out[mcmahon] = _mcmahon(nu[mcmahon], m[mcmahon])
+    olver = ~mcmahon
+    out[olver] = _olver(nu[olver], m[olver])
+    return out
+
+
+def _mcmahon(nu: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """McMahon's expansion of j_{nu,m} for large m (DLMF 10.21.19)."""
+    a = (m + 0.5 * nu - 0.25) * np.pi
+    mu = 4.0 * nu * nu
+    b = 1.0 / (8.0 * a)
+    c = b * b
+    t3 = 4.0 * (7.0 * mu - 31.0) / 3.0
+    t5 = 32.0 * ((83.0 * mu - 982.0) * mu + 3779.0) / 15.0
+    t7 = 64.0 * (((6949.0 * mu - 153855.0) * mu + 1585743.0) * mu - 6277237.0) / 105.0
+    return a - (mu - 1.0) * b * (1.0 + c * (t3 + c * (t5 + c * t7)))
+
+
+def _olver(nu: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Olver's uniform expansion of j_{nu,m}, nu >= 1 (DLMF 10.21.43).
+
+    j = nu z(zeta) + f_1(zeta) / nu with zeta = nu^(-2/3) a_m.  With
+    t = sqrt(z^2 - 1) and w = (2/3) (-zeta)^(3/2), DLMF 10.20.3 reads
+    t - arctan t = w, and f_1 = z h^2 b_0 / 2 (10.20.11, 10.21.43) is
+    (z / t) (5 / (24 t^3) + 1 / (8 t) - 5 / (72 w)).
+    """
+    zeta = _airy_zeros(m) / np.cbrt(nu * nu)
+    w = (2.0 / 3.0) * (-zeta) ** 1.5
+    # t - arctan t is convex in t > 0 and below t^3 / 3, so Newton's first
+    # step from cbrt(3 w) lands above the root and the rest fall onto it
+    t = np.cbrt(3.0 * w)
+    for _ in range(_OLVER_NEWTON):
+        t = t - (t - np.arctan(t) - w) * (1.0 + t * t) / (t * t)
+    z = np.sqrt(1.0 + t * t)
+    f1 = z / t * (5.0 / (24.0 * t ** 3) + 1.0 / (8.0 * t) - 5.0 / (72.0 * w))
+    return nu * z + f1 / nu
+
+
+def _airy_zeros(k: np.ndarray) -> np.ndarray:
+    """a_k, the k-th zero of Ai: the table, then DLMF 9.9.6 with 9.9.18."""
+    t = 3.0 * np.pi / 8.0 * (4.0 * k - 1.0)
+    u = 1.0 / (t * t)
+    series = 77125.0 / 82944.0 - 108056875.0 / 6967296.0 * u
+    series = 1.0 + u * (5.0 / 48.0 + u * (-5.0 / 36.0 + u * series))
+    small = k <= _AIRY_ZEROS.size
+    return np.where(small, _AIRY_ZEROS[np.where(small, k - 1, 0)],
+                    -np.cbrt(t * t) * series)
+
+
+def _seeded_halley(nu, x) -> tuple:
+    """Halley steps for J_nu from each seed x, with no bracket.
+
+    Returns the zeros and whether each met the cubic stop within
+    _MAX_STEPS steps.  An iterate that leaves (0, inf) stops unconverged.
+    """
+    x = x.copy()
+    converged = np.zeros(x.size, dtype=bool)
+    active = np.arange(x.size)
+    for _ in range(_MAX_STEPS):
+        if active.size == 0:
+            break
+        xa = x[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, step = _halley_step(nu[active], xa)
+        x_new = xa - step
+        x[active] = x_new
+        done = np.abs(step) ** 3 <= 1e-15 * xa
+        converged[active[done]] = True
+        active = active[~done & (x_new > 0) & (x_new < np.inf)]
+    return x, converged
+
+
+def _interlaced(zeros, owner, index, count) -> np.ndarray:
+    """Per order: do its zeros interlace with those of the order before it?
+
+    True when its count is the previous order's count M or M - 1 and its
+    zero m lies strictly between the previous order's m-th and (m+1)-th
+    zeros (above the M-th for m = M).  The first order has none before it.
+    """
+    ok = np.r_[False, (count[1:] == count[:-1]) | (count[1:] == count[:-1] - 1)]
+    prev = np.maximum(owner - 1, 0)
+    below = np.cumsum(count)[prev] - count[prev] + index
+    lo = np.append(zeros, np.nan)[np.where(index < count[prev], below, zeros.size)]
+    hi = np.append(zeros, np.inf)[np.where(index + 1 < count[prev], below + 1,
+                                           zeros.size)]
+    ok[owner[~((zeros > lo) & (zeros < hi))]] = False
+    return ok
+
+
+def _bracketed(nus, start, n, sel, zeros, owner, index, count) -> np.ndarray:
+    """Per order of sel: do its zeros lie in the brackets of its scan?
+
+    True when its count is its bracket count K or K - 1 and its zero m
+    lies in its m-th bracket.
+    """
+    order, lo, hi, _, _ = _scan(nus[sel], start[sel], n[sel])
+    brackets = np.bincount(order, minlength=sel.size)
+    ok = (count[sel] == brackets) | (count[sel] == brackets - 1)
+    pos = np.full(nus.size, -1)
+    pos[sel] = np.arange(sel.size)
+    mine = pos[owner] >= 0
+    j, m, x = pos[owner[mine]], index[mine], zeros[mine]
+    b = np.where(m < brackets[j], np.cumsum(brackets)[j] - brackets[j] + m, lo.size)
+    lo, hi = np.append(lo, np.nan), np.append(hi, np.nan)
+    ok[j[~((x >= lo[b]) & (x <= hi[b]))]] = False
+    return ok
+
+
+def _halley_step(nu, x) -> tuple:
+    """J_nu(x) and the Halley step for J_nu at x, for two jv calls.
+
+    J' = (nu/x) J_nu - J_{nu+1}, and J'' follows from Bessel's equation.
+    """
+    f = _sci_special.jv(nu, x)
+    fp = nu / x * f - _sci_special.jv(nu + 1.0, x)
+    fpp = -fp / x - (1.0 - (nu / x) ** 2) * f
+    return f, 2.0 * f * fp / (2.0 * fp * fp - f * fpp)
+
+
 def _halley_zeros(nu, lo, hi, f_lo, f_hi) -> np.ndarray:
     """Zeros of J_nu, one in each sign-change bracket [lo, hi].
 
-    J' = (nu/x) J_nu - J_{nu+1}, and J'' follows from Bessel's equation,
-    so a step costs two jv calls.  Each step shrinks the bracket to the
-    side of the evaluated point that keeps the sign change; a Halley
-    step that leaves the bracket falls back to its midpoint.  A zero stops
-    once a step in its bracket has |step|^3 <= 1e-15 x.
+    Each step shrinks the bracket to the side of the evaluated point that
+    keeps the sign change; a Halley step that leaves the bracket falls
+    back to its midpoint.  A zero stops once a step in its bracket has
+    |step|^3 <= 1e-15 x.
     """
     x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     # rounding can put the regula-falsi point on or past an end
     x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
     active = np.arange(x.size)
     for _ in range(_MAX_STEPS):
-        v, xa = nu[active], x[active]
-        f = _sci_special.jv(v, xa)
-        fp = v / xa * f - _sci_special.jv(v + 1.0, xa)
-        fpp = -fp / xa - (1.0 - (v / xa) ** 2) * f
+        xa = x[active]
+        f, step = _halley_step(nu[active], xa)
         same = np.signbit(f) == np.signbit(f_lo[active])
         lo[active] = np.where(same, xa, lo[active])
         f_lo[active] = np.where(same, f, f_lo[active])
         hi[active] = np.where(same, hi[active], xa)
-        step = 2.0 * f * fp / (2.0 * fp * fp - f * fpp)
         x_new = xa - step
         la, ha = lo[active], hi[active]
         inside = (x_new > la) & (x_new < ha)

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import threading
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -155,6 +156,104 @@ class TestBessel:
                                      np.array([jv(0, j + 1e-7)]))
         assert zero[0] == pytest.approx(j, rel=1e-15)
 
+    def test_jv_evaluations_per_zero_seeded(self, monkeypatch):
+        # the same sector: asymptotic seeds need one Halley step (two jv
+        # evaluations) for nearly every zero, and interlacing certifies
+        # every order but the first of each chunk without a scan
+        calls = []
+
+        class Counting:
+            def jv(self, v, x):
+                calls.append(np.broadcast(v, x).size)
+                return jv(v, x)
+
+        monkeypatch.setattr(special, "_sci_special", Counting())
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+        spec = analytic_spectrum(make_sector(1.5), 4000)
+        assert sum(calls) <= 3 * spec.count
+
+    def test_airy_zeros_match_mpmath(self):
+        k = np.arange(1, 16)
+        want = np.array([float(mp.airyaizero(int(i))) for i in k])
+        np.testing.assert_allclose(special._airy_zeros(k), want, rtol=2e-11, atol=0)
+
+    @pytest.mark.parametrize("nus, interlaced", [
+        pytest.param(np.arange(1, 80) / 0.5, True, id="gap-2"),
+        pytest.param(np.arange(1, 25) / 0.3, False, id="gap-3.3"),
+        pytest.param(np.arange(1, 120)[::-1] / 1.5, False, id="reversed")])
+    def test_certificate_taken(self, nus, interlaced, monkeypatch):
+        x_max = 80.0
+        scanned, bracketed = [], special._bracketed
+
+        def recording(orders, start, n, sel, *args):
+            scanned.extend(orders[sel])
+            return bracketed(orders, start, n, sel, *args)
+
+        monkeypatch.setattr(special, "_bracketed", recording)
+        monkeypatch.setattr(special, "_halley_zeros", _no_fallback)
+        got = bessel_zeros_upto(nus, x_max)
+        live = nus[special._scan_start(nus) < x_max]
+        # interlacing leaves the scan to the first order alone
+        assert scanned == ([nus[0]] if interlaced else list(live))
+        want = np.concatenate([brentq_zeros_upto(nu, x_max) for nu in nus])
+        assert got.size == want.size
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_order_failing_its_certificate_falls_back(self, monkeypatch):
+        # the seed of j_{nu,2} for one order is moved onto j_{nu,3}, so
+        # Halley lands on the neighbouring zero and the order must be solved
+        # from its scan brackets; the order after it loses its interlacing
+        # reference and takes its scan certificate
+        x_max, bad = 60.0, 7 / 1.5
+        nus = np.arange(1, 60) / 1.5
+        seeds = special._zero_seeds
+
+        def misplaced(nu, m):
+            out = seeds(nu, m)
+            hit = (nu == bad) & (m == 2)
+            out[hit] = seeds(nu[hit], m[hit] + 1)
+            return out
+
+        fallen, halley = [], special._halley_zeros
+        scanned, bracketed = [], special._bracketed
+
+        def falling(nu, *args):
+            fallen.extend(np.unique(nu))
+            return halley(nu, *args)
+
+        def scanning(orders, start, n, sel, *args):
+            scanned.extend(orders[sel])
+            return bracketed(orders, start, n, sel, *args)
+
+        monkeypatch.setattr(special, "_zero_seeds", misplaced)
+        monkeypatch.setattr(special, "_halley_zeros", falling)
+        monkeypatch.setattr(special, "_bracketed", scanning)
+        got = bessel_zeros_upto(nus, x_max)
+        assert fallen == [bad]
+        assert scanned[:2] == [nus[0], bad] and nus[7] in scanned
+        single = np.concatenate([bessel_zeros_upto(nu, x_max) for nu in nus])
+        assert got.tobytes() == single.tobytes()
+        want = np.concatenate([brentq_zeros_upto(nu, x_max) for nu in nus])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nu=st.floats(0.0, 2000.0), gap=st.floats(0.0, 2.0, exclude_min=True),
+           x_max=st.floats(0.0, 2000.0, exclude_min=True))
+    def test_counts_match_brentq_oracle(self, nu, gap, x_max):
+        # a pair of orders: the first takes its scan certificate, the second
+        # interlacing with it (or both their brackets when x_max is below them)
+        nus = np.array([nu, nu + gap])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [bessel_zeros_upto(v, x_max) for v in nus]
+            pair = bessel_zeros_upto(nus, x_max)
+        # the oracle scans from nu, and no zero lies below it
+        ref = [brentq_zeros_upto(v, x_max) if v < x_max else np.empty(0) for v in nus]
+        assert [g.size for g in got] == [r.size for r in ref]
+        assert pair.tobytes() == np.concatenate(got).tobytes()
+        if pair.size:
+            np.testing.assert_allclose(pair, np.concatenate(ref), rtol=1e-13, atol=0)
+
     def test_unconverged_zero_raises(self, monkeypatch):
         monkeypatch.setattr(special, "_MAX_STEPS", 1)
         with pytest.raises(NumericalError) as info:
@@ -196,6 +295,10 @@ def _zeros_in_daemon(nus, x_max, queue):
 
 def _no_pool(*args, **kwargs):
     raise AssertionError("the chunks should run in the caller")
+
+
+def _no_fallback(*args, **kwargs):
+    raise AssertionError("an order fell back to its scan brackets")
 
 
 class TestParallelZeros:
@@ -242,6 +345,15 @@ class TestParallelZeros:
         monkeypatch.setattr(special, "_CHUNK_POINTS", self.CHUNK)
         assert bessel_zeros_upto(nus, self.X_MAX).tobytes() == single.tobytes()
         assert chunk_counts[-1] >= 2
+
+    def test_chunk_of_orders_without_zeros(self, monkeypatch):
+        # the second chunk holds only an order whose first zero lies past
+        # x_max, so it has nothing to seed, scan or certify
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(special, "_CHUNK_POINTS", 20)
+        got = bessel_zeros_upto(np.array([1.0, 100.0]), self.X_MAX)
+        assert got.tobytes() == bessel_zeros_upto(1.0, self.X_MAX).tobytes()
+        assert got.size == brentq_zeros_upto(1.0, self.X_MAX).size
 
     def test_one_chunk_call_never_calls_fork_map(self, monkeypatch):
         nus = _sector_orders(1.5, self.X_MAX)
