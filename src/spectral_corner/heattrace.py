@@ -53,7 +53,7 @@ def trace_at(spec: Spectrum, t):
     Rectangle spectra are summed exactly as a theta product.  Truncated
     spectra refuse t below 40/completeness (tail no longer negligible).
     """
-    if np.any(np.asarray(t) <= 0):
+    if not np.all(np.asarray(t) > 0):
         raise SpecError("trace_at requires t > 0")
     return spec.trace.value(t)
 
@@ -148,14 +148,12 @@ def fit_expansion(curve: HeatTraceCurve, mode: str = "fit-all",
     resid = b - M @ coef
     rnorm = float(np.linalg.norm(resid))
 
-    rng = np.random.default_rng(seed)
-    boots = np.empty((bootstrap, coef.size))
-    for i in range(bootstrap):
-        pick = rng.integers(0, resid.size, resid.size)
-        cb, *_ = np.linalg.lstsq(M, M @ coef + resid[pick], rcond=None)
-        boots[i] = cb
-    lo = np.percentile(boots, 2.5, axis=0)
-    hi = np.percentile(boots, 97.5, axis=0)
+    # one draw gives the resamples that drawing them one by one would, and
+    # one least-squares solve fits them all, one right-hand side each
+    pick = np.random.default_rng(seed).integers(0, resid.size, (bootstrap, resid.size))
+    boots, *_ = np.linalg.lstsq(M, (M @ coef)[:, None] + resid[pick].T, rcond=None)
+    lo = np.percentile(boots, 2.5, axis=1)
+    hi = np.percentile(boots, 97.5, axis=1)
     confidence = {name: (float(l), float(h))
                   for name, l, h in zip(basis, lo, hi)}
 

@@ -7,26 +7,26 @@ rules.  All functions here are pure.
 Bessel zeros for many orders are found in vectorised solves over chunks
 of consecutive orders.  Each zero j_{nu,m} is seeded from its asymptotic
 expansion in (nu, m), McMahon's for large m and Olver's uniform one
-otherwise, and Halley steps, two jv calls each, refine all seeds
-together, each zero stopping on its own.  The seeds are accurate enough
-that nearly every zero stops after one step.  A certificate then proves
-that an order's zeros are its first ones and all of them up to x_max:
-interlacing with the order before it in the chunk when that order lies
-at most 2 below and is certified itself (Palmai & Apagyi, J. Math. Anal.
-Appl. 375, 2011), and otherwise a sign-change scan of the order that
-brackets each zero.  The scan starts at a proven lower bound for the
-first zero, not at nu, so the turning-point region where J_nu is positive
-and tiny costs no scan points.  An order that fails is solved from its
-scan brackets instead, so the certificates cost one jv call at x_max per
-order and one scan per chunk.  A call whose orders would scan more than
-_CHUNK_POINTS points runs its chunks on the forked worker pool of
-``parallel``.  Every zero depends only on its own order, so the chunking
-and the number of workers never change its bits.
+otherwise, and one Halley loop (_seeded_halley), two jv calls a step,
+refines all seeds together, each zero stopping on its own.  The seeds are
+accurate enough that nearly every zero stops after one step.  Two
+certificate rounds then prove that an order's zeros are its first ones
+and all of them up to x_max: interlacing with the order before it in the
+chunk (Palmai & Apagyi, J. Math. Anal. Appl. 375, 2011), or a sign-change
+scan of the order that brackets each zero.  The scan starts at a proven
+lower bound for the first zero, not at nu, so the turning-point region
+where J_nu is positive and tiny costs no scan points.  An order that
+fails both rounds is recovered from its scan brackets by the same Halley
+loop, seeded at each bracket's regula-falsi point.  So the certificates
+cost one jv call at x_max per order and one scan per chunk.  A call whose
+orders would scan more than _CHUNK_POINTS points runs its chunks on the
+forked worker pool of ``parallel``.  Every zero depends only on its own
+order, so the chunking and the number of workers never change its bits.
 
-A zero stops right after a Halley step delta with |delta|^3 <= 1e-15 x
-that, for a zero solved in a scan bracket, stays inside it.  Halley's
-error after a step is about C delta^3 with
-C = (f''/f')^2 / 4 - f'''/(6 f').  At a zero of J_nu,
+A zero stops right after a Halley step delta with |delta|^3 <= 1e-15 x;
+a recovered zero must also lie in its scan bracket.  Halley's error after
+a step is about C delta^3 with C = (f''/f')^2 / 4 - f'''/(6 f').  At a
+zero of J_nu,
 f''/f' = -1/x and f'''/f' = -1 + (nu^2 + 2)/x^2, so
 C = 1/6 - (2 nu^2 + 1)/(12 x^2), and |C| < 1/6 since x > max(nu, 2.4).
 The step just applied thus leaves an error below 1e-15 x / 6, and no
@@ -87,8 +87,8 @@ _MIN_SPACING = 3.1
 # where J_nu is positive and tiny, rather than at nu.
 _FIRST_ZERO_SLACK = 1.8557
 
-# Halley steps allowed per zero: a seeded zero still moving after this many
-# fails its certificate, a bracketed one raises.
+# Halley steps allowed per zero in _seeded_halley: a zero still moving after
+# this many fails its certificate, and a recovered one raises.
 _MAX_STEPS = 40
 
 # An order at most this far above the previous order of its chunk has its
@@ -149,22 +149,24 @@ def bessel_zeros_upto(nu, x_max: float) -> np.ndarray:
       zeros.  Gaps up to 1 follow from the interlacing of J_nu and
       J_{nu+1} with j_{nu,m} increasing in nu (DLMF 10.21(i), (iv)); gaps
       up to 2 from Palmai & Apagyi, J. Math. Anal. Appl. 375 (2011).
-    * otherwise, and for an order that fails interlacing, the order's
-      sign-change scan with step 1.5, which starts at
+    * the order's sign-change scan with step 1.5, which starts at
       nu + 1.8557 nu^(1/3) < j_{nu,1}: n is its bracket count or one
       less, and each zero lies in its own bracket.
 
     Either way J_nu(x_max) must be nonzero with the sign of n zeros below
     it, every zero must have converged within _MAX_STEPS steps, and none
-    may lie past x_max.  An order that fails its scan certificate is
-    solved without seeds: each scan bracket is seeded at its regula-falsi
-    point and refined by safeguarded Halley steps, where a step that
-    leaves the bracket falls back to the midpoint and never stops a zero.
-    A zero still moving after _MAX_STEPS steps there raises
-    NumericalError.  A certificate only accepts or rejects, and either
-    one accepts an order's converged zeros unless one of them lies within
-    rounding of an end of its scan bracket, so each order's zeros are a
-    function of that order and x_max alone.
+    may lie past x_max.  Round one tries interlacing on each order within
+    the gap of the order before it and the scan on every other order.
+    Round two scans each interlaced order from the chunk's first failed
+    order on, since its reference is no longer proven.  An order that
+    fails both is recovered from its scan brackets: each is seeded at its
+    regula-falsi point and refined by the same Halley loop, and unless
+    every zero converged within _MAX_STEPS steps inside its own bracket,
+    NumericalError names the order and bracket.  A certificate only
+    accepts or rejects, and either one accepts an order's converged zeros
+    unless one of them lies within rounding of an end of its scan
+    bracket, so each order's zeros are a function of that order and x_max
+    alone.  A non-finite x_max raises SpecError.
 
     The orders are cut into ceil(P / _CHUNK_POINTS) chunks of consecutive
     whole orders, each starting about an equal share of the P scan points
@@ -186,6 +188,8 @@ def bessel_zeros_upto(nu, x_max: float) -> np.ndarray:
         raise SpecError("bessel_zeros_upto requires a scalar or 1-D array of orders")
     if not np.all(nus >= 0):
         raise SpecError("bessel_zeros_upto requires nu >= 0")
+    if not math.isfinite(x_max):
+        raise SpecError(f"bessel_zeros_upto requires a finite x_max, got {x_max}")
     start = _scan_start(nus)
     # scan points start + i * step, i < n, up to the first point >= x_max
     n = np.where(start < x_max, np.ceil((x_max + _SCAN_STEP - start) / _SCAN_STEP),
@@ -226,21 +230,23 @@ def _chunk_zeros(job: tuple, i: int) -> np.ndarray:
     sound[owner[~converged | (zeros > x_max)]] = False
 
     gap = np.diff(nus, prepend=np.nan)
-    interlaced = sound & _interlaced(zeros, owner, index, count)
-    # orders certified by their scan: those with no lower order within the
-    # gap, then each order that fails interlacing or whose lower order failed
-    need = new = live & ~((gap > 0) & (gap <= _INTERLACE_GAP))
-    bracketed = np.zeros(nus.size, dtype=bool)
-    while True:
-        sel = np.flatnonzero(new)
+    chained = live & (gap > 0) & (gap <= _INTERLACE_GAP)
+    certified = ~live | (chained & sound & _interlaced(zeros, owner, index, count))
+
+    def scan_certificate(sel):
+        sel = np.flatnonzero(sel)
         if sel.size:
-            bracketed[sel] = sound[sel] & _bracketed(nus, start, n, sel, zeros,
+            certified[sel] = sound[sel] & _bracketed(nus, start, n, sel, zeros,
                                                      owner, index, count)
-        certified = ~live | np.where(need, bracketed, interlaced)
-        new = live & ~need & ~(certified & np.r_[True, certified[:-1]])
-        if not new.any():
-            break
-        need = need | new
+
+    # round one: every live order with no order to interlace with takes its
+    # scan.  Round two: past the first order that failed, no certified order
+    # is left to interlace with, so every chained order from it on takes its
+    # scan too
+    scan_certificate(live & ~chained)
+    failed = np.flatnonzero(~certified)
+    if failed.size:
+        scan_certificate(chained & (np.arange(nus.size) >= failed[0]))
 
     keep = certified[owner]
     zeros, owner = zeros[keep], owner[keep]
@@ -355,6 +361,8 @@ def _seeded_halley(nu, x) -> tuple:
 
     Returns the zeros and whether each met the cubic stop within
     _MAX_STEPS steps.  An iterate that leaves (0, inf) stops unconverged.
+    Each step costs two jv calls: J' = (nu/x) J_nu - J_{nu+1}, and J''
+    follows from Bessel's equation.
     """
     x = x.copy()
     converged = np.zeros(x.size, dtype=bool)
@@ -362,9 +370,12 @@ def _seeded_halley(nu, x) -> tuple:
     for _ in range(_MAX_STEPS):
         if active.size == 0:
             break
-        xa = x[active]
+        xa, na = x[active], nu[active]
         with np.errstate(divide="ignore", invalid="ignore"):
-            _, step = _halley_step(nu[active], xa)
+            f = _sci_special.jv(na, xa)
+            fp = na / xa * f - _sci_special.jv(na + 1.0, xa)
+            fpp = -fp / xa - (1.0 - (na / xa) ** 2) * f
+            step = 2.0 * f * fp / (2.0 * fp * fp - f * fpp)
         x_new = xa - step
         x[active] = x_new
         done = np.abs(step) ** 3 <= 1e-15 * xa
@@ -409,51 +420,23 @@ def _bracketed(nus, start, n, sel, zeros, owner, index, count) -> np.ndarray:
     return ok
 
 
-def _halley_step(nu, x) -> tuple:
-    """J_nu(x) and the Halley step for J_nu at x, for two jv calls.
-
-    J' = (nu/x) J_nu - J_{nu+1}, and J'' follows from Bessel's equation.
-    """
-    f = _sci_special.jv(nu, x)
-    fp = nu / x * f - _sci_special.jv(nu + 1.0, x)
-    fpp = -fp / x - (1.0 - (nu / x) ** 2) * f
-    return f, 2.0 * f * fp / (2.0 * fp * fp - f * fpp)
-
-
 def _halley_zeros(nu, lo, hi, f_lo, f_hi) -> np.ndarray:
     """Zeros of J_nu, one in each sign-change bracket [lo, hi].
 
-    Each step shrinks the bracket to the side of the evaluated point that
-    keeps the sign change; a Halley step that leaves the bracket falls
-    back to its midpoint.  A zero stops once a step in its bracket has
-    |step|^3 <= 1e-15 x.
+    Each zero is seeded at its bracket's regula-falsi point and refined by
+    _seeded_halley.  Unless every zero converged inside its own bracket,
+    NumericalError names the order and bracket of the first that did not.
     """
-    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    # rounding can put the regula-falsi point on or past an end
-    x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
-    active = np.arange(x.size)
-    for _ in range(_MAX_STEPS):
-        xa = x[active]
-        f, step = _halley_step(nu[active], xa)
-        same = np.signbit(f) == np.signbit(f_lo[active])
-        lo[active] = np.where(same, xa, lo[active])
-        f_lo[active] = np.where(same, f, f_lo[active])
-        hi[active] = np.where(same, hi[active], xa)
-        x_new = xa - step
-        la, ha = lo[active], hi[active]
-        inside = (x_new > la) & (x_new < ha)
-        # a converged step may round onto an end of a bracket that has
-        # closed to adjacent floats around the zero
-        done = (x_new >= la) & (x_new <= ha) & (np.abs(step) ** 3 <= 1e-15 * xa)
-        x[active] = np.where(inside | done, x_new, 0.5 * (la + ha))
-        active = active[~done]
-        if active.size == 0:
-            return x
-    i = active[0]
+    x, converged = _seeded_halley(nu, lo - f_lo * (hi - lo) / (f_hi - f_lo))
+    bad = np.flatnonzero(~(converged & (x >= lo) & (x <= hi)))
+    if bad.size == 0:
+        return x
+    i = bad[0]
     raise NumericalError(
         "bessel_zeros_upto",
-        f"{active.size} zeros unconverged after {_MAX_STEPS} Halley steps; "
-        f"first for nu={nu[i]!r} in bracket [{lo[i]!r}, {hi[i]!r}]")
+        f"{bad.size} zeros not converged inside their brackets after "
+        f"{_MAX_STEPS} Halley steps; first for nu={float(nu[i])!r} in bracket "
+        f"[{float(lo[i])!r}, {float(hi[i])!r}]")
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +450,7 @@ def rect_theta_factor(t: float) -> float:
     S(t) = -1/2 + 1/(2 sqrt(pi t)) + (1/sqrt(pi t)) sum_{m>=1} exp(-m^2/t)
     is used; both branches need at most ~12 terms at the switch point.
     """
-    if t <= 0:
+    if not t > 0:
         raise SpecError(f"rect_theta_factor requires t > 0, got {t}")
     if t >= THETA_T_SWITCH:
         total = 0.0

@@ -123,7 +123,7 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
     def _admit(self, t, stage: str) -> None:
-        if np.any(t < self.t_min):
+        if not np.all(t >= self.t_min):  # NaN included
             raise NumericalError(
                 stage,
                 f"t={float(np.min(t)):.3g} below minimum admissible "
@@ -279,13 +279,10 @@ def _bessel_eigs(radius: float, lam_max: float, orders) -> np.ndarray:
     """
     x_max = radius * math.sqrt(lam_max)
     if orders is None:
-        zeros = bessel_zeros_upto(np.arange(math.floor(x_max) + 1, dtype=float), x_max)
-        # angular multiplicity 2 for nu >= 1.  The nu = 0 zeros lead, and
-        # z_i > (i + 3/4) pi holds up to their end: j_{0,m} > (m - 1/4) pi,
-        # and the next zero, j_{1,1} = 3.83, lies below 7 pi / 4.
-        above = zeros > (np.arange(zeros.size) + 0.75) * math.pi
-        n0 = np.append(np.flatnonzero(~above), zeros.size)[0]
-        zeros = np.concatenate([zeros, zeros[n0:]])
+        # angular multiplicity 2 for nu >= 1
+        paired = bessel_zeros_upto(np.arange(1, math.floor(x_max) + 1, dtype=float),
+                                   x_max)
+        zeros = np.concatenate([bessel_zeros_upto(0.0, x_max), paired, paired])
     else:
         nus = np.arange(1, math.floor(orders * x_max) + 2) / orders
         zeros = bessel_zeros_upto(nus[nus <= x_max], x_max)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spectral_corner import (HeatTraceCurve, NumericalError, SpecError,
-                             analytic_spectrum, assemble_fdm, compare_expansion,
+from spectral_corner import (FunctionTraceProvider, HeatTraceCurve,
+                             NumericalError, SpecError, analytic_spectrum,
+                             assemble_fdm, compare_expansion,
                              corner_term, default_window,
                              derivative_identity_residual, fit_expansion,
                              geometric_coefficients, richardson_spectrum,
@@ -32,6 +33,20 @@ class TestTraceAt:
             trace_at(spec, 0.1 * spec.t_min)
         # rectangles route through the exact theta product at any t > 0
         assert trace_at(analytic_spectrum(square, 10), 1e-6) > 0
+
+    def test_rejects_nan_t(self, square, disk):
+        # NaN fails every comparison, so "t <= 0" let it through: the
+        # rectangle's theta sum never ended, and the disk returned NaN
+        disk_spec = analytic_spectrum(disk, 200)
+        for spec in (analytic_spectrum(square, 10), disk_spec):
+            for t in (math.nan, [0.1, math.nan]):
+                with pytest.raises(SpecError):
+                    trace_at(spec, t)
+        with pytest.raises(SpecError):
+            FunctionTraceProvider.rectangle(1.0, 1.0).value(math.nan)
+        # a spectrum read as a trace source directly refuses it as well
+        with pytest.raises(NumericalError):
+            disk_spec.trace.value(math.nan)
 
     def test_dilation_scaling(self, disk):
         spec = analytic_spectrum(disk, 2000)

@@ -37,6 +37,12 @@ class TestRectThetaFactor:
             assert abs(small - large) < 1e-12
             assert rect_theta_factor(t) == pytest.approx(large, abs=1e-12)
 
+    def test_rejects_t_not_positive(self):
+        # NaN used to pass the check and never end the sum
+        for t in (0.0, -1.0, math.nan):
+            with pytest.raises(SpecError):
+                rect_theta_factor(t)
+
 
 class TestBessel:
     def test_values_match_mpmath(self):
@@ -133,24 +139,29 @@ class TestBessel:
         with pytest.raises(SpecError):
             bessel_zeros_upto(np.ones((2, 2)), 10.0)
 
-    def test_halley_step_leaving_the_bracket_falls_back(self):
-        # a seed at the right end of [1, 4] sends the first Halley step past
-        # 4, towards j_{0,2} = 5.52; the midpoint keeps the solve on j_{0,1}
-        lo, hi = np.array([1.0]), np.array([4.0])
-        zero = special._halley_zeros(np.zeros(1), lo, hi, np.array([0.77]),
-                                     np.array([-1e-12]))
-        assert zero[0] == pytest.approx(jn_zeros(0, 1)[0], rel=1e-15)
+    @pytest.mark.parametrize("x_max", [math.inf, -math.inf, math.nan])
+    def test_zeros_upto_rejects_non_finite_x_max(self, x_max):
+        # inf used to fail inside numpy, and NaN to return no zeros
+        with pytest.raises(SpecError):
+            bessel_zeros_upto(np.array([0.0, 1.0]), x_max)
+
+    def test_halley_step_leaving_the_bracket_raises(self):
+        # end values that contradict J_0 on [1, 4] put the regula-falsi seed
+        # on its right end, and Halley from there converges to j_{0,2} = 5.52
+        with pytest.raises(NumericalError) as info:
+            special._halley_zeros(np.zeros(1), np.array([1.0]), np.array([4.0]),
+                                  np.array([0.77]), np.array([-1e-12]))
+        assert "nu=0.0 in bracket [1.0, 4.0]" in str(info.value)
         # j_{0,1} lies 1e-7 past the end of [1, j - 1e-7], whose sign change
-        # is given falsely: each Halley step is ~1e-7, small enough for the
-        # cubic stop (1e-21 <= 1e-15 x) but outside the bracket.  Clipping it
-        # to the end would return a zero off by 1e-7; the midpoint fallback
-        # keeps the solve going until it gives up instead
+        # is given falsely: Halley converges on j_{0,1} outside the bracket
         j = jn_zeros(0, 1)[0]
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError) as info:
             special._halley_zeros(np.zeros(1), np.array([1.0]),
                                   np.array([j - 1e-7]), np.array([0.77]),
                                   np.array([-1e-12]))
-        # the same small step inside a true bracket stops on the zero
+        assert info.value.stage == "bessel_zeros_upto"
+        assert f"nu=0.0 in bracket [1.0, {float(j - 1e-7)!r}]" in str(info.value)
+        # inside a true bracket the same solve stops on the zero
         zero = special._halley_zeros(np.zeros(1), np.array([1.0]),
                                      np.array([j + 1e-7]), np.array([0.77]),
                                      np.array([jv(0, j + 1e-7)]))
@@ -235,6 +246,33 @@ class TestBessel:
         assert got.tobytes() == single.tobytes()
         want = np.concatenate([brentq_zeros_upto(nu, x_max) for nu in nus])
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0, None],
+                             ids=["sector-0.5", "sector-1.5", "sector-3", "disk"])
+    def test_every_order_recovered_from_its_brackets(self, alpha, monkeypatch):
+        # with both certificates rejecting, every order with a zero is
+        # solved by _halley_zeros from its scan brackets alone
+        x_max = 60.0
+        nus = (np.arange(61, dtype=float) if alpha is None
+               else _sector_orders(alpha, x_max))
+        accepted = bessel_zeros_upto(nus, x_max)
+        fallen, halley = [], special._halley_zeros
+
+        def falling(nu, *args):
+            fallen.extend(np.unique(nu))
+            return halley(nu, *args)
+
+        monkeypatch.setattr(special, "_interlaced",
+                            lambda zeros, owner, index, count: np.zeros(count.size, bool))
+        monkeypatch.setattr(special, "_bracketed",
+                            lambda nus, start, n, sel, *args: np.zeros(sel.size, bool))
+        monkeypatch.setattr(special, "_halley_zeros", falling)
+        got = bessel_zeros_upto(nus, x_max)
+        ref = [brentq_zeros_upto(nu, x_max) for nu in nus]
+        assert {nu for nu, r in zip(nus, ref) if r.size} <= set(fallen)
+        assert got.size == accepted.size == sum(r.size for r in ref)
+        np.testing.assert_allclose(got, accepted, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(got, np.concatenate(ref), rtol=1e-14, atol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(nu=st.floats(0.0, 2000.0), gap=st.floats(0.0, 2.0, exclude_min=True),
