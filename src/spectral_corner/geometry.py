@@ -27,8 +27,8 @@ TWO_PI = 2.0 * math.pi
 def corner_term(alpha) -> float | np.ndarray:
     """Contribution (1 - alpha^2) / (24 alpha) of a corner of angle alpha*pi."""
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0):
-        raise SpecError("corner angles must be positive")
+    if not np.all((alpha > 0) & (alpha < np.inf)):
+        raise SpecError("corner angles must be finite and positive")
     out = (1.0 - alpha**2) / (24.0 * alpha)
     return float(out) if out.ndim == 0 else out
 

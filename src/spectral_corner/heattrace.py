@@ -222,7 +222,7 @@ def derivative_identity_residual(domain: Domain, sigma, u: float, eps: float,
     with du = 1e-3.
     """
     sigma = as_field(sigma)
-    if eps <= 0:
+    if not eps > 0:  # NaN included
         raise SpecError("derivative_identity_residual needs eps > 0")
     probe = assemble_fdm(domain, MetricSpec(sigma, u), h=h)
     lam_target = TAIL_THRESHOLD / eps

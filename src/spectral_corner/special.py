@@ -170,15 +170,10 @@ def bessel_zeros_upto(nu, x_max: float) -> np.ndarray:
 
     The orders are cut into ceil(P / _CHUNK_POINTS) chunks of consecutive
     whole orders, each starting about an equal share of the P scan points
-    the orders would take.  A call whose scan fits one chunk runs here.
-    Otherwise the chunks run on a pool of forked workers
-    (``parallel.fork_map``), one per usable CPU, and are joined in order;
-    they run here instead when there is one usable CPU, when the platform
-    cannot fork, when this process is itself a daemonic multiprocessing
-    worker, or when it runs other Python threads.  Since no zero depends
-    on which certificate accepted it, it has the same bits for any
-    chunking and any number of workers.  A worker that dies raises
-    ``NumericalError("bessel_zeros_upto")``.
+    the orders would take.  The chunks run through ``parallel.fork_map``,
+    whose rules decide whether they fork, and are joined in order.  Since no zero depends on which certificate accepted
+    it, it has the same bits for any chunking and any number of workers.
+    A worker that dies raises ``NumericalError("bessel_zeros_upto")``.
     """
     # np.cbrt rounds some elements of a strided view differently than of a
     # contiguous array, which moved scan starts and so some zeros by an ulp;
@@ -203,12 +198,10 @@ def bessel_zeros_upto(nu, x_max: float) -> np.ndarray:
     edges = np.unique(np.r_[np.searchsorted(np.cumsum(n) - n,
                                             np.arange(chunks) * (total / chunks)),
                             nus.size]).tolist()
-    job = (nus, start, n, x_max, edges)
-    if len(edges) == 2:
-        return _chunk_zeros(job, 0)
     # the chunks make no BLAS call, so the workers leave OpenBLAS as it is
-    return np.concatenate(fork_map(_chunk_zeros, job, len(edges) - 1,
-                                   "bessel_zeros_upto", pin_blas=False))
+    return np.concatenate(fork_map(_chunk_zeros, (nus, start, n, x_max, edges),
+                                   len(edges) - 1, "bessel_zeros_upto",
+                                   pin_blas=False))
 
 
 def _chunk_zeros(job: tuple, i: int) -> np.ndarray:

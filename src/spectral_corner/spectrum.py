@@ -308,7 +308,6 @@ class DiscreteOperator:
     the modes even and odd under P as two independent blocks.
     """
 
-    domain: Domain
     h: float
     nodes: np.ndarray  # (n, 2) interior node coordinates
     A: sps.csr_matrix
@@ -415,7 +414,7 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     P = _lattice_reflection(idx, w)
     if P is not None:
         w = w[np.minimum(np.arange(n), P)]
-    return DiscreteOperator(domain, h, nodes, A, w, metric, P)
+    return DiscreteOperator(h, nodes, A, w, metric, P)
 
 
 # A mirrored weight may differ from its node's weight by this share of it
@@ -497,7 +496,7 @@ class DiscreteSpectrum:
     def weighted_trace(self, psi, t: float) -> float:
         """Sum e^{-t lam_n} <psi phi_n, phi_n>_w; refuses t below 40/completeness."""
         t_min = TAIL_THRESHOLD / self.completeness()
-        if t < t_min:
+        if not t >= t_min:  # NaN included
             raise NumericalError(
                 "weighted_trace",
                 f"t={t:.3g} below minimum admissible t={t_min:.3g}")
@@ -592,27 +591,6 @@ _RESIDUAL = 1e-8
 # as windows near the middle of a block's spectrum do when k is a large
 # share of its size, or all n.
 _MAX_HALVINGS = 50
-# Operators with fewer nodes than this solve their windows in the caller.
-# Timed on a 2-vCPU Xeon on the square and the slit square: at n = 217-625
-# (h = 1/16 to 1/26) the pool took 1.2-3x the time of one process.  With
-# windows sized per block (BLAS pinned, medians of 7), the h = 1/32 slit
-# square (n = 945, n_b = 480, k = 100-170, four windows) took 0.08-0.11 s
-# in the caller against 0.13-0.15 s pooled, the h = 1/32 square with
-# sigma = 0.2 x y (n = 961, k = 150) 0.09 s either way, and the h = 1/36
-# square (n = 1225, n_b = 630, k = 300, eight windows) 0.26-0.29 s against
-# 0.19-0.20 s.  A rule on the tallest block at 700 would keep that last one
-# in the caller, so the rule reads the node count.  Below 700 nodes the
-# pool's gain follows the window count (BLAS pinned, medians of 7-11):
-# with two windows the caller took 20-33 ms against 54-72 ms pooled (h =
-# 1/24 square, sigma = 0.2 x y, k = 20-50); with five (one-block h = 1/26
-# slit square, sigma = 0.3 x, k = 250) each side won two of four runs,
-# 116-154 ms against 104-167 ms; with six or seven the pool won every run,
-# 102-105 ms against 123-129 ms (the square at k = 250) and 131-141 ms
-# against 190-197 ms (the slit square at k = 350).  Dense took 45-62 ms on
-# that 612-node block at every k, 3x the caller at k = 20, and 15-22 ms on
-# the square's two blocks.  The rule stays; a window-count rule or a dense
-# floor would be re-timed as a change of its own.
-_POOL_NODES = 700
 # An operator whose tallest block has n_b nodes is solved densely when
 # n_b^2 <= _DENSE_RATIO * k.  Dense costs ~n_b^3 whatever k is, slicing
 # ~k n_b.  On a 2-vCPU Xeon (square, sigma = 0.2 x y, one BLAS thread) the
@@ -786,10 +764,8 @@ def _sliced_eigsh(blocks: list, n: int, k: int, vol_w: float,
 
     blocks is ``_blocks``' list of (B_b, Q_b).  The edges are certified
     here first, on every block at once; the windows, one Lanczos job per
-    block and span, are then independent.  On an operator of at least
-    ``_POOL_NODES`` nodes they run through ``parallel.fork_map``, on forked
-    workers that take the next window as they finish one; smaller operators
-    solve them here, where forking would cost more than it saves.  Every
+    block and span, are then independent and run through
+    ``parallel.fork_map``, whose rules decide whether they fork.  Every
     window returns exactly its inertia count, so its eigenvector columns
     are known up front: workers write them into one shared buffer, as tall
     as the tallest block, and send back only eigenvalues.  The merge is in
@@ -810,11 +786,8 @@ def _sliced_eigsh(blocks: list, n: int, k: int, vol_w: float,
     # to 125-126 MB on the flat slit square.
     out = np.ndarray((height, cols[-1]),
                      buffer=mmap.mmap(-1, 8 * height * cols[-1]))
-    job = (Bs, windows, v0s, cols, out)
-    if n < _POOL_NODES:
-        lams = [_solve_window(job, i) for i in range(len(windows))]
-    else:
-        lams = fork_map(_solve_window, job, len(windows), "solve_eigs")
+    lams = fork_map(_solve_window, (Bs, windows, v0s, cols, out), len(windows),
+                    "solve_eigs")
     parts = []
     for lam, (_, _, m, b), c in zip(lams, windows, cols):
         B, Q = blocks[b]
@@ -898,16 +871,10 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     blocks in order.  The seed feeds only these Lanczos start vectors; the
     dense route does not use it.
 
-    The edges are certified in this process; the jobs then run on a
-    pool of forked workers (``parallel.fork_map``), one per usable CPU
-    (``os.sched_getaffinity``), each taking the next job when it finishes
-    one.  They run here instead when the operator has fewer than
-    ``_POOL_NODES`` (700) nodes, where forking costs more than it saves,
-    when there is one usable CPU or one job, when the platform cannot
-    fork, when this process is itself a daemonic multiprocessing worker, or
-    when it runs other Python threads.  Results merge in job order, so
-    eigenvalues and eigenvectors have the same bits for any number of
-    workers.
+    The edges are certified in this process; the jobs then run through
+    ``parallel.fork_map``, whose rules alone decide whether they fork.
+    Results merge in job order, so eigenvalues and eigenvectors have the
+    same bits for any number of workers.
 
     Residuals ||B y - lam y|| / ||y|| of the prolongated eigenvectors are
     checked against 1e-8 * lam on the full B, and the eigenvectors are unit

@@ -238,16 +238,14 @@ def bridge_trace_estimate(domain: Domain, t: float, n: int, steps: int = 64,
     crossing a slit polyline kills the path outright.
 
     The n bridges form batches of ``_BATCH``, each with its own Philox
-    stream, and the batches run through ``parallel.fork_map``: on forked
-    workers, one per usable CPU, or here when forking is not possible (one
-    CPU or one batch, no fork start method, a daemonic caller, or other
-    Python threads alive).  A batch returns only its two weight sums, and
+    stream, and the batches run through ``parallel.fork_map``, whose rules
+    decide whether they fork.  A batch returns only its two weight sums, and
     they are added in batch order, so the estimate has the same bits for
     any number of workers.  A worker that dies raises
     ``NumericalError("bridge_trace_estimate")``.
     """
-    if t <= 0:
-        raise SpecError("bridge_trace_estimate requires t > 0")
+    if not 0 < t < math.inf:
+        raise SpecError(f"bridge_trace_estimate requires a finite t > 0, got {t}")
     if n < 1 or steps < 2:
         raise SpecError("bridge_trace_estimate requires n >= 1, steps >= 2")
     steps = _next_pow2(steps)

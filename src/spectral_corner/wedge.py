@@ -37,8 +37,9 @@ class WedgeBallQuery:
     t: float  # time
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.eps <= 0 or self.t <= 0:
-            raise SpecError("WedgeBallQuery needs alpha, eps, t > 0")
+        if not all(0 < v < math.inf for v in (self.alpha, self.eps, self.t)):
+            raise SpecError("WedgeBallQuery needs finite alpha, eps, t > 0, got "
+                            f"{self.alpha}, {self.eps}, {self.t}")
 
 
 def a_remainder_bound(q: WedgeBallQuery) -> float:

@@ -56,8 +56,8 @@ def zeta_series(spec: Spectrum, s: float, tol: float = 1e-8) -> float:
     with a certified bound from the boundary correction to Weyl's law; if the
     bound exceeds tol an error reports the required eigenvalue count.
     """
-    if s <= 1:
-        raise SpecError("zeta_series requires s > 1")
+    if not 1 < s < math.inf:
+        raise SpecError(f"zeta_series requires a finite s > 1, got {s}")
     L = spec.completeness
     lam = spec.eigenvalues[spec.eigenvalues <= L]
     head = float(np.sum(lam ** (-s)))

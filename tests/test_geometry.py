@@ -24,6 +24,12 @@ class TestCornerTerm:
         assert corner_term(0.5) == pytest.approx(1.0 / 16)
         assert corner_term(2.0) == pytest.approx(-1.0 / 16)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf,
+                                       [1.0, math.nan]])
+    def test_angle_not_finite_and_positive_is_rejected(self, alpha):
+        with pytest.raises(SpecError, match="finite and positive"):
+            corner_term(alpha)
+
     def test_strictly_decreasing_on_grid(self):
         alphas = np.geomspace(0.05, 50.0, 200)
         vals = corner_term(alphas)

@@ -155,6 +155,12 @@ class TestDiscreteOperator:
         ds = solve_eigs(assemble_fdm(square, None, h=1 / 16), 20, seed=0)
         assert ds.completeness() == pytest.approx(0.8 * ds.eigenvalues[-1])
 
+    def test_weighted_trace_refuses_nan_t(self, square):
+        ds = solve_eigs(assemble_fdm(square, None, h=1 / 16), 20, seed=0)
+        with pytest.raises(NumericalError) as info:
+            ds.weighted_trace("1", math.nan)
+        assert info.value.stage == "weighted_trace"
+
     def test_richardson_beats_single_grid(self, square):
         exact = math.pi ** 2 * 2
         h = 1 / 16
@@ -413,7 +419,6 @@ class TestSpectrumSlicing:
         monkeypatch.setattr(spectrum_mod, "_shifted_lu", overcount)
         # the failing window runs in a worker wherever fork is available
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(spectrum_mod, "_POOL_NODES", 0)
         with pytest.raises(NumericalError) as info:
             solve_eigs(slit_op, self.K, seed=0)
         assert info.value.stage == "solve_eigs"
@@ -448,7 +453,7 @@ class TestWindowResidual:
         monkeypatch.setattr(spectrum_mod, "_window_edges",
                             lambda Bs, k, vol_w: windows)
         # solve the windows here, where the recorder below sees every call
-        monkeypatch.setattr(spectrum_mod, "_POOL_NODES", math.inf)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
         shifts = []
         eigsh = spectrum_mod.spsla.eigsh
 
@@ -671,6 +676,24 @@ class TestAnomalyFineGrid:
         assert len(calls) == 24
 
 
+class TestBenchmarkCoarseGrids:
+    """The benchmark's h = 1/32 grids (945 and 961 nodes) take the dense
+    route at the k they are solved for, and its h = 1/64 grids the sliced
+    one.  Read from the blocks and the size rule, with no solve."""
+
+    @pytest.mark.parametrize("name, sigma, k", [("anomaly", "0.2*x*y", 517),
+                                                ("slit-tip", None, 400)],
+                             ids=["anomaly", "slit-tip"])
+    def test_coarse_grid_dense_fine_grid_sliced(self, name, sigma, k, square,
+                                                slit_square):
+        domain = square if name == "anomaly" else slit_square
+        for h, dense in ((1 / 32, True), (1 / 64, False)):
+            op = assemble_fdm(domain, _metric(sigma), h=h)
+            n_b = max(B.shape[0] for B, _ in
+                      spectrum_mod._blocks(op, op.symmetrized().tocsc()))
+            assert (n_b ** 2 <= spectrum_mod._DENSE_RATIO * k) == dense
+
+
 def _eigenpair_bytes(op, k):
     ds = solve_eigs(op, k, seed=0)
     return ds.eigenvalues.tobytes(), ds.eigenvectors.tobytes()
@@ -729,9 +752,7 @@ class TestParallelWindows:
     @pytest.mark.parametrize("k, blocks", [(100, 2), (517, 2), (100, 1), (517, 1)],
                              ids=["100", "517", "100-one-block", "517-one-block"])
     def test_same_bits_for_any_worker_count(self, ops, k, blocks, monkeypatch):
-        # the small operator too goes to the pool here, and no operator to
-        # the dense route
-        monkeypatch.setattr(spectrum_mod, "_POOL_NODES", 0)
+        # no operator goes to the dense route here
         monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
         got = []
         for workers in (1, 2, 3):
@@ -739,30 +760,34 @@ class TestParallelWindows:
             got.append(_eigenpair_bytes(ops[k, blocks], k))
         assert got[0] == got[1] == got[2]
 
-    @pytest.mark.parametrize("k", [100, 517])
-    def test_small_operators_solve_in_the_caller(self, ops, k, monkeypatch):
-        pooled = []
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_dense_and_one_window_solves_fork_no_worker(self, ops, monkeypatch):
+        pools = []
+        pool = parallel.ProcessPoolExecutor
 
-        def fork_map(fn, job, count, stage):
-            pooled.append(count)
-            return [fn(job, i) for i in range(count)]
+        def counted(workers, *args):
+            pools.append(workers)
+            return pool(workers, *args)
 
-        monkeypatch.setattr(spectrum_mod, "fork_map", fork_map)
-        op = ops[k, 2]
-        # at these k both operators take the dense route, which never forks
-        _eigenpair_bytes(op, k)
-        assert pooled == []
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", counted)
+        # at these k both two-block operators take the dense route
+        for k in (100, 517):
+            _eigenpair_bytes(ops[k, 2], k)
+        assert pools == []
+        # sliced, the one-block h = 1/16 operator has one window at k = 10,
+        # which fork_map runs here, and three at k = 100, on two workers
         monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
-        _eigenpair_bytes(op, k)
-        # sliced, n = 217 at k = 100 stays in the caller; n = 945 goes to
-        # the pool, all ten windows of both blocks in one map
-        assert (op.n_nodes < spectrum_mod._POOL_NODES) == (k == 100)
-        assert pooled == ([] if k == 100 else [10])
+        op = ops[100, 1]
+        assert len(self._windows(op, 10)) == 1
+        _eigenpair_bytes(op, 10)
+        assert pools == []
+        _eigenpair_bytes(op, 100)
+        assert pools == [2]
 
     @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
     def test_daemonic_caller_runs_serially(self, ops, monkeypatch):
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(spectrum_mod, "_POOL_NODES", 0)
         monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
         ref = _eigenpair_bytes(ops[100, 2], 100)
         ctx = multiprocessing.get_context("fork")

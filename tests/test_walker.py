@@ -197,6 +197,11 @@ class TestPreconditions:
         with pytest.raises(SpecError):
             bridge_trace_estimate(square, 0.1, 100, steps=1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_t_is_rejected(self, square, t):
+        with pytest.raises(SpecError, match="finite t > 0"):
+            bridge_trace_estimate(square, t, 1000)
+
     def test_cone_has_no_sampling_box(self):
         with pytest.raises(SpecError, match="no sampling box"):
             bridge_trace_estimate(make_sector(3.0), 0.05, 100)

@@ -72,6 +72,13 @@ class TestRemainderBounds:
         with pytest.raises(SpecError):
             WedgeBallQuery(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("slot", ["alpha", "eps", "t"])
+    def test_non_finite_query_is_rejected(self, slot, bad):
+        args = {"alpha": 1.0, "eps": 1.0, "t": 0.1} | {slot: bad}
+        with pytest.raises(SpecError, match="finite"):
+            WedgeBallQuery(**args)
+
 
 class TestBallTrace:
     def test_halfplane_image_method(self):

@@ -34,6 +34,11 @@ class TestContinuationVsSeries:
         with pytest.raises(SpecError):
             zeta_series(small, 1.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_series_rejects_non_finite_s(self, square, s):
+        with pytest.raises(SpecError, match="finite s > 1"):
+            zeta_series(analytic_spectrum(square, 50), s)
+
     def test_series_without_boundary_length_stays_in_its_bound(self, square):
         # no boundary length: a one-term Weyl tail, whose bound is built from
         # the perimeter proxy 4 sqrt(Vol); a returned value is within tol
