@@ -760,8 +760,8 @@ class TestParallelWindows:
             got.append(_eigenpair_bytes(ops[k, blocks], k))
         assert got[0] == got[1] == got[2]
 
-    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
-    def test_dense_and_one_window_solves_fork_no_worker(self, ops, monkeypatch):
+    @staticmethod
+    def _count_pools(monkeypatch):
         pools = []
         pool = parallel.ProcessPoolExecutor
 
@@ -771,10 +771,23 @@ class TestParallelWindows:
 
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", counted)
-        # at these k both two-block operators take the dense route
-        for k in (100, 517):
-            _eigenpair_bytes(ops[k, 2], k)
+        return pools
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    @pytest.mark.parametrize("k", [100, 517])
+    def test_small_operators_solve_in_the_caller(self, ops, k, monkeypatch):
+        pools = self._count_pools(monkeypatch)
+        # at these k both two-block operators take the dense route, which
+        # never forks
+        op = ops[k, 2]
+        assert max(B.shape[0] for B, _ in spectrum_mod._blocks(
+            op, op.symmetrized().tocsc())) ** 2 <= spectrum_mod._DENSE_RATIO * k
+        _eigenpair_bytes(op, k)
         assert pools == []
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_one_window_solves_fork_no_worker(self, ops, monkeypatch):
+        pools = self._count_pools(monkeypatch)
         # sliced, the one-block h = 1/16 operator has one window at k = 10,
         # which fork_map runs here, and three at k = 100, on two workers
         monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
