@@ -17,9 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericalError, SpecError
+from .errors import SpecError
 from .fields import ScalarField, as_field
-from .special import gauss_panels, gauss_rule
+from .special import _converged, _panels, gauss_panels
 
 TWO_PI = 2.0 * math.pi
 
@@ -496,12 +496,13 @@ def _points_in_polygon(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
 _QUAD_TOL = 1e-10
 
 
-def boundary_integral(domain: Domain, fn: Callable, tol: float = _QUAD_TOL) -> float:
+def boundary_integral(domain: Domain, fn: Callable) -> float:
     """Integrate fn(x, y, nx, ny, curvature) over the boundary (prime ends).
 
-    fn must accept numpy arrays.  Composite Gauss-Legendre per piece with
-    panel doubling (``gauss_panels``); deterministic reduction order over
-    pieces.
+    fn must accept numpy arrays.  Each piece is mapped onto [0, 1] by its
+    arc-length parametrisation and integrated by ``gauss_panels`` to
+    _QUAD_TOL / 2 with at most 1024 panels; deterministic reduction order
+    over pieces.
     """
     total = 0.0
     for piece in domain.pieces:
@@ -510,81 +511,67 @@ def boundary_integral(domain: Domain, fn: Callable, tol: float = _QUAD_TOL) -> f
             vals = fn(pts[:, 0], pts[:, 1], normals[:, 0], normals[:, 1], curv)
             return np.asarray(vals) * speed
 
-        total += gauss_panels(f, 0.0, 1.0, tol=tol / 2, max_panels=1024)[0]
+        total += gauss_panels(f, 0.0, 1.0, tol=_QUAD_TOL / 2, max_panels=1024)[0]
     return total
 
 
-def interior_integral(domain: Domain, fn: Callable, tol: float = _QUAD_TOL) -> float:
+def interior_integral(domain: Domain, fn: Callable) -> float:
     """Integrate fn(x, y) over the interior with the flat area element.
 
-    Slits have measure zero and are ignored.  Sectors integrate in polar
-    coordinates; for cone sectors (alpha > 2) the field is evaluated on the
-    projected plane coordinates sheet by sheet.
+    fn must accept numpy arrays.  One rule serves every kind: the tensor
+    product of 20-point Gauss-Legendre panels on n x n panels of a box,
+    n = 2, 4, ..., 128, stopped by ``_converged`` at _QUAD_TOL.  Each kind
+    is mapped back onto that box:
+
+    * rectangles are the box itself;
+    * disks and sectors are [0, R] x [0, alpha pi] in polar coordinates,
+      times r.  For cone sectors (alpha > 2) the field is evaluated on the
+      projected plane coordinates sheet by sheet;
+    * polygons are [0, 1]^2 once per ear of ``_ear_clip``, by the Duffy map
+      (U, V) -> a (1 - U) + b U (1 - V) + c U V of the ear (a, b, c), times
+      2 area U.  All ears refine together, so a failure reports the whole
+      polygon's last estimate.
+
+    Slits have measure zero and are ignored.  A non-finite estimate, or
+    none converged at 128 x 128 panels, raises
+    NumericalError("interior_integral").
     """
     if domain.kind == "rectangle":
-        a, b = domain.params["a"], domain.params["b"]
-        return _tensor_integral(fn, 0, a, 0, b, tol)
-    if domain.kind == "disk":
+        return _box_integral(fn, domain.params["a"], domain.params["b"])
+    if domain.kind in ("disk", "sector"):
         radius = domain.params["R"]
-        return _polar_integral(fn, radius, 0.0, TWO_PI, tol)
-    if domain.kind == "sector":
-        radius = domain.params["R"]
-        alpha = domain.params["alpha"]
-        return _polar_integral(fn, radius, 0.0, alpha * math.pi, tol)
+        sweep = TWO_PI if domain.kind == "disk" else domain.params["alpha"] * math.pi
+
+        def polar(r, th):
+            return np.asarray(fn(r * np.cos(th), r * np.sin(th)), dtype=float) * r
+
+        return _box_integral(polar, radius, sweep)
     if domain.vertices is not None:
-        return _polygon_integral(fn, domain.vertices, tol)
+        ears = np.array(_ear_clip(domain.vertices))
+        area2 = np.abs([_orient(*ear) for ear in ears])
+
+        def duffy(u, v):
+            total = 0.0
+            for (a, b, c), scale in zip(ears, area2):
+                x = a[0] * (1 - u) + b[0] * u * (1 - v) + c[0] * u * v
+                y = a[1] * (1 - u) + b[1] * u * (1 - v) + c[1] * u * v
+                total = total + np.asarray(fn(x, y), dtype=float) * scale * u
+            return total
+
+        return _box_integral(duffy, 1.0, 1.0)
     raise SpecError(f"interior integral unsupported for kind {domain.kind!r}")
 
 
-def _tensor_integral(fn, ax, bx, ay, by, tol) -> float:
-    x0, w0 = gauss_rule(20)
-    prev = None
-    n = 2
-    while n <= 128:
-        ex = np.linspace(ax, bx, n + 1)
-        ey = np.linspace(ay, by, n + 1)
-        xm, xh = 0.5 * (ex[:-1] + ex[1:]), 0.5 * (ex[1:] - ex[:-1])
-        ym, yh = 0.5 * (ey[:-1] + ey[1:]), 0.5 * (ey[1:] - ey[:-1])
-        xs = (xm[:, None] + xh[:, None] * x0[None, :]).ravel()
-        ws_x = (xh[:, None] * w0[None, :]).ravel()
-        ys = (ym[:, None] + yh[:, None] * x0[None, :]).ravel()
-        ws_y = (yh[:, None] * w0[None, :]).ravel()
+def _box_integral(g, bx, by) -> float:
+    """Integral of g(x, y) over [0, bx] x [0, by] by the tensor Gauss rule."""
+    def estimate(n: int) -> float:
+        xs, wx = _panels(0.0, bx, n)
+        ys, wy = _panels(0.0, by, n)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        vals = np.asarray(fn(X, Y), dtype=float)
-        value = float(ws_x @ vals @ ws_y)
-        if prev is not None and abs(value - prev) < tol * max(1.0, abs(value)):
-            return value
-        prev = value
-        n *= 2
-    raise NumericalError("interior_integral",
-                         f"tensor Gauss rule did not converge below {tol:.3g} "
-                         "with 128 x 128 panels", best_estimate=prev)
+        return float(wx @ np.asarray(g(X, Y), dtype=float) @ wy)
 
-
-def _polar_integral(fn, radius, th0, th1, tol) -> float:
-    def g(r, th):
-        return np.asarray(fn(r * np.cos(th), r * np.sin(th)), dtype=float) * r
-
-    return _tensor_integral(g, 0.0, radius, th0, th1, tol)
-
-
-def _polygon_integral(fn, verts, tol) -> float:
-    tris = _ear_clip(verts)
-    x0, w0 = gauss_rule(12)
-    prev = None
-    level = 0
-    while level <= 5:
-        value = 0.0
-        for tri in tris:
-            for sub in _subdivide(tri, level):
-                value += _triangle_gauss(fn, sub, x0, w0)
-        if prev is not None and abs(value - prev) < tol * max(1.0, abs(value)):
-            return value
-        prev = value
-        level += 1
-    raise NumericalError("interior_integral",
-                         f"triangle Gauss rule did not converge below {tol:.3g} "
-                         "after 5 subdivisions", best_estimate=prev)
+    panels = (2, 4, 8, 16, 32, 64, 128)
+    return _converged(map(estimate, panels), "interior_integral", _QUAD_TOL)[0]
 
 
 def _ear_clip(verts: np.ndarray) -> list[np.ndarray]:
@@ -619,32 +606,6 @@ def _ear_clip(verts: np.ndarray) -> list[np.ndarray]:
 def _point_in_triangle(p, a, b, c) -> bool:
     return _orient(a, b, p) >= 0 and _orient(b, c, p) >= 0 \
         and _orient(c, a, p) >= 0
-
-
-def _subdivide(tri: np.ndarray, level: int):
-    tris = [tri]
-    for _ in range(level):
-        out = []
-        for t in tris:
-            a, b, c = t
-            ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-            out += [np.array([a, ab, ca]), np.array([ab, b, bc]),
-                    np.array([ca, bc, c]), np.array([ab, bc, ca])]
-        tris = out
-    return tris
-
-
-def _triangle_gauss(fn, tri, x0, w0) -> float:
-    # Duffy map of the tensor Gauss rule onto the triangle
-    a, b, c = tri
-    u = 0.5 * (x0 + 1.0)
-    wu = 0.5 * w0
-    U, V = np.meshgrid(u, u, indexing="ij")
-    X = a[0] * (1 - U) + b[0] * U * (1 - V) + c[0] * U * V
-    Y = a[1] * (1 - U) + b[1] * U * (1 - V) + c[1] * U * V
-    area2 = abs(_orient(a, b, c))
-    vals = np.asarray(fn(X, Y), dtype=float) * area2 * U
-    return float(wu @ vals @ wu)
 
 
 # ---------------------------------------------------------------------------

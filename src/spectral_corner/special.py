@@ -4,6 +4,14 @@ Bessel functions of fractional order and their zeros, the one-dimensional
 theta-type sum used for exact rectangle heat traces, and quadrature
 rules.  All functions here are pure.
 
+Quadrature refines in one loop, ``_converged``: each rule yields a stream
+of estimates, and the first one within tol * max(1, |v|) of the one before
+it is the value.  A non-finite estimate raises at once, and a rule that
+runs out of refinements raises with its last estimate.  ``tanh_sinh``
+halves its step and ``gauss_panels`` doubles its 20-point Gauss panels;
+``_panels`` builds those panels for ``gauss_panels`` and for the tensor
+rule of ``geometry.interior_integral`` alike.
+
 Bessel zeros for many orders are found in vectorised solves over chunks
 of consecutive orders.  Each zero j_{nu,m} is seeded from its asymptotic
 expansion in (nu, m), McMahon's for large m and Olver's uniform one
@@ -471,7 +479,30 @@ def rect_theta_factor(t: float) -> float:
 # ---------------------------------------------------------------------------
 
 _TANH_SINH_LEVELS = 12  # step halvings before tanh_sinh gives up
-_PANEL_ORDER = 20  # Gauss-Legendre nodes per gauss_panels panel
+_PANEL_ORDER = 20  # Gauss-Legendre nodes per composite panel
+
+
+def _converged(estimates, stage: str, tol: float) -> Tuple[float, float]:
+    """The first of a stream of refined estimates that the one before it confirms.
+
+    Returns (value, change) for the first estimate value within
+    tol * max(1, |value|) of the estimate before it.  A non-finite estimate
+    raises NumericalError(stage) at once; a stream that runs out raises it
+    with the last estimate as best_estimate.
+    """
+    prev, change, count = None, math.nan, 0
+    for count, value in enumerate(estimates, 1):
+        if not math.isfinite(value):
+            raise NumericalError(stage, f"estimate {value!r} at refinement "
+                                 f"{count} is not finite")
+        if prev is not None:
+            change = abs(value - prev)
+            if change < tol * max(1.0, abs(value)):
+                return value, change
+        prev = value
+    raise NumericalError(stage, f"no convergence below {tol:.3g} after {count} "
+                         f"refinements, last change {change:.3g}",
+                         best_estimate=prev)
 
 
 def tanh_sinh(
@@ -485,6 +516,8 @@ def tanh_sinh(
     f must accept numpy arrays.  Returns (value, error_estimate).
     Suited to integrands that are smooth inside (a, b) but may have
     integrable endpoint singularities; a non-finite value at any node raises.
+    The step halves up to _TANH_SINH_LEVELS times, and from level 3 on each
+    level's estimate is checked against the last one's (``_converged``).
     """
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise SpecError("tanh_sinh requires a finite interval a < b")
@@ -517,22 +550,16 @@ def tanh_sinh(
                 f"first at x={float(x[bad][0]):.17g}")
         return float(np.sum(vals * w))
 
-    h = 1.0
-    total = eval_level(h, only_odd=False)
-    prev = total * h * half
-    for level in range(1, _TANH_SINH_LEVELS + 1):
-        h *= 0.5
-        total += eval_level(h, only_odd=True)
-        value = total * h * half
-        err = abs(value - prev)
-        if err < tol * max(1.0, abs(value)) and level >= 3:
-            return value, err
-        prev = value
-    raise NumericalError(
-        "tanh_sinh",
-        f"no convergence after level {_TANH_SINH_LEVELS}, last change {err:.3g}",
-        best_estimate=prev,
-    )
+    def estimates():
+        h = 1.0
+        total = eval_level(h, only_odd=False)
+        for level in range(1, _TANH_SINH_LEVELS + 1):
+            h *= 0.5
+            total += eval_level(h, only_odd=True)
+            if level >= 2:  # level 2 is only the reference for level 3
+                yield total * h * half
+
+    return _converged(estimates(), "tanh_sinh", tol)
 
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -545,6 +572,17 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS_CACHE[order]
 
 
+def _panels(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _PANEL_ORDER-point Gauss rule on each of n
+    equal panels of [a, b], panel by panel."""
+    x0, w0 = gauss_rule(_PANEL_ORDER)
+    edges = np.linspace(a, b, n + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    return ((mids[:, None] + halfs[:, None] * x0[None, :]).ravel(),
+            (halfs[:, None] * w0[None, :]).ravel())
+
+
 def gauss_panels(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -554,26 +592,13 @@ def gauss_panels(
 ) -> Tuple[float, float]:
     """Composite Gauss-Legendre with panel doubling until the change < tol.
 
-    f must accept numpy arrays.  Deterministic reduction order.
+    f must accept numpy arrays.  Returns (value, last change).  The panels
+    double from one up to max_panels and stop by ``_converged``.
+    Deterministic reduction order.
     """
-    x0, w0 = gauss_rule(_PANEL_ORDER)
-    prev = None
-    n = 1
-    while n <= max_panels:
-        edges = np.linspace(a, b, n + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halfs = 0.5 * (edges[1:] - edges[:-1])
-        xs = (mids[:, None] + halfs[:, None] * x0[None, :]).ravel()
-        ws = (halfs[:, None] * w0[None, :]).ravel()
-        value = float(np.sum(f(xs) * ws))
-        if prev is not None:
-            err = abs(value - prev)
-            if err < tol * max(1.0, abs(value)):
-                return value, err
-        prev = value
-        n *= 2
-    raise NumericalError(
-        "gauss_panels",
-        f"quadrature did not converge below {tol:.3g} with {max_panels} panels",
-        best_estimate=prev,
-    )
+    def estimate(n: int) -> float:
+        xs, ws = _panels(a, b, n)
+        return float(np.sum(f(xs) * ws))
+
+    panels = (1 << i for i in range(max_panels.bit_length()))  # powers of 2 <= max_panels
+    return _converged(map(estimate, panels), "gauss_panels", tol)

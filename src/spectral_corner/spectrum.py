@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -216,10 +217,9 @@ def analytic_spectrum(domain: Domain, N: int) -> Spectrum:
     sector alpha, R : (j_{k/alpha, m}/R)^2 for k, m >= 1
 
     The returned spectrum contains *all* eigenvalues up to its completeness
-    bound, which is at least lambda_N.
+    bound, which is at least lambda_N.  N must be an integer >= 1.
     """
-    if N < 1:
-        raise SpecError("analytic_spectrum requires N >= 1")
+    _check_count("analytic_spectrum", N)
     # Weyl-law guess for the cutoff, grown until N eigenvalues are present.
     lam_max = 4 * math.pi * (N + 10) / domain.area * 1.5 + 50.0 / domain.area
     for _ in range(40):
@@ -235,6 +235,12 @@ def analytic_spectrum(domain: Domain, N: int) -> Spectrum:
             return spec
         lam_max *= 1.6
     raise NumericalError("analytic_spectrum", f"could not collect {N} eigenvalues")
+
+
+def _check_count(name: str, k) -> None:
+    """Raise SpecError unless the eigenvalue count k is an integer >= 1."""
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise SpecError(f"{name} needs an integer eigenvalue count >= 1, got {k!r}")
 
 
 def _closed_form(domain: Domain, lam_max: float) -> Optional[Spectrum]:
@@ -358,7 +364,10 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     and (b, a)) takes the weight of its lower-numbered node, so each w_i
     moves by at most 8 eps w_i and ``w`` is exactly symmetric; ``volume``,
     ``weighted_trace`` and the residual check all see that one operator.
+    h must be finite and > 0.
     """
+    if not 0 < h < math.inf:
+        raise SpecError(f"grid spacing h must be finite and > 0, got {h!r}")
     verts = domain.vertices
     if verts is None:
         raise SpecError(f"FDM unsupported for kind {domain.kind!r}")
@@ -880,8 +889,9 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     checked against 1e-8 * lam on the full B, and the eigenvectors are unit
     in <phi, phi>_w.
     """
+    _check_count("solve_eigs", k)
     n = op.n_nodes
-    if not (1 <= k <= n - 1):
+    if not k <= n - 1:
         raise SpecError(f"solve_eigs needs 1 <= k <= {n - 1}, got k={k}: the "
                         f"h={op.h:g} grid has {n} interior nodes (reduce h "
                         "to raise the bound)")

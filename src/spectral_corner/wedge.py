@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
+from .geometry import corner_term
 from .special import tanh_sinh
 
 
@@ -116,5 +117,4 @@ def wedge_ball_trace(q: WedgeBallQuery) -> float:
 
     edge_int, _ = tanh_sinh(f, 0.0, 1.0, tol=1e-13)
     edge_term = -(eps**2 / (2.0 * math.pi * t)) * edge_int
-    corner = (1.0 - alpha**2) / (24.0 * alpha)
-    return area_term + edge_term + corner + a_remainder(q)
+    return area_term + edge_term + corner_term(alpha) + a_remainder(q)

@@ -204,7 +204,7 @@ def block_weights(domain, paths, ds, segs, arcs, slit_segs):
     return weight
 
 
-def pa_rhs_integrated(domain, sigma, u=0.0, tol=1e-10):
+def pa_rhs_integrated(domain, sigma, u=0.0):
     """The integrated anomaly log zdet(g_u) - log zdet(g_{u+1}), term by term.
 
     A second, independent statement of the conformal rules
@@ -219,19 +219,17 @@ def pa_rhs_integrated(domain, sigma, u=0.0, tol=1e-10):
         dirichlet = curv = bcurv = normal = 0.0
     else:
         dirichlet = interior_integral(
-            domain, lambda x, y: sigma.grad_sq(x, y), tol) / (12 * math.pi)
+            domain, lambda x, y: sigma.grad_sq(x, y)) / (12 * math.pi)
         curv = 0.0 if u == 0.0 else u * interior_integral(
-            domain, lambda x, y: sigma(x, y) * sigma.pos_laplacian(x, y),
-            tol) / (6 * math.pi)
+            domain,
+            lambda x, y: sigma(x, y) * sigma.pos_laplacian(x, y)) / (6 * math.pi)
         bcurv = boundary_integral(
             domain,
             lambda x, y, nx, ny, k: sigma(x, y)
-            * (k + u * sigma.normal_derivative(x, y, nx, ny)),
-            tol) / (6 * math.pi)
+            * (k + u * sigma.normal_derivative(x, y, nx, ny))) / (6 * math.pi)
         normal = boundary_integral(
             domain,
-            lambda x, y, nx, ny, k: sigma.normal_derivative(x, y, nx, ny),
-            tol) / (4 * math.pi)
+            lambda x, y, nx, ny, k: sigma.normal_derivative(x, y, nx, ny)) / (4 * math.pi)
     corner = 0.0
     for c in domain.corners:
         corner += float(sigma(*c.location)) * corner_term(c.alpha)

@@ -135,6 +135,11 @@ class TestSpectralVerification:
         assert report.tolerance == 2e-2
         assert report.passed
 
+    @pytest.mark.parametrize("h", [0.0, math.nan, math.inf, -1 / 16])
+    def test_grid_spacing_must_be_finite_and_positive(self, square, h):
+        with pytest.raises(SpecError, match="grid spacing h must be finite"):
+            pa_verify(square, "0.2*x*y", PipelineConfig(h=h))
+
     @pytest.mark.parametrize("differentiated, legs", [
         (True, [-anomaly._DU, 0.0, anomaly._DU, 1.0]), (False, [0.0, 1.0])])
     def test_spectrum_legs(self, square, monkeypatch, differentiated, legs):

@@ -241,6 +241,20 @@ class TestIntegrals:
         ref = riemann_interior(dom, lambda x, y: np.exp(x - y), n=1200)
         assert got == pytest.approx(ref, rel=1e-3)
 
+    # Polygon closed forms at the quadrature's own tolerance: the L-shape as
+    # [0, 2] x [0, 1] plus [0, 1] x [1, 2], and the unit right triangle,
+    # where int_0^1 x^3 int_0^(1-x) y^2 dy dx = B(4, 4) / 3 = 1/420.
+    @pytest.mark.parametrize("doc, fn, exact", [
+        (L_DOC, lambda x, y: np.exp(x - y),
+         (math.e ** 2 - 1) * (1 - math.exp(-1))
+         + (math.e - 1) * (math.exp(-1) - math.exp(-2))),
+        ({"kind": "polygon", "params": {"vertices": [[0, 0], [1, 0], [0, 1]]}},
+         lambda x, y: x ** 3 * y ** 2, 1 / 420),
+    ], ids=["l-shape-exp", "triangle-monomial"])
+    def test_polygon_interior_closed_forms(self, doc, fn, exact):
+        got = interior_integral(build_domain(doc), fn)
+        assert got == pytest.approx(exact, rel=1e-12)
+
     # A jump off every panel edge keeps the doubling from converging; each
     # rule then raises with its last value instead of returning it.
     @staticmethod
@@ -265,6 +279,39 @@ class TestIntegrals:
         with pytest.raises(NumericalError) as info:
             boundary_integral(square, self._step)
         assert info.value.stage == "gauss_panels"
+
+    # A NaN integrand stops each rule at its first estimate instead of
+    # running every refinement: a triangle has one ear, so one refinement
+    # is one call.
+    @pytest.mark.parametrize("doc", [
+        {"kind": "rectangle", "params": {"a": 1.0, "b": 1.0}},
+        {"kind": "disk", "params": {"R": 1.0}},
+        {"kind": "sector", "params": {"alpha": 1.5, "R": 1.0}},
+        {"kind": "polygon", "params": {"vertices": [[0, 0], [1, 0], [0, 1]]}},
+    ], ids=lambda doc: doc["kind"])
+    def test_nan_integrand_stops_the_interior_rule(self, doc):
+        calls = []
+
+        def nan(x, y):
+            calls.append(1)
+            return np.full(np.shape(x), np.nan)
+
+        with pytest.raises(NumericalError, match="not finite") as info:
+            interior_integral(build_domain(doc), nan)
+        assert info.value.stage == "interior_integral"
+        assert len(calls) <= 2
+
+    def test_nan_integrand_stops_the_boundary_rule(self, square):
+        calls = []
+
+        def nan(x, *_):
+            calls.append(1)
+            return np.full(np.shape(x), np.nan)
+
+        with pytest.raises(NumericalError, match="not finite") as info:
+            boundary_integral(square, nan)
+        assert info.value.stage == "gauss_panels"
+        assert len(calls) <= 2
 
 
 class TestGeometricCoefficients:

@@ -494,6 +494,18 @@ class TestQuadrature:
         with pytest.raises(SpecError):
             tanh_sinh(lambda x: x, 1.0, 0.0, tol=1e-10)
 
+    def test_gauss_panels_nan_integrand_stops_at_once(self):
+        calls = []
+
+        def nan(x):
+            calls.append(1)
+            return np.full(x.shape, np.nan)
+
+        with pytest.raises(NumericalError, match="not finite") as info:
+            gauss_panels(nan, 0.0, 1.0)
+        assert info.value.stage == "gauss_panels"
+        assert len(calls) <= 2
+
     def test_tanh_sinh_non_finite_integrand_raises(self):
         with pytest.raises(NumericalError) as info:
             tanh_sinh(lambda x: np.where(x < 0.25, np.nan, 1.0), 0.0, 1.0)

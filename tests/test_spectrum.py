@@ -111,6 +111,24 @@ def _route(name, sigma, u):
     return "exact" if name == "rectangle" else "closed-form"
 
 
+class TestEigenvalueCounts:
+    @pytest.mark.parametrize("n", [0, math.nan, math.inf, 2.5])
+    def test_analytic_spectrum_needs_an_integer_count(self, square, n):
+        with pytest.raises(SpecError, match="integer eigenvalue count"):
+            analytic_spectrum(square, n)
+
+    @pytest.mark.parametrize("k", [0, math.nan, 2.5])
+    def test_solve_eigs_needs_an_integer_count(self, square, k):
+        op = assemble_fdm(square, None, h=1 / 8)
+        with pytest.raises(SpecError, match="integer eigenvalue count"):
+            solve_eigs(op, k)
+
+    def test_numpy_integer_counts_are_accepted(self, square):
+        assert analytic_spectrum(square, np.int64(5)).count >= 5
+        op = assemble_fdm(square, None, h=1 / 8)
+        assert solve_eigs(op, np.int32(3)).eigenvalues.size == 3
+
+
 class TestSpectrumRoute:
     @pytest.mark.parametrize("u", [0.0, 1.0])
     @pytest.mark.parametrize("sigma", ["0", "0.3", "0.2*x*y"])
@@ -204,6 +222,11 @@ class TestDiscreteOperator:
         with pytest.raises(SpecError,
                            match=f"FDM unsupported for kind '{doc['kind']}'"):
             assemble_fdm(build_domain(doc), None, h=1 / 8)
+
+    @pytest.mark.parametrize("h", [0.0, math.nan, math.inf, -1 / 16])
+    def test_grid_spacing_must_be_finite_and_positive(self, square, h):
+        with pytest.raises(SpecError, match="grid spacing h must be finite"):
+            assemble_fdm(square, None, h=h)
 
     def test_fdm_dilation_scaling(self, square):
         lam = solve_eigs(assemble_fdm(square, None, h=1 / 24), 4,
