@@ -563,12 +563,16 @@ def interior_integral(domain: Domain, fn: Callable) -> float:
 
 
 def _box_integral(g, bx, by) -> float:
-    """Integral of g(x, y) over [0, bx] x [0, by] by the tensor Gauss rule."""
+    """Integral of g(x, y) over [0, bx] x [0, by] by the tensor Gauss rule.
+
+    g may return a scalar; its value is broadcast to the grid.
+    """
     def estimate(n: int) -> float:
         xs, wx = _panels(0.0, bx, n)
         ys, wy = _panels(0.0, by, n)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return float(wx @ np.asarray(g(X, Y), dtype=float) @ wy)
+        vals = np.broadcast_to(np.asarray(g(X, Y), dtype=float), X.shape)
+        return float(wx @ vals @ wy)
 
     panels = (2, 4, 8, 16, 32, 64, 128)
     return _converged(map(estimate, panels), "interior_integral", _QUAD_TOL)[0]

@@ -87,7 +87,9 @@ class Spectrum:
     missing from ``eigenvalues``.  As a trace source the spectrum is the
     truncated sum, admissible for t >= 40/Lambda; ``exact`` is the closed
     form of its trace where one is known.  Default fit windows start no
-    lower than ``window_floor``.  ``provenance`` is metadata only.
+    lower than ``window_floor``.  ``provenance`` is metadata only.  The
+    eigenvalues must be finite, and completeness, volume and any
+    boundary_length finite and > 0.
     """
 
     eigenvalues: np.ndarray
@@ -102,8 +104,14 @@ class Spectrum:
         lam = np.asarray(self.eigenvalues, dtype=float)
         if lam.size == 0:
             raise SpecError("spectrum must contain at least one eigenvalue")
+        if not np.all(np.isfinite(lam)):
+            raise SpecError("eigenvalues must be finite")
         if lam[0] <= 0 or np.any(np.diff(lam) < -1e-12 * lam[-1]):
             raise SpecError("eigenvalues must be positive and nondecreasing")
+        for name in ("completeness", "volume", "boundary_length"):
+            size = getattr(self, name)
+            if size is not None and not 0 < size < math.inf:  # NaN included
+                raise SpecError(f"{name} must be finite and > 0, got {size!r}")
         self.eigenvalues = lam
 
     @property
@@ -301,24 +309,22 @@ def _bessel_eigs(radius: float, lam_max: float, orders) -> np.ndarray:
 
 @dataclass
 class DiscreteOperator:
-    """5-point Dirichlet Laplacian with a diagonal conformal weight.
+    """A Dirichlet Laplacian as a stiffness matrix and node masses.
 
-    Generalized problem A x = lambda W x, W = diag(e^{2 u sigma}), reduced
-    to the symmetric B = W^{-1/2} A W^{-1/2}.  Wall and slit lattice points
-    are not unknowns (the Dirichlet condition), so stencils never couple
-    opposite slit sides.
+    The generalized problem A x = lambda M x, with M = diag(``mass``),
+    reduced to the symmetric B = M^{-1/2} A M^{-1/2}.  The operator knows
+    nothing of how A and the masses were made; ``assemble_fdm`` is one such
+    discretisation.
 
-    ``reflection`` is None, or a lattice reflection that maps the operator
-    onto itself: the node permutation P that mirrors node i onto node P[i],
-    with A[P][:, P] == A and w[P] == w exactly.  ``solve_eigs`` then solves
-    the modes even and odd under P as two independent blocks.
+    ``reflection`` is None, or a node permutation P that maps the operator
+    onto itself: node i mirrors onto node P[i], with A[P][:, P] == A and
+    mass[P] == mass exactly.  ``solve_eigs`` then solves the modes even and
+    odd under P as two independent blocks.
     """
 
-    h: float
-    nodes: np.ndarray  # (n, 2) interior node coordinates
+    nodes: np.ndarray  # (n, 2) node coordinates
     A: sps.csr_matrix
-    w: np.ndarray  # diagonal conformal weights at nodes
-    metric: MetricSpec
+    mass: np.ndarray  # (n,) diagonal of M, positive
     reflection: Optional[np.ndarray]  # (n,) node permutation P, or None
 
     @property
@@ -327,17 +333,17 @@ class DiscreteOperator:
 
     @property
     def volume(self) -> float:
-        """Weighted lattice volume sum_i w_i h^2, the discrete Vol_u."""
-        return float(np.sum(self.w) * self.h**2)
+        """sum_i mass_i, the discrete volume."""
+        return float(np.sum(self.mass))
 
     def symmetrized(self) -> sps.csr_matrix:
-        d = 1.0 / np.sqrt(self.w)
+        d = 1.0 / np.sqrt(self.mass)
         return sps.diags(d) @ self.A @ sps.diags(d)
 
 
 def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
                  h: float = 1 / 64) -> DiscreteOperator:
-    """Assemble the finite-difference operator on a lattice of spacing h.
+    """Assemble the 5-point operator A x = lambda M x on a lattice of spacing h.
 
     Supported: rectangles and (slit-)polygons.  Each slit vertex must sit
     on a grid point and each of ``domain.slit_segments`` must run along a
@@ -351,19 +357,22 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     that lie on none of ``domain.walls``, the polygon's edges and slit
     segments.  A point on a wall is removed whichever side of it the
     interior lies, so a polygon and its mirror images give the same
-    spectrum.  A is the 5-point Laplacian kron(T_x, I) + kron(I, T_y) of the
-    whole bounding-box lattice, T the 1-D second difference over h^2,
-    restricted to the unknowns: dropping the other rows and columns is the
-    Dirichlet condition.
+    spectrum.  A is the integer 5-point stencil kron(T_x, I) + kron(I, T_y)
+    of the whole bounding-box lattice, T = tridiag(-1, 2, -1), restricted to
+    the unknowns: dropping the other rows and columns is the Dirichlet
+    condition.  Node i has mass h^2 e^{2 u sigma(x_i)}, so h and the metric
+    enter the operator only through its masses.
 
     The operator records the first lattice reflection (``_lattice_reflection``)
-    that maps its interior nodes onto themselves and its weights onto
-    themselves to within 8 eps relative: the mirrors in x and in y and, when
-    the lattice is square, the diagonal and the anti-diagonal.  A mirrored
-    pair of nodes whose weights differ by rounding (sigma = 0.2 x y at (a, b)
-    and (b, a)) takes the weight of its lower-numbered node, so each w_i
-    moves by at most 8 eps w_i and ``w`` is exactly symmetric; ``volume``,
-    ``weighted_trace`` and the residual check all see that one operator.
+    that maps its interior nodes onto themselves and its conformal weights
+    e^{2 u sigma} onto themselves to within 8 eps relative: the mirrors in x
+    and in y and, when the lattice is square, the diagonal and the
+    anti-diagonal.  A mirrored pair of nodes whose weights differ by
+    rounding (sigma = 0.2 x y at (a, b) and (b, a)) takes the weight of its
+    lower-numbered node before the weights are scaled by h^2, so each weight
+    moves by at most 8 eps and ``mass`` is exactly symmetric for every h;
+    ``volume``, ``weighted_trace`` and the residual check all see that one
+    operator.
     h must be finite and > 0.
     """
     if not 0 < h < math.inf:
@@ -405,7 +414,7 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     nodes = pts[keep]
 
     def second_difference(m):
-        return sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m)) / h**2
+        return sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
 
     full = (sps.kron(second_difference(nx + 1), sps.eye(ny + 1), format="csr")
             + sps.kron(sps.eye(nx + 1), second_difference(ny + 1), format="csr"))
@@ -423,7 +432,7 @@ def assemble_fdm(domain: Domain, metric: Optional[MetricSpec] = None,
     P = _lattice_reflection(idx, w)
     if P is not None:
         w = w[np.minimum(np.arange(n), P)]
-    return DiscreteOperator(h, nodes, A, w, metric, P)
+    return DiscreteOperator(nodes, A, h**2 * w, P)
 
 
 # A mirrored weight may differ from its node's weight by this share of it
@@ -474,8 +483,8 @@ class DiscreteSpectrum:
     """The k smallest eigenpairs of one DiscreteOperator.
 
     Column j of ``eigenvectors`` (n, k) belongs to ``eigenvalues[j]`` and is
-    normalized in the weighted inner product <phi, phi>_w = sum_i phi_i^2
-    w_i h^2 = 1, the discrete analogue of the unit L^2(dVol_u) norm.
+    normalized in the mass inner product <phi, phi>_M = sum_i mass_i phi_i^2
+    = 1, the discrete analogue of the unit L^2(dVol_u) norm.
     """
 
     op: DiscreteOperator
@@ -497,21 +506,26 @@ class DiscreteSpectrum:
 
     def spectrum(self) -> Spectrum:
         return Spectrum(self.eigenvalues,
-                        {"source": "discrete", "h": self.op.h,
-                         "grid_nodes": self.op.n_nodes, "u": self.op.metric.u},
+                        {"source": "discrete", "grid_nodes": self.op.n_nodes},
                         completeness=self.completeness(), volume=self.op.volume,
                         window_floor=_FDM_WINDOW_FLOOR)
 
     def weighted_trace(self, psi, t: float) -> float:
-        """Sum e^{-t lam_n} <psi phi_n, phi_n>_w; refuses t below 40/completeness."""
+        """Sum e^{-t lam_n} <psi phi_n, phi_n>_M; refuses t below 40/completeness.
+
+        psi must be finite at every node.
+        """
         t_min = TAIL_THRESHOLD / self.completeness()
         if not t >= t_min:  # NaN included
             raise NumericalError(
                 "weighted_trace",
                 f"t={t:.3g} below minimum admissible t={t_min:.3g}")
-        nodes, w, h = self.op.nodes, self.op.w, self.op.h
-        pv = as_field(psi)(nodes[:, 0], nodes[:, 1])
-        weights = (pv * w) @ self.eigenvectors**2 * h**2
+        psi = as_field(psi)
+        with np.errstate(all="ignore"):
+            pv = psi(*self.op.nodes.T)
+        if not np.all(np.isfinite(pv)):
+            raise SpecError(f"psi {psi!r} is not finite at every grid node")
+        weights = (pv * self.op.mass) @ self.eigenvectors**2
         return float(np.exp(-t * self.eigenvalues) @ weights)
 
 
@@ -521,16 +535,26 @@ def richardson_spectrum(domain: Domain, metric: Optional[MetricSpec], h: float,
 
     Sorting pairs modes across the two grids; O(h^2) eigenvalue errors cancel
     to O(h^4) away from slit tips (reduced order near tips is measured, not
-    assumed).
+    assumed).  metric None is the flat metric.  k must be below the coarse
+    grid's node count.
     """
-    coarse = solve_eigs(assemble_fdm(domain, metric, h=h), k, seed=seed)
+    if metric is None:
+        metric = MetricSpec.flat()
+    coarse_op = assemble_fdm(domain, metric, h=h)
+    _check_count("richardson_spectrum", k)
+    n = coarse_op.n_nodes
+    if k > n - 1:
+        raise SpecError(f"richardson_spectrum needs k <= {n - 1}, got k={k}: "
+                        f"the h={h:g} grid has {n} interior nodes (reduce h "
+                        "to raise the bound)")
+    coarse = solve_eigs(coarse_op, k, seed=seed)
     fine = solve_eigs(assemble_fdm(domain, metric, h=h / 2), k, seed=seed)
     lam = (4 * fine.eigenvalues - coarse.eigenvalues) / 3
     lam = np.sort(lam)
     return Spectrum(lam, {"source": "discrete", "h": h, "richardson": True,
-                          "u": fine.op.metric.u},
+                          "u": metric.u},
                     completeness=COMPLETE_SHARE * lam[-1], volume=fine.op.volume,
-                    boundary_length=domain.perimeter if fine.op.metric.is_flat()
+                    boundary_length=domain.perimeter if metric.is_flat()
                     else None,
                     window_floor=_FDM_WINDOW_FLOOR)
 
@@ -565,7 +589,7 @@ def spectrum_for(domain: Domain, metric: MetricSpec, k: int, h: float,
 # Spectrum slicing after Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15
 # (1994), whose cost is set by factorizations per computed mode.  Each
 # block's window [lo, hi) spans this many of the block's eigenvalues by the
-# Weyl count 4 pi N / vol_w, which the blocks share about evenly, so a span
+# Weyl count 4 pi N / volume, which the blocks share about evenly, so a span
 # over two blocks is twice as wide as over one.  Over 24-64 on one block,
 # solve times on the benchmark grids (n ~ 1e3-4e3, k = 400-516) moved by
 # under a quarter.  On a 2-vCPU Xeon with BLAS pinned (medians of 9 solves
@@ -657,16 +681,16 @@ def _eigsh(B, nev: int, sigma: float, v0: np.ndarray, OPinv):
 
 
 def _blocks(op: DiscreteOperator, B: sps.csc_matrix) -> list:
-    """(B_b, Q_b) per block of B = W^{-1/2} A W^{-1/2}, with B_b = Q_b^T B Q_b.
+    """(B_b, Q_b) per block of B = M^{-1/2} A M^{-1/2}, with B_b = Q_b^T B Q_b.
 
     Without a reflection the one block is B itself and Q_b is None, the
     identity.  With a reflection P, S_e sums each mirrored pair of nodes
     and keeps each node P fixes, and S_o takes the difference of each pair.
-    A_b = S_b^T A S_b and W_b = diag(|S_b|^T w) give
+    A_b = S_b^T A S_b and the block masses W_b = diag(|S_b|^T mass) give
     B_b = W_b^{-1/2} A_b W_b^{-1/2}; x = S_b x_b carries A_b x_b = lam W_b x_b
-    to A x = lam W x with x^T W x = x_b^T W_b x_b, so the prolongation of
-    B_b's eigenvectors is Q_b = W^{1/2} S_b W_b^{-1/2}, and [Q_e Q_o] is
-    orthogonal.  On the lattice spacings 2^-m every entry of A_b is exact.
+    to A x = lam M x with x^T M x = x_b^T W_b x_b, so the prolongation of
+    B_b's eigenvectors is Q_b = M^{1/2} S_b W_b^{-1/2}, and [Q_e Q_o] is
+    orthogonal.  An integer A gives an exact A_b.
     """
     P = op.reflection
     if P is None:
@@ -683,25 +707,25 @@ def _blocks(op: DiscreteOperator, B: sps.csc_matrix) -> list:
          (nodes[pair], np.searchsorted(odd, low[pair]))), shape=(n, odd.size))
     blocks = []
     for S in (S_even, S_odd):
-        d = sps.diags(1.0 / np.sqrt(abs(S).T @ op.w))
+        d = sps.diags(1.0 / np.sqrt(abs(S).T @ op.mass))
         blocks.append(((d @ (S.T @ op.A @ S) @ d).tocsc(),
-                       (sps.diags(np.sqrt(op.w)) @ S @ d).tocsr()))
+                       (sps.diags(np.sqrt(op.mass)) @ S @ d).tocsr()))
     return blocks
 
 
 def _window_edges(Bs: list, k: int,
-                  vol_w: float) -> list[tuple[float, float, int, int]]:
+                  volume: float) -> list[tuple[float, float, int, int]]:
     """Windows (lo, hi, m, b): block b has m > 0 eigenvalues in [lo, hi).
 
     One sequence of edges serves every block.  The eigenvalues of B below an
     edge are the sum of the blocks' inertia counts there (Sylvester's law,
     through the orthogonal [Q_b] of ``_blocks``); edges advance until that
     sum reaches k.  Each span between edges gives one window per block with
-    modes in it, in block order.  A span is 4 pi _WINDOW len(Bs) / vol_w
+    modes in it, in block order.  A span is 4 pi _WINDOW len(Bs) / volume
     wide, so each block's window holds about _WINDOW modes by the Weyl count
     whatever the number of blocks.
     """
-    width = 4 * math.pi * _WINDOW * len(Bs) / vol_w
+    width = 4 * math.pi * _WINDOW * len(Bs) / volume
     lo, below_lo = 0.0, [0] * len(Bs)  # B is positive definite
     windows = []
     while sum(below_lo) < k:
@@ -767,7 +791,7 @@ def _worst_residual(B, lam: np.ndarray, Y: np.ndarray) -> float:
     return float(np.max(resid / np.maximum(lam, 1e-300)))
 
 
-def _sliced_eigsh(blocks: list, n: int, k: int, vol_w: float,
+def _sliced_eigsh(blocks: list, n: int, k: int, volume: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of B window by window until inertia counts k below an edge.
 
@@ -783,7 +807,7 @@ def _sliced_eigsh(blocks: list, n: int, k: int, vol_w: float,
     for any number of workers.
     """
     Bs = [B for B, _ in blocks]
-    windows = _window_edges(Bs, k, vol_w)
+    windows = _window_edges(Bs, k, volume)
     v0s = [rng.standard_normal(Bs[b].shape[0]) for *_, b in windows]
     cols = np.cumsum([0] + [m for _, _, m, _ in windows]).tolist()
     height = max(B.shape[0] for B in Bs)
@@ -843,21 +867,23 @@ def _merge(parts: list, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
-    """k smallest eigenpairs of A x = lambda W x, with none missing below lambda_k.
+    """k smallest eigenpairs of A x = lambda M x, with none missing below lambda_k.
 
-    B = W^{-1/2} A W^{-1/2} is split into blocks (``_blocks``): two when the
-    operator has a ``reflection``, else B itself.  When the tallest block
-    has n_b nodes with n_b^2 <= ``_DENSE_RATIO`` (1300) k, each block is
-    solved by one dense LAPACK eigh in this process and the k smallest
-    eigenvalues over the blocks are kept (``_dense_eigh``); every eigenvalue
-    is computed, so none below lambda_k can be missing.  Any other operator
-    is solved by certified spectrum slicing, as follows.
+    M = diag(op.mass) holds the node masses.  B = M^{-1/2} A M^{-1/2} is
+    split into blocks (``_blocks``): two when the operator has a
+    ``reflection``, else B itself.  When the tallest block has n_b nodes
+    with n_b^2 <= ``_DENSE_RATIO`` (1300) k, each block is solved by one
+    dense LAPACK eigh in this process and the k smallest eigenvalues over
+    the blocks are kept (``_dense_eigh``); every eigenvalue is computed, so
+    none below lambda_k can be missing.  Any other operator is solved by
+    certified spectrum slicing, as follows.
 
     The spectrum of B is cut into windows [lo, hi) of about 40 eigenvalues
-    per block by the weighted Weyl count (``_WINDOW``).  At every edge the
-    number of eigenvalues below it is read off the inertia of an LDL^T-like
-    factorization of B - edge I; each window then runs shift-invert Lanczos
-    at its midpoint and must return exactly the counted number of modes.
+    per block by the Weyl count over ``op.volume`` (``_WINDOW``).  At every
+    edge the number of eigenvalues below it is read off the inertia of an
+    LDL^T-like factorization of B - edge I; each window then runs
+    shift-invert Lanczos at its midpoint and must return exactly the
+    counted number of modes.
     A window whose modes miss the residual contract below on their block
     is solved once more at a shift moved up by an eighth of the window.
     Windows advance until the count reaches k, so no eigenvalue below
@@ -886,15 +912,15 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     same bits for any number of workers.
 
     Residuals ||B y - lam y|| / ||y|| of the prolongated eigenvectors are
-    checked against 1e-8 * lam on the full B, and the eigenvectors are unit
-    in <phi, phi>_w.
+    checked against 1e-8 * lam on the full B, and the eigenvectors
+    phi = M^{-1/2} y are unit in <phi, phi>_M = sum mass phi^2.  k must be
+    below the node count n.
     """
     _check_count("solve_eigs", k)
     n = op.n_nodes
     if not k <= n - 1:
         raise SpecError(f"solve_eigs needs 1 <= k <= {n - 1}, got k={k}: the "
-                        f"h={op.h:g} grid has {n} interior nodes (reduce h "
-                        "to raise the bound)")
+                        f"operator has n={n} nodes")
     B = op.symmetrized().tocsc()
     blocks = _blocks(op, B)
     if max(B_b.shape[0] for B_b, _ in blocks) ** 2 <= _DENSE_RATIO * k:
@@ -906,5 +932,5 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     if worst > _RESIDUAL:
         raise NumericalError("solve_eigs",
                              f"residual {worst:.3g} exceeds 1e-8 contract")
-    # back-transform x = W^{-1/2} y; <phi, phi>_w = sum y^2 = 1
-    return DiscreteSpectrum(op, lam, Y / np.sqrt(op.w)[:, None] / op.h)
+    # back-transform phi = M^{-1/2} y; <phi, phi>_M = sum y^2 = 1
+    return DiscreteSpectrum(op, lam, Y / np.sqrt(op.mass)[:, None])

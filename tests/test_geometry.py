@@ -255,6 +255,18 @@ class TestIntegrals:
         got = interior_integral(build_domain(doc), fn)
         assert got == pytest.approx(exact, rel=1e-12)
 
+    # a scalar integrand is broadcast on every kind, the box rule included
+    @pytest.mark.parametrize("doc", [
+        {"kind": "rectangle", "params": {"a": 1.3, "b": 0.7}},
+        {"kind": "disk", "params": {"R": 1.2}},
+        {"kind": "sector", "params": {"alpha": 1.5, "R": 1.0}},
+        L_DOC,
+    ], ids=lambda doc: doc["kind"])
+    def test_constant_integrand_gives_the_area(self, doc):
+        dom = build_domain(doc)
+        assert interior_integral(dom, lambda x, y: 1.0) == pytest.approx(
+            dom.area, rel=1e-12)
+
     # A jump off every panel edge keeps the doubling from converging; each
     # rule then raises with its last value instead of returning it.
     @staticmethod

@@ -101,8 +101,7 @@ class TestCurves:
         # the matrix product against the per-mode quadrature sum
         x, y = ds.op.nodes[:, 0], ds.op.nodes[:, 1]
         psi = 0.2 * x * y
-        per_mode = sum(math.exp(-t * lam) * float(np.sum(psi * phi**2 * ds.op.w))
-                       * ds.op.h**2
+        per_mode = sum(math.exp(-t * lam) * float(np.sum(psi * phi**2 * ds.op.mass))
                        for lam, phi in zip(ds.eigenvalues, ds.eigenvectors.T))
         assert ds.weighted_trace("0.2*x*y", t) == pytest.approx(per_mode, rel=1e-12)
 

@@ -129,6 +129,23 @@ class TestEigenvalueCounts:
         assert solve_eigs(op, np.int32(3)).eigenvalues.size == 3
 
 
+class TestSpectrumSizes:
+    """A Spectrum refuses non-finite eigenvalues and sizes that are not
+    finite and > 0."""
+
+    GOOD = {"eigenvalues": [1.0, 2.0, 3.0], "provenance": {},
+            "completeness": 3.0, "volume": 1.0, "boundary_length": 4.0}
+
+    @pytest.mark.parametrize("field", ["eigenvalues", "completeness", "volume",
+                                       "boundary_length"])
+    def test_bad_field_is_rejected(self, field):
+        bad = ([[1.0, math.nan, 3.0], [1.0, 2.0, math.inf]]
+               if field == "eigenvalues" else [math.nan, math.inf, 0.0, -1.0])
+        for value in bad:
+            with pytest.raises(SpecError, match=field):
+                spectrum_mod.Spectrum(**{**self.GOOD, field: value})
+
+
 class TestSpectrumRoute:
     @pytest.mark.parametrize("u", [0.0, 1.0])
     @pytest.mark.parametrize("sigma", ["0", "0.3", "0.2*x*y"])
@@ -178,6 +195,12 @@ class TestDiscreteOperator:
         with pytest.raises(NumericalError) as info:
             ds.weighted_trace("1", math.nan)
         assert info.value.stage == "weighted_trace"
+
+    def test_weighted_trace_refuses_psi_not_finite(self, square):
+        # log(x - 1/2) is -inf on the line x = 1/2 and NaN left of it
+        ds = solve_eigs(assemble_fdm(square, None, h=1 / 16), 20, seed=0)
+        with pytest.raises(SpecError, match=r"psi .*log\(x - 0\.5\).* not finite"):
+            ds.weighted_trace("log(x-0.5)", 0.5)
 
     def test_richardson_beats_single_grid(self, square):
         exact = math.pi ** 2 * 2
@@ -429,8 +452,7 @@ class TestSpectrumSlicing:
         b = solve_eigs(slit_op, self.K, seed=3)
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
         assert a.spectrum().provenance == b.spectrum().provenance \
-            == {"source": "discrete", "h": 1 / 16, "grid_nodes": slit_op.n_nodes,
-                "u": slit_op.metric.u}
+            == {"source": "discrete", "grid_nodes": slit_op.n_nodes}
 
     def test_window_count_mismatch_names_stage(self, slit_op, monkeypatch):
         shifted_lu = spectrum_mod._shifted_lu
@@ -491,7 +513,7 @@ class TestWindowResidual:
         assert shifts == pytest.approx([hi / 2, hi / 2, 5 * hi / 8])
         assert ds.eigenvalues.size == k
         assert np.min(np.abs(ds.eigenvalues - 49.3143)) < 1e-4
-        Y = ds.eigenvectors * np.sqrt(op.w)[:, None] * op.h  # unit columns
+        Y = ds.eigenvectors * np.sqrt(op.mass)[:, None]  # unit columns
         assert spectrum_mod._worst_residual(op.symmetrized(), ds.eigenvalues,
                                             Y) < 1e-10
 
@@ -540,9 +562,9 @@ class TestReflections:
         np.testing.assert_allclose(ds.eigenvalues, lam[:k], rtol=1e-10)
         cut = ds.completeness()
         assert np.count_nonzero(ds.eigenvalues < cut) == np.count_nonzero(lam < cut)
-        # unit in <phi, phi>_w, and the same weighted trace of an asymmetric
+        # unit in <phi, phi>_M, and the same weighted trace of an asymmetric
         # psi as the dense eigenvectors give
-        np.testing.assert_allclose(op.w * op.h ** 2 @ ds.eigenvectors ** 2, 1.0,
+        np.testing.assert_allclose(op.mass @ ds.eigenvectors ** 2, 1.0,
                                    rtol=1e-12)
         t = 2 * spectrum_mod.TAIL_THRESHOLD / cut
         psi = 1 + x + 2 * y
@@ -558,10 +580,12 @@ class TestReflections:
         metric = _metric(sigma)
         op = assemble_fdm(build_domain(doc), metric, h=1 / 16)
         assert op.reflection is None
-        assert op.w.tobytes() == metric.weight(*op.nodes.T).tobytes()
+        assert op.mass.tobytes() == (
+            (1 / 16) ** 2 * metric.weight(*op.nodes.T)).tobytes()
         assert len(spectrum_mod._blocks(op, op.symmetrized().tocsc())) == 1
 
-    @pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+    # 1/24 is not dyadic: h^2 rounds, and the masses stay symmetric
+    @pytest.mark.parametrize("h", [1 / 32, 1 / 64, 1 / 24])
     def test_weights_snap_to_exact_symmetry(self, square, h):
         metric = _metric("0.2*x*y")
         op = assemble_fdm(square, metric, h=h)
@@ -569,8 +593,17 @@ class TestReflections:
         P = op.reflection
         # (0.2 a) b and (0.2 b) a round apart at some mirrored pairs
         assert np.count_nonzero(raw != raw[P]) > 0
-        assert np.array_equal(op.w, op.w[P])
-        assert np.all(np.abs(op.w - raw) <= 8 * np.finfo(float).eps * raw)
+        snapped = raw[np.minimum(np.arange(raw.size), P)]
+        assert op.mass.tobytes() == (h ** 2 * snapped).tobytes()
+        assert np.array_equal(op.mass, op.mass[P])
+        assert np.all(np.abs(snapped - raw) <= 8 * np.finfo(float).eps * raw)
+        assert op.volume == op.mass.sum()
+        # the stencil is integer; h enters only through the masses
+        flat = assemble_fdm(square, None, h=h)
+        for A in (op.A, flat.A):
+            assert np.array_equal(A.data, np.round(A.data))
+        assert np.all(flat.mass == h ** 2)
+        assert flat.volume == flat.mass.sum()
 
     @pytest.mark.parametrize("h, k", [(1 / 16, 100), (1 / 32, 300)])
     def test_slit_square_odd_block_is_the_half_square(self, slit_square, h, k):
@@ -617,12 +650,15 @@ class TestDenseRoute:
     """Operators whose blocks are small for k take one dense eigh per block,
     and agree with the certified slicing they skip."""
 
-    @pytest.mark.parametrize("doc, sigma, k", [
-        (UNIT_SQUARE_DOC, "0.2*x*y", 516),  # the anomaly benchmark's coarse grid
-        (SLIT_SQUARE_DOC, None, 400),  # the slit-tip benchmark's coarse grid
-    ], ids=["square-0.2xy", "slit-square"])
-    def test_agrees_with_slicing(self, doc, sigma, k, monkeypatch):
-        op = assemble_fdm(build_domain(doc), _metric(sigma), h=1 / 32)
+    @pytest.mark.parametrize("doc, sigma, h, k", [
+        # the anomaly and slit-tip benchmarks' coarse grids
+        (UNIT_SQUARE_DOC, "0.2*x*y", 1 / 32, 516),
+        (SLIT_SQUARE_DOC, None, 1 / 32, 400),
+        # a spacing that is not dyadic, so h^2 rounds
+        (UNIT_SQUARE_DOC, "0.2*x*y", 1 / 24, 200),
+    ], ids=["square-0.2xy", "slit-square", "square-0.2xy-h24"])
+    def test_agrees_with_slicing(self, doc, sigma, h, k, monkeypatch):
+        op = assemble_fdm(build_domain(doc), _metric(sigma), h=h)
         dense, taken = _solve_on_route(op, k)
         assert taken == "dense"
         monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
@@ -634,7 +670,7 @@ class TestDenseRoute:
             cut = ds.completeness()
             assert np.count_nonzero(ds.eigenvalues < cut) \
                 == np.count_nonzero(full < cut)
-            np.testing.assert_allclose(op.w * op.h ** 2 @ ds.eigenvectors ** 2,
+            np.testing.assert_allclose(op.mass @ ds.eigenvectors ** 2,
                                        1.0, rtol=1e-12)
         t = 2 * spectrum_mod.TAIL_THRESHOLD / dense.completeness()
         assert dense.weighted_trace("1 + x + 2*y", t) == pytest.approx(
