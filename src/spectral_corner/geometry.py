@@ -474,7 +474,9 @@ def _points_in_polygon(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
 
     A point on an edge tests inside or outside depending on which way the
     polygon faces there (inside where the interior lies toward +x of a
-    vertical edge or +y of a horizontal one, for example).
+    vertical edge or +y of a horizontal one, for example).  A horizontal
+    edge never straddles a point's height, so it cannot flip the parity and
+    is skipped.
     """
     x, y = pts[:, 0], pts[:, 1]
     inside = np.zeros(len(pts), dtype=bool)
@@ -482,8 +484,10 @@ def _points_in_polygon(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
     for i in range(n):
         x0, y0 = verts[i]
         x1, y1 = verts[(i + 1) % n]
+        if y0 == y1:
+            continue
         cond = (y0 > y) != (y1 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             x_int = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
         inside ^= cond & (x < x_int)
     return inside

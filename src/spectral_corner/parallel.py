@@ -1,7 +1,7 @@
 """One forked process pool for independent numbered work items.
 
-The eigensolver's slicing windows, the walker's Philox batches and the
-chunks of orders of a Bessel zero search are each a list of items
+The eigensolver's slicing windows, the walker's batches of Philox blocks
+and the chunks of orders of a Bessel zero search are each a list of items
 numbered 0..count-1 that share one large read-only job (an operator, a
 domain, the orders).  ``fork_map`` runs them on forked workers,
 one per usable CPU, which inherit the job without pickling it, and returns

@@ -17,23 +17,25 @@ segment-intersection kills against every slit segment (either side of a
 slit is absorbing).  Starts are drawn from the domain's sampling box and
 distances run to its walls and arcs; ``geometry`` records all of these
 when it builds the domain, so a cone sector, which has no box, is refused
-before any path is drawn.  The random stream is counter-based and keyed by
-(seed, batch) over batches of the fixed size ``_BATCH``, so an estimate is
-fixed by the domain, t, n, steps and seed.  The batches run on forked
-workers, one per usable CPU (``parallel.fork_map``), and each returns only
-its two weight sums, which are added in batch order.  A batch draws all
-its refinement normals in one call, then refines and scores its paths in
-row blocks of ``_BLOCK`` that fit in cache, so no batch-wide offset array
-is built.  A path with a knot outside the domain has weight 0, so a block
-scores only the paths whose knots all stay inside (63 296 of 150 000 on
-the slit square at t = 0.05, seed 1).  The per-path arithmetic does not
-depend on the block, the worker or the other paths, so neither do the
-results.
+before any path is drawn.  The random stream is counter-based: the n
+paths form blocks of ``_BLOCK``, and each block draws from its own Philox
+stream, keyed by (seed, block), so an estimate is fixed by the domain, t,
+n, steps and seed.  A block refines its bridges one level at a time.  A
+path with a knot outside the domain has weight 0, so each level draws
+normals only for the paths still alive, tests containment on its new
+midpoints only, and drops the paths that left before the next level; on
+the slit square at t = 0.05, seed 1, 63 530 of 150 000 paths keep every
+knot inside, and only those are scored.  Batches of ``_BATCH`` paths run
+on forked workers, one per usable CPU (``parallel.fork_map``), and return
+the two weight sums of each of their blocks, which are added in block
+order.  A block's arithmetic does not depend on the batch, the worker or
+the other blocks, so neither do the results.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +44,12 @@ from .errors import SpecError
 from .geometry import Domain
 from .parallel import fork_map
 
-_BATCH = 32768
-# Paths scored together inside a batch: 1024 paths of 65 knots keep every
-# per-block temporary near half a megabyte.
+# Paths per Philox stream, refined and scored together: 1024 paths of 65
+# knots keep every per-block temporary near half a megabyte.
 _BLOCK = 1024
+# Paths per fork_map item, a whole number of blocks.  It schedules the work
+# and does not change the bits.
+_BATCH = 32 * _BLOCK
 
 
 @dataclass(frozen=True)
@@ -72,27 +76,30 @@ def _next_pow2(k: int) -> int:
 def _dist_to_boundary(x: np.ndarray, y: np.ndarray, segs, arcs) -> np.ndarray:
     """Unsigned distance from the points (x, y) to the nearest boundary piece.
 
-    x and y are contiguous coordinate planes.  A wall's projection parameter
-    is still the matrix product over interleaved points: numpy hands it to
-    BLAS, which fuses one multiply-add, so an elementwise dot would round
-    differently on slanted walls.  The offsets are taken through a complex
-    view because a (N, 2) - (2,) subtraction loops two elements at a time.
+    x and y are contiguous coordinate planes.  A wall's squared distance is
+    taken elementwise, as the offset from the wall's start less its clipped
+    projection onto the wall, and the minimum over the walls gets one square
+    root per point.
     """
-    d = np.full(x.shape[0], np.inf)
-    if segs:
-        pts = np.stack([x, y], axis=1).view(np.complex128)[:, 0]
+    d2 = np.full(x.shape[0], np.inf)
+    ex, ey, s, tmp = (np.empty_like(x) for _ in range(4))
     for p0, p1 in segs:
-        ab = p1 - p0
-        s = (pts - complex(p0[0], p0[1])).view(np.float64).reshape(-1, 2) @ ab
-        s /= float(ab @ ab)
+        x0, y0 = float(p0[0]), float(p0[1])
+        abx, aby = float(p1[0]) - x0, float(p1[1]) - y0
+        np.subtract(x, x0, out=ex)
+        np.subtract(y, y0, out=ey)
+        np.multiply(ex, abx, out=s)
+        s += np.multiply(ey, aby, out=tmp)
+        s /= abx * abx + aby * aby
         np.clip(s, 0.0, 1.0, out=s)
-        ex = s * ab[0]
-        ex += p0[0]
-        np.subtract(x, ex, out=ex)
-        s *= ab[1]
-        s += p0[1]
-        np.subtract(y, s, out=s)
-        np.minimum(d, np.hypot(ex, s, out=ex), out=d)
+        ex -= np.multiply(s, abx, out=tmp)
+        s *= aby
+        ey -= s
+        ex *= ex
+        ey *= ey
+        ex += ey
+        np.minimum(d2, ex, out=d2)
+    d = np.sqrt(d2, out=d2)
     for center, radius in arcs:
         r = np.hypot(x - center[0], y - center[1])
         np.minimum(d, np.abs(radius - r, out=r), out=d)
@@ -134,121 +141,107 @@ def _sample_interior(domain: Domain, rng, m: int) -> np.ndarray:
     return out
 
 
-def _refinement_noise(rng, m: int, steps: int) -> list[np.ndarray]:
-    """The normals that refine m bridges of `steps` segments, split by level.
+def _live_knots(domain: Domain, starts: np.ndarray, rng, steps: int,
+                t: float) -> np.ndarray:
+    """Knots (2, paths, steps+1), as x and y planes, of the bridges of
+    lifetime t from `starts` (m, 2) back to them whose knots all stay
+    inside the domain.
 
-    They are drawn in one call, in the order a level-by-level refinement of
-    all m paths consumes them: level by level, and within a level path by
-    path, midpoint by midpoint, x before y.  Level j is an (m, 2 * 2**j)
-    array, one row per path.
+    Each bridge is refined by midpoints one level at a time: conditional on
+    two bracketing knots a duration tau apart, the midpoint is Gaussian
+    around their mean with per-coordinate variance tau/2 (variance rate 2
+    for the -Delta generator).  A path is dropped at the first level that
+    puts a knot outside, so each level draws normals from rng only for the
+    paths still alive, all x offsets before all y offsets, path by path and
+    midpoint by midpoint, and tests containment on its new midpoints only.
+    A path with a knot outside has weight 0, so no dropped path is scored.
     """
-    noise = rng.standard_normal(m * 2 * (steps - 1))
-    levels = []
-    start, mids = 0, 1
-    while mids < steps:
-        levels.append(noise[start:start + 2 * m * mids].reshape(m, 2 * mids))
-        start += 2 * m * mids
-        mids *= 2
-    return levels
-
-
-def _refine_block(noise: list[np.ndarray], rows: slice, steps: int,
-                  t: float) -> np.ndarray:
-    """Midpoint-refined offsets (paths, steps+1, 2) of the paths `rows`, zero
-    at both ends, from their rows of each level of `noise`.
-
-    Conditional on the two bracketing knots a duration tau apart, the
-    midpoint is Gaussian around their mean with per-coordinate variance
-    tau/2 (variance rate 2 for the -Delta generator).  Knots are handled
-    as complex numbers x + iy so that strided slices loop over knots, not
-    over coordinate pairs; the arithmetic is the real one.  A path's
-    offsets depend only on its own rows of noise, so any split of the
-    paths into blocks gives the same bits.
-    """
-    z = np.zeros((rows.stop - rows.start, steps + 1, 2))
-    knots = z.view(np.complex128)[..., 0]
+    live = domain.contains(starts)
+    xy = np.repeat(np.compress(live, starts, axis=0).T[:, :, None], 2, axis=2)
     stride = steps
-    for draw in noise:
-        half = stride // 2
-        mean = knots[:, 0:steps:stride] + knots[:, stride::stride]
-        mid = mean.view(np.float64)
-        mid *= 0.5
-        tau = t * stride / steps
-        mid += draw[rows] * math.sqrt(tau / 2)
-        knots[:, half::stride] = mean
-        stride = half
-    return z
+    while stride > 1:
+        _, paths, knots = xy.shape
+        mid = rng.standard_normal((2, paths, knots - 1))
+        mid *= math.sqrt(t * stride / steps / 2)
+        mean = xy[:, :, :-1] + xy[:, :, 1:]
+        mean *= 0.5
+        mid += mean
+        keep = domain.contains(mid.transpose(1, 2, 0).reshape(-1, 2)) \
+            .reshape(paths, knots - 1).all(axis=1)
+        if not keep.all():
+            xy, mid = np.compress(keep, xy, axis=1), np.compress(keep, mid, axis=1)
+        refined = np.empty((2, xy.shape[1], 2 * knots - 1))
+        refined[:, :, 0::2] = xy
+        refined[:, :, 1::2] = mid
+        xy = refined
+        stride //= 2
+    return xy
 
 
-def _block_weights(domain: Domain, xy: np.ndarray, ds: float) -> np.ndarray:
-    """Survival weight of each path of a block, given the coordinate planes
-    xy (2, paths, knots) of its knots.
+def _weights(domain: Domain, x: np.ndarray, y: np.ndarray,
+             ds: float) -> np.ndarray:
+    """Survival weight of each path with knot planes x, y (paths, knots)
+    inside the domain, the knots ds apart in time.
 
-    A path with a knot outside the domain has weight 0, so only the paths
-    whose knots all stay inside are scored.  Distances run to the domain's
-    walls and arcs; crossing any of its slit segments kills a path.
+    Distances run to the domain's walls and arcs; crossing any of its slit
+    segments kills a path.
     """
-    _, nb, knots = xy.shape
-    alive = domain.contains(xy.reshape(2, -1).T).reshape(nb, knots).all(axis=1)
-    live = np.flatnonzero(alive)
-    x, y = xy[0, live], xy[1, live]
     dist = _dist_to_boundary(x.ravel(), y.ravel(), domain.walls,
                              domain.arcs).reshape(x.shape)
     # survival of the unsampled excursion on every inter-knot segment
     log_keep = np.log1p(-np.exp(-dist[:, :-1] * dist[:, 1:] / ds)
                         .clip(max=1.0 - 1e-16)).sum(axis=1)
-    weight = np.zeros(nb)
-    weight[live] = np.exp(log_keep)
+    weight = np.exp(log_keep)
     for b0, b1 in domain.slit_segments:
-        weight[live[_slit_crossings(x, y, b0, b1)]] = 0.0
+        weight[_slit_crossings(x, y, b0, b1)] = 0.0
     return weight
 
 
-def _score_batch(job: tuple, index: int) -> tuple[float, float]:
-    """(sum of weights, sum of squared weights) of batch `index`.
+def _score_batch(job: tuple, index: int) -> list[tuple[float, float]]:
+    """(sum of weights, sum of squared weights) of each block of batch `index`.
 
-    job is (domain, t, n, steps, seed).  The batch draws from its own
-    Philox stream, keyed by (seed, index): its starts first, then its
-    refinement normals.  Its paths are refined and scored block by block,
-    so every per-block array stays in cache.
+    job is (domain, t, n, steps, seed).  Block b holds paths b * _BLOCK
+    onward and draws from its own Philox stream, keyed by (seed, b): its
+    starts first, then its refinement normals.
     """
     domain, t, n, steps, seed = job
-    m = min(_BATCH, n - index * _BATCH)
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed, index], dtype=np.uint64)))
-    starts = _sample_interior(domain, rng, m)
-    noise = _refinement_noise(rng, m, steps)
-    weight = np.empty(m)
-    for r0 in range(0, m, _BLOCK):
-        block = slice(r0, min(r0 + _BLOCK, m))
-        offsets = _refine_block(noise, block, steps, t)
-        xy = np.empty((2, block.stop - r0, steps + 1))
-        np.add(starts[block].T[:, :, None], offsets.transpose(2, 0, 1), out=xy)
-        weight[block] = _block_weights(domain, xy, t / steps)
-    return float(weight.sum()), float((weight ** 2).sum())
+    first = index * (_BATCH // _BLOCK)
+    sums = []
+    for b in range(first, min(first + _BATCH // _BLOCK, -(-n // _BLOCK))):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, b], dtype=np.uint64)))
+        starts = _sample_interior(domain, rng, min(_BLOCK, n - b * _BLOCK))
+        x, y = _live_knots(domain, starts, rng, steps, t)
+        weight = _weights(domain, x, y, t / steps)
+        sums.append((float(weight.sum()), float((weight ** 2).sum())))
+    return sums
 
 
 def bridge_trace_estimate(domain: Domain, t: float, n: int, steps: int = 64,
                           seed: int = 0) -> BridgeEstimate:
     """Estimate Tr(e^{-t Delta}) from n bridges of `steps` segments each.
 
-    steps is rounded up to a power of two for midpoint refinement.  Between
-    consecutive knots the path survives an excursion toward the nearest
-    wall with probability 1 - exp(-d1 d2/ds) (ds the knot spacing in time);
-    crossing a slit polyline kills the path outright.
+    n and steps are integers; steps is rounded up to a power of two for
+    midpoint refinement.  Between consecutive knots the path survives an
+    excursion toward the nearest wall with probability 1 - exp(-d1 d2/ds)
+    (ds the knot spacing in time); a knot outside the domain or a crossing
+    of a slit polyline kills the path outright.
 
-    The n bridges form batches of ``_BATCH``, each with its own Philox
-    stream, and the batches run through ``parallel.fork_map``, whose rules
-    decide whether they fork.  A batch returns only its two weight sums, and
-    they are added in batch order, so the estimate has the same bits for
-    any number of workers.  A worker that dies raises
-    ``NumericalError("bridge_trace_estimate")``.
+    The n bridges form blocks of ``_BLOCK``, each refined level by level
+    from its own Philox stream, keyed by (seed, block).  Batches of
+    ``_BATCH`` bridges run through ``parallel.fork_map``, whose rules decide
+    whether they fork.  A batch returns the two weight sums of each of its
+    blocks, and they are added in block order, so the estimate has the same
+    bits for any number of workers and any batch size.  A worker that dies
+    raises ``NumericalError("bridge_trace_estimate")``.
     """
     if not 0 < t < math.inf:
         raise SpecError(f"bridge_trace_estimate requires a finite t > 0, got {t}")
-    if n < 1 or steps < 2:
-        raise SpecError("bridge_trace_estimate requires n >= 1, steps >= 2")
-    steps = _next_pow2(steps)
+    if not (isinstance(n, numbers.Integral) and isinstance(steps, numbers.Integral)
+            and n >= 1 and steps >= 2):
+        raise SpecError("bridge_trace_estimate requires integers n >= 1 and "
+                        f"steps >= 2, got n={n!r}, steps={steps!r}")
+    steps = _next_pow2(int(steps))
     ds = t / steps
     if domain.box is None:
         raise SpecError(f"{domain.kind!r} has no sampling box for Monte Carlo")
@@ -261,10 +254,12 @@ def bridge_trace_estimate(domain: Domain, t: float, n: int, steps: int = 64,
     job = (domain, t, n, steps, seed)
     total = 0.0
     total_sq = 0.0
-    for w, w_sq in fork_map(_score_batch, job, -(-n // _BATCH),
-                            "bridge_trace_estimate"):
-        total += w
-        total_sq += w_sq
+    # the walker makes no BLAS call, so its workers need no pinning
+    for sums in fork_map(_score_batch, job, -(-n // _BATCH),
+                         "bridge_trace_estimate", pin_blas=False):
+        for w, w_sq in sums:
+            total += w
+            total_sq += w_sq
 
     mean = total / n
     var = max(total_sq / n - mean ** 2, 0.0)

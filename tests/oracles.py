@@ -144,33 +144,81 @@ def _bessel_zeros_upto(nu, x_max):
 # blocks and coordinate planes; its results must match these bit for bit.
 # ---------------------------------------------------------------------------
 
-def bridge_offsets(rng, m, steps, t):
-    """Midpoint-refined bridge offsets (m, steps+1, 2) by fancy indexing."""
-    z = np.zeros((m, steps + 1, 2))
+def bridge_knots(domain, starts, rng, steps, t):
+    """Knots (m, steps+1, 2) of the bridges from `starts` (m, 2) back to
+    them, refined over the whole array by fancy indexing, and the mask of
+    the paths whose knots all stay inside the domain.
+
+    Each level draws normals for the paths whose knots so far are all
+    inside, in the walker's order (every x offset, then every y offset),
+    and refines every path; the other paths get no noise.  They are killed
+    afterwards, by the mask.
+    """
+    m = starts.shape[0]
+    z = np.repeat(starts[:, None, :], steps + 1, axis=1)
     stride = steps
     while stride > 1:
         half = stride // 2
         idx = np.arange(0, steps, stride)
+        known = np.arange(0, steps + 1, stride)
+        live = domain.contains(z[:, known].reshape(-1, 2)).reshape(m, -1).all(axis=1)
+        draws = rng.standard_normal((2, np.count_nonzero(live), idx.size))
+        noise = np.zeros((m, idx.size, 2))
+        noise[live, :, 0] = draws[0]
+        noise[live, :, 1] = draws[1]
         tau = t * stride / steps
         mean = 0.5 * (z[:, idx] + z[:, idx + stride])
-        z[:, idx + half] = mean + rng.standard_normal(mean.shape) * math.sqrt(tau / 2)
+        z[:, idx + half] = mean + noise * math.sqrt(tau / 2)
         stride = half
-    return z
+    live = domain.contains(z.reshape(-1, 2)).reshape(m, -1).all(axis=1)
+    return z, live
 
 
 def dist_to_boundary(pts, segs, arcs):
-    """Distance from each row of pts (N, 2) to the nearest wall or arc."""
+    """Distance from each row of pts (N, 2) to the nearest wall or arc: the
+    square root of the least squared distance to a wall, then arcs."""
+    d2 = np.full(pts.shape[0], np.inf)
+    for p0, p1 in segs:
+        abx, aby = p1[0] - p0[0], p1[1] - p0[1]
+        dx, dy = pts[:, 0] - p0[0], pts[:, 1] - p0[1]
+        s = np.clip((dx * abx + dy * aby) / (abx * abx + aby * aby), 0.0, 1.0)
+        d2 = np.minimum(d2, (dx - s * abx) ** 2 + (dy - s * aby) ** 2)
+    d = np.sqrt(d2)
+    for center, radius in arcs:
+        r = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
+        d = np.minimum(d, np.abs(radius - r))
+    return d
+
+
+def dist_to_boundary_hypot(pts, segs, arcs):
+    """dist_to_boundary through a matrix-product projection and hypot per
+    wall, the form the walker used to compute.  It rounds differently, so
+    it bounds the walker's distances rather than matching their bits."""
     d = np.full(pts.shape[0], np.inf)
     for p0, p1 in segs:
         ab = p1 - p0
-        L2 = float(ab @ ab)
-        s = np.clip(((pts - p0) @ ab) / L2, 0.0, 1.0)
+        s = np.clip(((pts - p0) @ ab) / float(ab @ ab), 0.0, 1.0)
         proj = p0 + s[:, None] * ab
         d = np.minimum(d, np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1]))
     for center, radius in arcs:
         r = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
         d = np.minimum(d, np.abs(radius - r))
     return d
+
+
+def points_in_polygon(pts, verts):
+    """Ray casting over every edge of the polygon verts, horizontal ones too:
+    ``geometry._points_in_polygon`` skips those and must match its bits."""
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.zeros(len(pts), dtype=bool)
+    n = len(verts)
+    for i in range(n):
+        x0, y0 = verts[i]
+        x1, y1 = verts[(i + 1) % n]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_int = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        inside ^= ((y0 > y) != (y1 > y)) & (x < x_int)
+    return inside
 
 
 def segments_cross_many(a0, a1, b0, b1):

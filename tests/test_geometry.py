@@ -3,19 +3,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_corner import (MetricSpec, NumericalError, ScalarField, SpecError,
                              boundary_integral, build_domain, corner_term,
                              geometric_coefficients, interior_integral,
                              load_domain)
+from spectral_corner import geometry
 
+from . import oracles
 from .conftest import (BENT_SLIT_DOC, SLIT_SQUARE_DOC, make_sector,
                        riemann_interior)
 
 L_DOC = {"kind": "polygon", "params": {
     "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}}
+
+# Points of a quarter grid, so that points land exactly on horizontal edges
+# and at vertices.
+_GRID_POINT = st.tuples(*2 * [st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])])
 
 
 class TestCornerTerm:
@@ -163,6 +169,21 @@ class TestBuildDomain:
         np.testing.assert_array_equal(square.contains(pts),
                                       [True, False, False])
         assert slit_square.contains(np.array([[0.25, 0.25]]))[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(verts=st.lists(_GRID_POINT, min_size=3, max_size=7),
+           pts=st.lists(st.one_of(_GRID_POINT, st.tuples(
+               st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))), min_size=1,
+               max_size=30))
+    # the L-shape, with points on its horizontal edges and at its vertices
+    @example(verts=L_DOC["params"]["vertices"],
+             pts=[(0.5, 0.0), (1.5, 1.0), (0.5, 2.0), (0.0, 0.0), (2.0, 1.0),
+                  (1.0, 1.0), (1.0, 2.0), (0.5, 1.0), (1.5, 0.5)])
+    def test_ray_cast_skips_only_what_cannot_flip(self, verts, pts):
+        verts = np.array(verts, dtype=float)
+        pts = np.array(pts, dtype=float)
+        got = geometry._points_in_polygon(pts, verts)
+        assert got.tobytes() == oracles.points_in_polygon(pts, verts).tobytes()
 
     def test_load_domain_with_field(self):
         doc = dict(SLIT_SQUARE_DOC)

@@ -36,15 +36,15 @@ class TestDeterminism:
         assert a.steps == 64
         assert a.estimate == b.estimate
 
-    @pytest.mark.parametrize("block", [7, walker._BATCH])
-    def test_block_size_does_not_change_bits(self, slit_square, disk, block,
+    @pytest.mark.parametrize("batch", [1024, 3072, 32768])
+    def test_batch_size_does_not_change_bits(self, slit_square, disk, batch,
                                              monkeypatch):
-        # 40000 paths span two batches, the second a partial one, and the
-        # two run on two workers
+        # 40000 paths span 40 blocks, the last a partial one, and at every
+        # batch size but the largest the batches run on two workers
         for dom in (slit_square, disk):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
             ref = bridge_trace_estimate(dom, 0.05, 40000, steps=32, seed=5)
-            monkeypatch.setattr(walker, "_BLOCK", block)
+            monkeypatch.setattr(walker, "_BATCH", batch)
             got = bridge_trace_estimate(dom, 0.05, 40000, steps=32, seed=5)
             monkeypatch.undo()
             assert (got.estimate, got.stderr, got.survival) \
@@ -64,12 +64,33 @@ def _wall_accepted(wall):
     return float(d @ d) > 0.0
 
 
-def _block_offsets(rng, m, steps, t, block):
-    """Offsets of m bridges, refined block by block and concatenated."""
-    noise = walker._refinement_noise(rng, m, steps)
-    return np.concatenate([
-        walker._refine_block(noise, slice(r0, min(r0 + block, m)), steps, t)
-        for r0 in range(0, m, block)])
+def _philox(*key):
+    return np.random.Generator(np.random.Philox(
+        key=np.array(key, dtype=np.uint64)))
+
+
+def _refined(dom, m, steps, t, shift=0.0):
+    """The walker's live knots and the oracle's (knots, live mask) of m
+    bridges from one Philox stream, the starts shifted by `shift`."""
+    rng = _philox(11, 2)
+    starts = walker._sample_interior(dom, rng, m) + shift
+    got = walker._live_knots(dom, starts, rng, steps, t)
+    rng = _philox(11, 2)
+    starts = walker._sample_interior(dom, rng, m) + shift
+    return got, oracles.bridge_knots(dom, starts, rng, steps, t)
+
+
+_BOUNDARY_POINTS = settings(max_examples=60, deadline=None)(given(
+    pts=st.lists(_POINT, min_size=1, max_size=40),
+    walls=st.lists(st.tuples(_POINT, _POINT).filter(_wall_accepted), max_size=4),
+    arcs=st.lists(st.tuples(_POINT, st.floats(0.1, 2.0)), max_size=2)))
+
+
+def _boundary_case(pts, walls, arcs):
+    """Walls and arcs as arrays, and the points as coordinate planes."""
+    segs = [(np.array(p0), np.array(p1)) for p0, p1 in walls]
+    arcs = [(np.array(c), r) for c, r in arcs]
+    return (segs, arcs) + _planes(pts)
 
 
 def _planes(paths):
@@ -79,26 +100,32 @@ def _planes(paths):
 
 class TestKernels:
     @pytest.mark.parametrize("m, steps", [(1, 2), (5, 8), (300, 64)])
-    def test_offsets_match_oracle(self, m, steps):
-        def rng():
-            return np.random.Generator(np.random.Philox(
-                key=np.array([11, 2], dtype=np.uint64)))
-        ref = oracles.bridge_offsets(rng(), m, steps, 0.05).tobytes()
-        for block in (7, 1000, m):
-            assert _block_offsets(rng(), m, steps, 0.05, block).tobytes() == ref
+    def test_offsets_match_oracle(self, slit_square, disk, m, steps):
+        # the knots (start plus refined offsets) of the surviving paths, in
+        # order; at m = 300 some paths leave each domain and some stay
+        for dom in (slit_square, disk):
+            got, (paths, live) = _refined(dom, m, steps, 0.05)
+            ref = np.ascontiguousarray(paths[live].transpose(2, 0, 1))
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+            if m == 300:
+                assert 0 < np.count_nonzero(live) < m
 
-    @settings(max_examples=60, deadline=None)
-    @given(pts=st.lists(_POINT, min_size=1, max_size=40),
-           walls=st.lists(st.tuples(_POINT, _POINT).filter(_wall_accepted),
-                          max_size=4),
-           arcs=st.lists(st.tuples(_POINT, st.floats(0.1, 2.0)), max_size=2))
+    @_BOUNDARY_POINTS
     def test_distance_matches_oracle(self, pts, walls, arcs):
-        segs = [(np.array(p0), np.array(p1)) for p0, p1 in walls]
-        arcs = [(np.array(c), r) for c, r in arcs]
-        x, y = _planes(pts)
+        segs, arcs, x, y = _boundary_case(pts, walls, arcs)
         got = walker._dist_to_boundary(x, y, segs, arcs)
         ref = oracles.dist_to_boundary(np.array(pts, dtype=float), segs, arcs)
         assert got.tobytes() == ref.tobytes()
+
+    @_BOUNDARY_POINTS
+    def test_distance_near_hypot_form(self, pts, walls, arcs):
+        segs, arcs, x, y = _boundary_case(pts, walls, arcs)
+        got = walker._dist_to_boundary(x, y, segs, arcs)
+        ref = oracles.dist_to_boundary_hypot(np.array(pts, dtype=float),
+                                             segs, arcs)
+        # infinite, and equal, with no wall and no arc
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=4e-15)
 
     @settings(max_examples=80, deadline=None)
     @given(paths=st.integers(2, 5).flatmap(lambda knots: st.lists(
@@ -124,28 +151,22 @@ class TestKernels:
 
     @pytest.mark.parametrize("shift", [0.0, 2.0])
     def test_block_weights_match_oracle(self, slit_square, shift):
-        # at t = 0.05 about half the paths leave the slit square; shifted by
-        # 2 every path is dead
+        # at t = 0.05 about half the paths leave the slit square; with the
+        # starts shifted by 2 every path is dead
         t, m, steps = 0.05, 1000, 64
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([3, 0], dtype=np.uint64)))
-        paths = walker._sample_interior(slit_square, rng, m)[:, None, :] \
-            + _block_offsets(rng, m, steps, t, m) + shift
-        xy = np.ascontiguousarray(paths.transpose(2, 0, 1))
-        got = walker._block_weights(slit_square, xy, t / steps)
+        (x, y), (paths, live) = _refined(slit_square, m, steps, t, shift)
+        got = walker._weights(slit_square, x, y, t / steps)
         ref = oracles.block_weights(slit_square, paths, t / steps,
                                     slit_square.walls, slit_square.arcs,
                                     slit_square.slit_segments)
-        assert got.tobytes() == ref.tobytes()
-        outside = ~slit_square.contains(paths.reshape(-1, 2)).reshape(
-            m, steps + 1).all(axis=1)
-        assert np.all(got[outside] == 0.0)
+        assert got.tobytes() == ref[live].tobytes()
+        assert np.all(ref[~live] == 0.0)
         if shift == 0.0:
-            assert 0.2 * m < np.count_nonzero(outside) < 0.8 * m
-            assert np.count_nonzero(got[~outside] == 0.0) > 0  # slit kills
-            assert np.all(got[~outside] <= 1.0)
+            assert 0.2 * m < np.count_nonzero(~live) < 0.8 * m
+            assert np.count_nonzero(got == 0.0) > 0  # slit kills
+            assert np.all(got <= 1.0)
         else:
-            assert outside.all()
+            assert not live.any()
 
     def test_bent_slit_kills_across_either_segment(self, bent_slit_square):
         # bridges of three knots, back at their start: across the second
@@ -153,8 +174,7 @@ class TestKernels:
         paths = [[(0.3, 0.6), (0.45, 0.65), (0.3, 0.6)],
                  [(0.45, 0.25), (0.55, 0.25), (0.45, 0.25)],
                  [(0.3, 0.6), (0.35, 0.6), (0.3, 0.6)]]
-        xy = np.array(_planes(paths))
-        got = walker._block_weights(bent_slit_square, xy, 1e-3)
+        got = walker._weights(bent_slit_square, *_planes(paths), 1e-3)
         assert got[0] == got[1] == 0.0
         assert got[2] > 0.5
 
@@ -196,6 +216,19 @@ class TestPreconditions:
             bridge_trace_estimate(square, 0.1, 0)
         with pytest.raises(SpecError):
             bridge_trace_estimate(square, 0.1, 100, steps=1)
+
+    @pytest.mark.parametrize("n, steps", [(1000.0, 32), (1000, 8.0),
+                                          (1000, 2.5), (1000, "32")])
+    def test_counts_must_be_integers(self, square, n, steps):
+        with pytest.raises(SpecError, match="integers"):
+            bridge_trace_estimate(square, 0.1, n, steps=steps)
+
+    def test_numpy_integer_counts(self, square):
+        got = bridge_trace_estimate(square, 0.1, np.int64(3000),
+                                    steps=np.int32(24), seed=4)
+        ref = bridge_trace_estimate(square, 0.1, 3000, steps=24, seed=4)
+        assert (got.estimate, got.stderr, got.steps) \
+            == (ref.estimate, ref.stderr, ref.steps)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_t_is_rejected(self, square, t):
@@ -278,13 +311,26 @@ class TestParallelBatches:
         assert got == ref
 
     @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_workers_skip_blas_pinning(self, slit_square, monkeypatch):
+        # a worker that pinned BLAS would raise in its initializer, which
+        # breaks the pool
+        def pinned():
+            raise RuntimeError("the walker's workers pinned BLAS")
+
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+        ref = _estimate_bits(slit_square, self.N)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_one_blas_thread", pinned)
+        assert _estimate_bits(slit_square, self.N) == ref
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
     def test_dead_worker_names_stage(self, slit_square, monkeypatch):
         caller = os.getpid()
 
         def dies(job, index):
             if os.getpid() != caller and index == 1:
                 os._exit(1)
-            return 0.0, 0.0
+            return [(0.0, 0.0)]
 
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(walker, "_score_batch", dies)
