@@ -66,7 +66,7 @@ class PipelineConfig:
     h: float = 1 / 64  # coarse grid; Richardson pairs it with h/2
     eigs: int = 400
     seed: int = 0
-    tolerance: Optional[float] = None  # verdict tolerance; route default if None
+    tolerance: Optional[float] = None  # verdict tolerance, finite and > 0; route default if None
     check_differentiated: bool = True
 
 
@@ -137,6 +137,9 @@ def pa_verify(domain: Domain, sigma, config: Optional[PipelineConfig] = None) ->
     check.
     """
     cfg = config or PipelineConfig()
+    if cfg.tolerance is not None and not 0 < cfg.tolerance < math.inf:  # NaN
+        raise SpecError("PipelineConfig.tolerance must be None or finite and > 0, "
+                        f"got {cfg.tolerance!r}")
     sigma = as_field(sigma)
     rhs, breakdown = pa_rhs(domain, sigma, "integrated")
     s0, z0 = _zeta_prime(domain, sigma, 0.0, cfg, _ZETA_BUDGET)

@@ -222,8 +222,8 @@ def derivative_identity_residual(domain: Domain, sigma, u: float, eps: float,
     with du = 1e-3.
     """
     sigma = as_field(sigma)
-    if not eps > 0:  # NaN included
-        raise SpecError("derivative_identity_residual needs eps > 0")
+    if not 0 < eps < math.inf:  # NaN included
+        raise SpecError("derivative_identity_residual needs a finite eps > 0")
     probe = assemble_fdm(domain, MetricSpec(sigma, u), h=h)
     lam_target = TAIL_THRESHOLD / eps
     k = min(int(domain.area * lam_target / (4 * math.pi) * 1.6) + 25,

@@ -208,7 +208,8 @@ def _upper_mellin(source: TraceSource, s: float, t0: float = 1.0) -> float:
 
 def weyl_ratio(spec: Spectrum, n: int) -> float:
     """lambda_n * Vol / (4 pi n); tends to 1 as n grows (Weyl's law)."""
-    if not (1 <= n <= spec.count):
+    _check_count("weyl_ratio", n)
+    if n > spec.count:
         raise SpecError(f"weyl_ratio needs 1 <= n <= {spec.count}")
     return float(spec.eigenvalues[n - 1] * spec.volume / (4 * math.pi * n))
 
@@ -246,8 +247,8 @@ def analytic_spectrum(domain: Domain, N: int) -> Spectrum:
 
 
 def _check_count(name: str, k) -> None:
-    """Raise SpecError unless the eigenvalue count k is an integer >= 1."""
-    if not (isinstance(k, numbers.Integral) and k >= 1):
+    """Raise SpecError unless the eigenvalue count k is an integer >= 1, not a bool."""
+    if isinstance(k, bool) or not (isinstance(k, numbers.Integral) and k >= 1):
         raise SpecError(f"{name} needs an integer eigenvalue count >= 1, got {k!r}")
 
 

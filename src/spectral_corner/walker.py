@@ -237,8 +237,8 @@ def bridge_trace_estimate(domain: Domain, t: float, n: int, steps: int = 64,
     """
     if not 0 < t < math.inf:
         raise SpecError(f"bridge_trace_estimate requires a finite t > 0, got {t}")
-    if not (isinstance(n, numbers.Integral) and isinstance(steps, numbers.Integral)
-            and n >= 1 and steps >= 2):
+    if not (all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
+                for c in (n, steps)) and n >= 1 and steps >= 2):
         raise SpecError("bridge_trace_estimate requires integers n >= 1 and "
                         f"steps >= 2, got n={n!r}, steps={steps!r}")
     steps = _next_pow2(int(steps))

@@ -20,9 +20,10 @@ Every function here reads the trace through one protocol,
 ``spectrum.TraceSource``: value(t), t_min, lam_1, e1_sum(t0) and
 tail_bound(t).  A source is either exact (a ``FunctionTraceProvider``,
 t_min = 0, which feeds the continuation directly) or a truncated
-``Spectrum`` (t_min = 40/completeness, whose (0, t_min) piece comes from a
-fitted remainder model).  ``provider_for`` returns the source a spectrum
-carries.
+``Spectrum`` (t_min = 40/completeness).  zeta'(0) integrates every source
+one way: tanh-sinh on [t_min, 1], plus, when t_min > 0, the closed-form
+(0, t_min) integral of whichever remainder terms the peel-known fit holds.
+``provider_for`` returns the source a spectrum carries.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import NumericalError, SpecError
 from .geometry import ExpansionCoefficients
 from .heattrace import default_window, fit_expansion, trace_curve
 from .spectrum import Spectrum, TraceSource, _upper_mellin
-from .special import EULER_GAMMA, tanh_sinh, gauss_panels
+from .special import EULER_GAMMA, tanh_sinh
 
 
 def provider_for(spec: Spectrum) -> TraceSource:
@@ -58,6 +59,8 @@ def zeta_series(spec: Spectrum, s: float, tol: float = 1e-8) -> float:
     """
     if not 1 < s < math.inf:
         raise SpecError(f"zeta_series requires a finite s > 1, got {s}")
+    if not tol > 0:  # NaN included
+        raise SpecError(f"zeta_series requires tol > 0, got {tol!r}")
     L = spec.completeness
     lam = spec.eigenvalues[spec.eigenvalues <= L]
     head = float(np.sum(lam ** (-s)))
@@ -156,60 +159,52 @@ class ZetaEvaluation:
     details: dict = field(default_factory=dict)
 
 
-def _remainder_low_integral(c1: float, c2: float, c3: float, tau: float) -> float:
-    """int_0^tau t^-1 (c1 sqrt(t) + c2 sqrt(t) log t + c3 t) dt."""
-    rt = math.sqrt(tau)
-    return 2 * c1 * rt + c2 * (2 * rt * math.log(tau) - 4 * rt) + c3 * tau
+# int_0^tau t^-1 b(t) dt for each remainder term b a peel-known fit can hold
+_HEAD_INTEGRAL = {
+    "sqrt(t)": lambda tau: 2 * math.sqrt(tau),
+    "sqrt(t)*log(t)": lambda tau: (2 * math.sqrt(tau) * math.log(tau)
+                                   - 4 * math.sqrt(tau)),
+    "t": lambda tau: tau,
+}
 
 
 def zeta_prime_at_zero(provider: TraceSource, coeffs: ExpansionCoefficients,
                        tol: float = 1e-6) -> ZetaEvaluation:
     """zeta'(0) with an auditable error budget; zdet = exp(-zeta'(0)).
 
-    Exact sources integrate (0, 1] directly.  A truncated source, a
-    Spectrum, integrates [t_min, 1] from its eigenvalues and replaces
-    (0, t_min) by the closed-form integral of the fitted remainder model
-    c1 sqrt(t) + c2 sqrt(t) log t + c3 t, whose bootstrap uncertainty enters
-    the budget.  int_1^inf t^-1 Tr dt and its error come from e1_sum.
+    Every source integrates [t_min, 1] by tanh-sinh (t_min = 0 if exact).  A
+    truncated source, a Spectrum, adds the closed-form (0, t_min) integral of
+    each term its peel-known fit's remainder holds; the bootstrap half-widths
+    through the same integral are the ``remainder_model`` budget, a float like
+    every entry.  int_1^inf t^-1 Tr dt and its error come from e1_sum.  tol
+    must be > 0; inf skips the check.
     """
+    if not tol > 0:  # NaN included
+        raise SpecError(f"zeta_prime_at_zero requires tol > 0, got {tol!r}")
     a_m1, a_mh, a_0 = coeffs.a_m1, coeffs.a_mhalf, coeffs.a_0
-    budget: dict[str, float] = {}
+    t_min = provider.t_min
+    if t_min >= 1.0:
+        raise NumericalError(
+            "zeta_prime_at_zero",
+            f"minimum admissible t {t_min:.3g} >= 1; spectrum too short")
+    i_low, q_err = tanh_sinh(_low_integrand(provider, coeffs, 0.0), t_min, 1.0,
+                             tol=1e-13)
+    head = spread = 0.0
     details: dict = {}
-    low_integrand = _low_integrand(provider, coeffs, 0.0)
-
-    if provider.t_min == 0.0:
-        i_low, q_err = tanh_sinh(low_integrand, 0.0, 1.0, tol=1e-13)
-        budget["quadrature"] = q_err
-        budget["remainder_model"] = 0.0
-    else:
-        t_min = provider.t_min
-        if t_min >= 1.0:
-            raise NumericalError(
-                "zeta_prime_at_zero",
-                f"minimum admissible t {t_min:.3g} >= 1; spectrum too short")
-        i_mid, q_err = gauss_panels(low_integrand, t_min, 1.0, tol=1e-12)
+    if t_min > 0.0:
         fit = fit_expansion(trace_curve(provider, default_window(provider)),
                             "peel-known", known=coeffs)
-        c1 = fit.remainder["sqrt(t)"]
-        c2 = fit.remainder["sqrt(t)*log(t)"]
-        c3 = fit.remainder["t"]
-        i_head = _remainder_low_integral(c1, c2, c3, t_min)
-        # propagate the bootstrap half-widths through the same integral
-        spread = 0.0
-        for name, c in (("sqrt(t)", c1), ("sqrt(t)*log(t)", c2), ("t", c3)):
+        for name, c in fit.remainder.items():
+            integral = _HEAD_INTEGRAL[name](t_min)
             lo, hi = fit.confidence[name]
-            spread += abs(_remainder_low_integral(
-                *(0.5 * (hi - lo) if n == name else 0.0
-                  for n in ("sqrt(t)", "sqrt(t)*log(t)", "t")), t_min))
-        i_low = i_mid + i_head
-        budget["quadrature"] = q_err
-        budget["remainder_model"] = spread
-        details["remainder_fit"] = fit.remainder
-        details["t_min"] = t_min
+            head += c * integral
+            spread += 0.5 * (hi - lo) * abs(integral)
+        details = {"remainder_fit": fit.remainder, "t_min": t_min}
+    i_high, tail = provider.e1_sum()
+    budget = {"quadrature": float(q_err), "remainder_model": float(spread),
+              "trace_tail": float(tail)}
 
-    i_high, budget["trace_tail"] = provider.e1_sum()
-
-    zp = i_low + i_high - a_m1 - 2 * a_mh + EULER_GAMMA * a_0
+    zp = i_low + head + i_high - a_m1 - 2 * a_mh + EULER_GAMMA * a_0
     total = sum(budget.values())
     if total > tol:
         raise NumericalError(

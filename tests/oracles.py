@@ -35,6 +35,11 @@ def rect_trace(a, b, t):
 SQUARE_ZETA_PRIME0 = float(mp.mpf(3) / 2 * mp.log(2) + mp.mpf(3) / 4 * mp.log(mp.pi)
                            - mp.log(mp.gamma(mp.mpf(1) / 4)))
 
+# Unit disk: zeta'(0) = 5/12 + 2 zeta_R'(-1) + (1/2) log pi + (1/6) log 2
+# (Bordag, Geyer, Kirsten & Elizalde, Commun. Math. Phys. 179, 1996).
+DISK_ZETA_PRIME0 = float(mp.mpf(5) / 12 + 2 * mp.zeta(-1, derivative=1)
+                         + mp.log(mp.pi) / 2 + mp.log(2) / 6)
+
 
 def slit_square_odd_fdm(h):
     """5-point Dirichlet eigenvalues of the unit slit square odd about x = 1/2.

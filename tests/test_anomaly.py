@@ -140,6 +140,12 @@ class TestSpectralVerification:
         with pytest.raises(SpecError, match="grid spacing h must be finite"):
             pa_verify(square, "0.2*x*y", PipelineConfig(h=h))
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0, math.inf])
+    def test_verdict_tolerance_must_be_finite_and_positive(self, square,
+                                                           tolerance):
+        with pytest.raises(SpecError, match="tolerance must be None or finite"):
+            pa_verify(square, 0.3, PipelineConfig(tolerance=tolerance))
+
     @pytest.mark.parametrize("differentiated, legs", [
         (True, [-anomaly._DU, 0.0, anomaly._DU, 1.0]), (False, [0.0, 1.0])])
     def test_spectrum_legs(self, square, monkeypatch, differentiated, legs):

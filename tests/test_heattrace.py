@@ -194,7 +194,7 @@ class TestDerivativeIdentity:
                                            h=1 / 16, seed=0)
         assert res < 1e-4
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     def test_eps_not_positive_is_rejected(self, square, eps):
         with pytest.raises(SpecError, match="eps > 0"):
             derivative_identity_residual(square, "0.2*x*y", 0.0, eps=eps,

@@ -112,16 +112,27 @@ def _route(name, sigma, u):
 
 
 class TestEigenvalueCounts:
-    @pytest.mark.parametrize("n", [0, math.nan, math.inf, 2.5])
+    @pytest.mark.parametrize("n", [0, math.nan, math.inf, 2.5, True])
     def test_analytic_spectrum_needs_an_integer_count(self, square, n):
         with pytest.raises(SpecError, match="integer eigenvalue count"):
             analytic_spectrum(square, n)
 
-    @pytest.mark.parametrize("k", [0, math.nan, 2.5])
+    @pytest.mark.parametrize("k", [0, math.nan, 2.5, True])
     def test_solve_eigs_needs_an_integer_count(self, square, k):
         op = assemble_fdm(square, None, h=1 / 8)
         with pytest.raises(SpecError, match="integer eigenvalue count"):
             solve_eigs(op, k)
+
+    @pytest.mark.parametrize("n", [0, 2.0, math.nan, True])
+    def test_weyl_ratio_needs_an_integer_index(self, square, n):
+        with pytest.raises(SpecError, match="integer eigenvalue count"):
+            weyl_ratio(analytic_spectrum(square, 5), n)
+
+    def test_weyl_ratio_index_within_the_spectrum(self, square):
+        spec = analytic_spectrum(square, 5)
+        assert weyl_ratio(spec, spec.count) > 0
+        with pytest.raises(SpecError, match="1 <= n <="):
+            weyl_ratio(spec, spec.count + 1)
 
     def test_numpy_integer_counts_are_accepted(self, square):
         assert analytic_spectrum(square, np.int64(5)).count >= 5

@@ -218,7 +218,8 @@ class TestPreconditions:
             bridge_trace_estimate(square, 0.1, 100, steps=1)
 
     @pytest.mark.parametrize("n, steps", [(1000.0, 32), (1000, 8.0),
-                                          (1000, 2.5), (1000, "32")])
+                                          (1000, 2.5), (1000, "32"),
+                                          (True, 32)])
     def test_counts_must_be_integers(self, square, n, steps):
         with pytest.raises(SpecError, match="integers"):
             bridge_trace_estimate(square, 0.1, n, steps=steps)

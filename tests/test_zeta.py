@@ -3,20 +3,29 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from spectral_corner import (ExpansionCoefficients, FunctionTraceProvider,
                              NumericalError, SpecError, analytic_spectrum,
-                             geometric_coefficients, provider_for,
+                             geometric_coefficients, heattrace, provider_for,
                              rect_theta_factor, zeta_continued,
                              zeta_prime_at_zero, zeta_series)
+from spectral_corner.zeta import _HEAD_INTEGRAL
 
-from .oracles import SQUARE_ZETA_PRIME0
+from .oracles import DISK_ZETA_PRIME0, SQUARE_ZETA_PRIME0
 
 
 @pytest.fixture(scope="module")
 def square_setup(square):
     spec = analytic_spectrum(square, 40000)
     return spec, provider_for(spec), geometric_coefficients(square)
+
+
+@pytest.fixture(scope="module")
+def disk_setup(disk):
+    # 2000 Bessel modes: t_min = 40/completeness puts the fit window at
+    # about [0.003, 0.1], so zeta'(0) takes the fitted (0, t_min) head
+    return analytic_spectrum(disk, 2000), geometric_coefficients(disk)
 
 
 class TestContinuationVsSeries:
@@ -126,3 +135,66 @@ class TestDeterminant:
             zeta_prime_at_zero(spec, geometric_coefficients(square),
                                tol=1e-12)
         assert exc.value.best_estimate is not None
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+    def test_tol_must_be_positive(self, disk_setup, tol):
+        spec, coeffs = disk_setup
+        with pytest.raises(SpecError, match="tol > 0"):
+            zeta_series(spec, 1.2, tol=tol)
+        with pytest.raises(SpecError, match="tol > 0"):
+            zeta_prime_at_zero(spec, coeffs, tol=tol)
+
+    def test_infinite_tol_skips_the_certificate(self, disk_setup):
+        # the +-du legs of pa_verify pass math.inf
+        spec, coeffs = disk_setup
+        with pytest.raises(NumericalError):
+            zeta_series(spec, 1.2, tol=1e-8)
+        assert math.isfinite(zeta_series(spec, 1.2, tol=math.inf))
+        with pytest.raises(NumericalError):
+            zeta_prime_at_zero(spec, coeffs, tol=1e-9)
+        ev = zeta_prime_at_zero(spec, coeffs, tol=math.inf)
+        assert ev.error_budget["total"] > 1e-9
+
+
+class TestOnePath:
+    """Every source takes tanh-sinh from its t_min; a truncated one adds the
+    closed-form head over the terms its own fit holds."""
+
+    @pytest.mark.parametrize("tau", [1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize("name", sorted(_HEAD_INTEGRAL))
+    def test_head_closed_form_matches_quadrature(self, name, tau):
+        # the fit's own design column b(t), integrated as t^-1 b(t) on (0, tau]
+        def f(t):
+            return heattrace._design(np.array([t]), (name,))[0, 0] / t
+
+        ref, err = integrate.quad(f, 0.0, tau, epsabs=0.0, epsrel=1e-12,
+                                  limit=200)
+        assert err < 1e-11 * abs(ref)
+        assert _HEAD_INTEGRAL[name](tau) == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("peel", [("1", "sqrt(t)", "t"), ("1",)],
+                             ids=["1-sqrt-t", "1"])
+    def test_any_peel_basis_feeds_the_head(self, disk_setup, monkeypatch,
+                                           peel):
+        spec, coeffs = disk_setup
+        monkeypatch.setattr(heattrace, "_PEEL", peel)
+        ev = zeta_prime_at_zero(spec, coeffs, tol=math.inf)
+        assert set(ev.details["remainder_fit"]) == set(peel) - {"1"}
+        assert math.isfinite(ev.zeta_prime0)
+        # {1, sqrt t, t} is off by -5.4e-5, {1} by -1.6e-3
+        assert abs(ev.zeta_prime0 - DISK_ZETA_PRIME0) < 5e-3
+
+    def test_budget_entries_are_floats(self, square_setup, disk_setup):
+        _, provider, coeffs = square_setup
+        spec, disk_coeffs = disk_setup
+        # a discrete spectrum carries a numpy completeness, so its t_min is one
+        numpy_spec = dataclasses.replace(
+            spec, completeness=np.float64(spec.completeness))
+        for ev in (zeta_prime_at_zero(provider, coeffs),
+                   zeta_prime_at_zero(spec, disk_coeffs, tol=1e-3),
+                   zeta_prime_at_zero(numpy_spec, disk_coeffs, tol=1e-3)):
+            assert list(ev.error_budget) == ["quadrature", "remainder_model",
+                                             "trace_tail", "total"]
+            assert all(type(v) is float for v in ev.error_budget.values())
