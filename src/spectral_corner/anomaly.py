@@ -32,13 +32,12 @@ from .errors import SpecError
 from .fields import as_field
 from .geometry import (A0_TERMS, Domain, MetricSpec, _a0_terms,
                        geometric_coefficients, interior_integral)
-from .spectrum import COMPLETE_SHARE, Spectrum, spectrum_for
+from .heattrace import WINDOW_HI, _DU
+from .spectrum import COMPLETE_SHARE, TAIL_THRESHOLD, Spectrum, spectrum_for
 from .zeta import ZetaEvaluation, zeta_prime_at_zero
 
 # Error budget ceiling of each zeta'(0) in the integrated identity.
 _ZETA_BUDGET = 0.05
-# Step of the differentiated form's central difference in u.
-_DU = 1e-3
 
 
 @dataclass
@@ -109,16 +108,19 @@ def _zeta_prime(domain: Domain, sigma, u: float, cfg: PipelineConfig,
                 budget: float) -> tuple[Spectrum, ZetaEvaluation]:
     """Spectrum of g_u = e^{2 u sigma} g_0 and its zeta'(0) under a budget ceiling.
 
-    The fit window needs completeness >= 4000, so k is sized by the weighted
-    Weyl count, read off a_{-1} = Vol_u / 4pi of the leg's
-    geometric_coefficients (the same coefficients the zeta'(0) fit peels),
-    and conformal volume changes do not starve the window; ``spectrum_for``
-    chooses the route.  A finite-difference grid too coarse for that k
-    raises SpecError naming k, h and the grid's node count.
+    The fit window [t_min, WINDOW_HI] must span a decade, so t_min =
+    TAIL_THRESHOLD / completeness needs completeness >= 4000.  k is sized
+    for it by the weighted Weyl count, read off a_{-1} = Vol_u / 4pi of the
+    leg's geometric_coefficients (the same coefficients the zeta'(0) fit
+    peels), and conformal volume changes do not starve the window;
+    ``spectrum_for`` chooses the route.  A finite-difference grid too
+    coarse for that k raises SpecError naming k, h and the grid's node
+    count.
     """
     metric = MetricSpec(sigma, u)
     coeffs = geometric_coefficients(domain, metric)
-    k = max(cfg.eigs, int(coeffs.a_m1 * (4000.0 / COMPLETE_SHARE) * 1.15) + 10)
+    complete = TAIL_THRESHOLD / (WINDOW_HI / 10)
+    k = max(cfg.eigs, int(coeffs.a_m1 * (complete / COMPLETE_SHARE) * 1.15) + 10)
     spec = spectrum_for(domain, metric, k, cfg.h, cfg.seed)
     return spec, zeta_prime_at_zero(spec.trace, coeffs, tol=budget)
 
@@ -163,7 +165,11 @@ def pa_verify(domain: Domain, sigma, config: Optional[PipelineConfig] = None) ->
     passed = (abs(gap) <= tol) if exact else (rel_gap <= tol)
 
     if cfg.check_differentiated:
-        diff_rhs, diff_breakdown = pa_rhs(domain, sigma, "differentiated", u=0.0)
+        # pa_rhs(domain, sigma, "differentiated") from the integrated
+        # breakdown: each term is -breakdown[name], summed left to right
+        # from -0.0, the exact additive identity
+        diff_breakdown = {name: -breakdown[name] for name in A0_TERMS}
+        diff_rhs = sum(diff_breakdown.values(), -0.0)
 
         # the two legs share the grid, the solver, and the remainder model;
         # their systematic errors cancel in the difference, so the per-leg

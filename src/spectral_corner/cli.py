@@ -82,6 +82,12 @@ class RunConfig:
                 raise SpecError(f"every --{name} value must be finite")
         if self.t_points < 1:
             raise SpecError("--t-points must be at least 1")
+        window = self.t_min is not None
+        if window != (self.t_max is not None):
+            raise SpecError("--t-min and --t-max must be given together")
+        if window and self.t_min == self.t_max and self.t_points > 1:
+            raise SpecError(f"--t-points {self.t_points} needs --t-min below "
+                            "--t-max, not equal to it")
 
 
 def _canonical(obj) -> str:
@@ -179,7 +185,7 @@ def _spectrum(args, config):
 def _curve(args, config):
     """(domain, metric, heat trace) on --t-min..--t-max, else the default window."""
     domain, metric, spec = _spectrum(args, config)
-    if args.t_min is not None and args.t_max is not None:
+    if args.t_min is not None:
         t = np.geomspace(args.t_min, args.t_max, args.t_points)
     else:
         t = default_window(spec, points=args.t_points)

@@ -60,21 +60,22 @@ def trace_at(spec: Spectrum, t):
 
 def trace_curve(spec: Spectrum, ts: np.ndarray) -> HeatTraceCurve:
     ts = np.asarray(ts, dtype=float)
-    vals = trace_at(spec, ts)
-    errs = np.array([spec.trace.tail_bound(t) for t in ts])
-    return HeatTraceCurve(ts, vals, errs,
+    return HeatTraceCurve(ts, trace_at(spec, ts), spec.trace.tail_bound(ts),
                           spec.provenance.get("source", "spectrum"))
 
 
+# Upper end of every default fit window.
+WINDOW_HI = 1e-1
+
+
 def default_window(spec: Spectrum, points: int = 25) -> np.ndarray:
-    """Log-spaced fit window from max(window floor, t_min of the trace) to 0.1."""
+    """Log-spaced fit window from max(window floor, trace t_min) to WINDOW_HI."""
     lo = max(spec.window_floor, spec.trace.t_min)
-    hi = 1e-1
-    if lo >= hi:
+    if lo >= WINDOW_HI:
         raise SpecError(
-            f"empty fit window: minimum admissible t {lo:.3g} >= {hi:.3g}; "
+            f"empty fit window: minimum admissible t {lo:.3g} >= {WINDOW_HI:.3g}; "
             "compute more eigenvalues")
-    return np.geomspace(lo, hi, points)
+    return np.geomspace(lo, WINDOW_HI, points)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +209,8 @@ def compare_expansion(domain: Domain, metric: Optional[MetricSpec], psi,
 # Trace-derivative identity (conformal variation)
 # ---------------------------------------------------------------------------
 
-# Step of derivative_identity_residual's central difference in u.
+# Step of every central difference in u: derivative_identity_residual's and
+# the differentiated anomaly check's.
 _DU = 1e-3
 
 

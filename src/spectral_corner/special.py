@@ -55,8 +55,9 @@ from .parallel import fork_map
 # Euler-Mascheroni constant to 30 significant digits.
 EULER_GAMMA = 0.577215664901532860606512090082
 
-# Switch point for the theta sum: both branches converge in <= 12 terms here.
+# Switch point for the theta sum, and the terms each of its branches sums.
 THETA_T_SWITCH = 0.15
+_THETA_TERMS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -444,34 +445,29 @@ def _halley_zeros(nu, lo, hi, f_lo, f_hi) -> np.ndarray:
 # Theta-type sum for rectangle spectra
 # ---------------------------------------------------------------------------
 
-def rect_theta_factor(t: float) -> float:
+def rect_theta_factor(t):
     """S(t) = sum_{m>=1} exp(-pi^2 m^2 t), absolute error < 1e-14.
 
-    For t < THETA_T_SWITCH the modular transform
+    t is a scalar or an array, every entry > 0; a scalar gives a float, an
+    array an array of its shape.  For t < THETA_T_SWITCH the modular
+    transform
     S(t) = -1/2 + 1/(2 sqrt(pi t)) + (1/sqrt(pi t)) sum_{m>=1} exp(-m^2/t)
-    is used; both branches need at most ~12 terms at the switch point.
+    is used.  Each branch sums its first _THETA_TERMS terms, in order: at
+    the switch the last of them is below 1e-23, and away from it they fall
+    faster still.
     """
-    if not t > 0:
-        raise SpecError(f"rect_theta_factor requires t > 0, got {t}")
-    if t >= THETA_T_SWITCH:
-        total = 0.0
-        m = 1
-        while True:
-            term = math.exp(-math.pi**2 * m * m * t)
-            total += term
-            if term < 1e-18:
-                return total
-            m += 1
-    sqrt_pi_t = math.sqrt(math.pi * t)
-    tail = 0.0
-    m = 1
-    while True:
-        term = math.exp(-m * m / t)
-        tail += term
-        if term < 1e-18 * sqrt_pi_t or term == 0.0:
-            break
-        m += 1
-    return -0.5 + (0.5 + tail) / sqrt_pi_t
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):  # NaN included
+        raise SpecError("rect_theta_factor requires t > 0, got "
+                        f"{float(np.min(t))!r}")
+    terms = range(1, _THETA_TERMS + 1)
+    # m^2/t overflows to inf at subnormal t, where its term exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        direct = sum(np.exp(-math.pi**2 * m * m * t) for m in terms)
+        tail = sum(np.exp(-m * m / t) for m in terms)
+    out = np.where(t >= THETA_T_SWITCH, direct,
+                   -0.5 + (0.5 + tail) / np.sqrt(math.pi * t))
+    return float(out) if t.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

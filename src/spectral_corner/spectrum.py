@@ -75,8 +75,8 @@ class TraceSource(Protocol):
     def e1_sum(self, t0: float = 1.0) -> tuple[float, float]:
         """int_{t0}^inf t^-1 Tr dt and a bound on its error."""
 
-    def tail_bound(self, t: float) -> float:
-        """Bound on the error of value(t)."""
+    def tail_bound(self, t):
+        """Bound on the error of value(t), elementwise over an array of t."""
 
 
 @dataclass
@@ -160,13 +160,19 @@ class Spectrum:
         self._admit(t0, "e1_sum")
         return float(np.sum(exp1(t0 * self.eigenvalues))), self.tail_bound(t0)
 
-    def tail_bound(self, t: float) -> float:
+    def tail_bound(self, t):
         """Weyl estimate of the omitted tail: int_Lambda^inf (Vol/4pi) e^{-t lam}."""
-        return self.volume * math.exp(-t * self.completeness) / (4 * math.pi * t)
+        t = np.asarray(t, dtype=float)
+        bound = self.volume * np.exp(-t * self.completeness) / (4 * math.pi * t)
+        return float(bound) if t.ndim == 0 else bound
 
 
 class FunctionTraceProvider:
-    """Exact trace given by a closed-form callable, valid on all of (0, inf)."""
+    """Exact trace given by a closed-form callable, valid on all of (0, inf).
+
+    The callable takes an array of t and returns the trace at each, in an
+    array of the same shape; ``value`` calls it once per array.
+    """
 
     t_min = 0.0
 
@@ -185,14 +191,14 @@ class FunctionTraceProvider:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.array([float(self._fn(ti)) for ti in t.ravel()])
-        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+        out = self._fn(t)
+        return float(out) if t.ndim == 0 else out
 
     def e1_sum(self, t0: float = 1.0) -> tuple[float, float]:
         return _upper_mellin(self, 0.0, t0), 1e-13
 
-    def tail_bound(self, t: float) -> float:
-        return 1e-15
+    def tail_bound(self, t):
+        return 1e-15 if np.ndim(t) == 0 else np.full(np.shape(t), 1e-15)
 
 
 def _upper_mellin(source: TraceSource, s: float, t0: float = 1.0) -> float:
@@ -493,7 +499,7 @@ class DiscreteSpectrum:
     eigenvectors: np.ndarray
 
     def completeness(self) -> float:
-        """COMPLETE_SHARE lambda_k: no eigenvalue of the operator below it is missing.
+        """The completeness of ``spectrum()``: no eigenvalue below it is missing.
 
         ``solve_eigs`` proves this on both of its routes.  The dense route
         computes every eigenvalue of every block, and B is congruent to the
@@ -503,24 +509,19 @@ class DiscreteSpectrum:
         over the blocks, and each window of each block returns exactly its
         count.
         """
-        return COMPLETE_SHARE * float(self.eigenvalues[-1])
+        return self.spectrum().completeness
 
     def spectrum(self) -> Spectrum:
-        return Spectrum(self.eigenvalues,
-                        {"source": "discrete", "grid_nodes": self.op.n_nodes},
-                        completeness=self.completeness(), volume=self.op.volume,
-                        window_floor=_FDM_WINDOW_FLOOR)
+        return _fdm_spectrum(self.eigenvalues,
+                             {"source": "discrete", "grid_nodes": self.op.n_nodes},
+                             self.op.volume)
 
     def weighted_trace(self, psi, t: float) -> float:
         """Sum e^{-t lam_n} <psi phi_n, phi_n>_M; refuses t below 40/completeness.
 
-        psi must be finite at every node.
+        The refusal is ``spectrum()``'s own.  psi must be finite at every node.
         """
-        t_min = TAIL_THRESHOLD / self.completeness()
-        if not t >= t_min:  # NaN included
-            raise NumericalError(
-                "weighted_trace",
-                f"t={t:.3g} below minimum admissible t={t_min:.3g}")
+        self.spectrum()._admit(t, "weighted_trace")
         psi = as_field(psi)
         with np.errstate(all="ignore"):
             pv = psi(*self.op.nodes.T)
@@ -550,13 +551,23 @@ def richardson_spectrum(domain: Domain, metric: Optional[MetricSpec], h: float,
                         "to raise the bound)")
     coarse = solve_eigs(coarse_op, k, seed=seed)
     fine = solve_eigs(assemble_fdm(domain, metric, h=h / 2), k, seed=seed)
-    lam = (4 * fine.eigenvalues - coarse.eigenvalues) / 3
-    lam = np.sort(lam)
-    return Spectrum(lam, {"source": "discrete", "h": h, "richardson": True,
-                          "u": metric.u},
-                    completeness=COMPLETE_SHARE * lam[-1], volume=fine.op.volume,
-                    boundary_length=domain.perimeter if metric.is_flat()
-                    else None,
+    lam = np.sort((4 * fine.eigenvalues - coarse.eigenvalues) / 3)
+    return _fdm_spectrum(lam, {"source": "discrete", "h": h, "richardson": True,
+                               "u": metric.u}, fine.op.volume,
+                         domain.perimeter if metric.is_flat() else None)
+
+
+def _fdm_spectrum(lam: np.ndarray, provenance: dict, volume: float,
+                  boundary_length: Optional[float] = None) -> Spectrum:
+    """A finite-difference Spectrum, the one statement of its rules.
+
+    lam must be the k smallest eigenvalues of an operator, none missing, as
+    ``solve_eigs`` certifies; the spectrum is complete below COMPLETE_SHARE
+    lambda_k, and its default fit windows start no lower than
+    _FDM_WINDOW_FLOOR.
+    """
+    return Spectrum(lam, provenance, completeness=COMPLETE_SHARE * float(lam[-1]),
+                    volume=volume, boundary_length=boundary_length,
                     window_floor=_FDM_WINDOW_FLOOR)
 
 

@@ -24,6 +24,31 @@ def theta_side(t):
     return (mp.jtheta(3, 0, mp.exp(-mp.pi ** 2 * t)) - 1) / 2
 
 
+def rect_theta_factor_loops(t):
+    """sum_{m>=1} exp(-pi^2 m^2 t) term by term in floats, t > 0 a scalar.
+
+    The summation the package used before it took arrays: each branch of
+    the switch at t = 0.15 adds terms until one falls below 1e-18 (relative
+    to sqrt(pi t) on the modular side), or is 0.
+    """
+    if t >= 0.15:
+        total, m = 0.0, 1
+        while True:
+            term = math.exp(-math.pi ** 2 * m * m * t)
+            total += term
+            if term < 1e-18:
+                return total
+            m += 1
+    sqrt_pi_t = math.sqrt(math.pi * t)
+    tail, m = 0.0, 1
+    while True:
+        term = math.exp(-m * m / t)
+        tail += term
+        if term < 1e-18 * sqrt_pi_t or term == 0.0:
+            return -0.5 + (0.5 + tail) / sqrt_pi_t
+        m += 1
+
+
 def rect_trace(a, b, t):
     """Dirichlet heat trace of an a x b rectangle via mpmath theta."""
     return float(theta_side(mp.mpf(t) / mp.mpf(a) ** 2)

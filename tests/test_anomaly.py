@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from spectral_corner import (PipelineConfig, ScalarField, SpecError, anomaly,
-                             boundary_integral, build_domain,
-                             interior_integral, pa_rhs, pa_verify)
+from spectral_corner import (PipelineConfig, ScalarField, SpecError,
+                             analytic_spectrum, anomaly, boundary_integral,
+                             build_domain, interior_integral, pa_rhs,
+                             pa_verify)
+from spectral_corner.zeta import ZetaEvaluation
 
 from .conftest import SLIT_SQUARE_DOC, make_sector
 from .oracles import pa_rhs_integrated
@@ -145,6 +147,29 @@ class TestSpectralVerification:
                                                            tolerance):
         with pytest.raises(SpecError, match="tolerance must be None or finite"):
             pa_verify(square, 0.3, PipelineConfig(tolerance=tolerance))
+
+    @pytest.mark.parametrize("name", ["square", "disk", "slit-square"])
+    def test_differentiated_side_from_the_integrated_breakdown(self, name,
+                                                               monkeypatch):
+        # one evaluation of the a_0 integrals gives both right-hand sides,
+        # bit for bit what pa_rhs(..., "differentiated") returns
+        dom, sigma = ORACLE_DOMAINS[name](), "0.1*(x**2 - y)"
+        spec = analytic_spectrum(build_domain(
+            {"kind": "rectangle", "params": {"a": 1.0, "b": 1.0}}), 10)
+        monkeypatch.setattr(anomaly, "_zeta_prime", lambda *a: (
+            spec, ZetaEvaluation(0.0, 0.0, 1.0, {})))
+        calls = []
+        a0_terms = anomaly._a0_terms
+        monkeypatch.setattr(anomaly, "_a0_terms",
+                            lambda *a: calls.append(a) or a0_terms(*a))
+        diff = pa_verify(dom, sigma).details["differentiated"]
+        assert len(calls) == 1
+        monkeypatch.undo()
+        rhs, breakdown = pa_rhs(dom, sigma, "differentiated")
+        assert diff["rhs"].hex() == rhs.hex()
+        assert list(diff["breakdown"]) == list(breakdown)
+        for key, value in breakdown.items():
+            assert diff["breakdown"][key].hex() == value.hex(), key
 
     @pytest.mark.parametrize("differentiated, legs", [
         (True, [-anomaly._DU, 0.0, anomaly._DU, 1.0]), (False, [0.0, 1.0])])

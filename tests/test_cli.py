@@ -345,6 +345,29 @@ class TestFailures:
                               "--tol", "-1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("bounds", [["--t-min", "0.05"],
+                                        ["--t-max", "0.05"]],
+                             ids=["t-min", "t-max"])
+    def test_lone_t_bound_exits_2(self, bounds, square_doc, capsys):
+        # a lone bound used to be dropped for the default window, yet hashed
+        code, out = run_json(["trace", "--domain", square_doc, "--eigs", "100",
+                              *bounds, "--t-points", "3"], capsys)
+        assert code == 2
+        err = json.loads(out.err)["error"]
+        assert err["kind"] == "spec"
+        assert "--t-min" in err["message"] and "--t-max" in err["message"]
+
+    def test_equal_t_bounds_need_one_point(self, square_doc, capsys):
+        argv = ["trace", "--domain", square_doc, "--eigs", "100",
+                "--t-min", "0.05", "--t-max", "0.05"]
+        code, out = run_json([*argv, "--t-points", "3"], capsys)
+        assert code == 2
+        message = json.loads(out.err)["error"]["message"]
+        for part in ("--t-points 3", "--t-min", "--t-max"):
+            assert part in message
+        code, out = run_json([*argv, "--t-points", "1"], capsys)
+        assert code == 0 and json.loads(out.out)["result"]["t"] == [0.05]
+
     @pytest.mark.parametrize("argv", [
         ["trace", "--t-min", "nan", "--t-max", "0.1"],
         ["trace", "--t-min", "inf", "--t-max", "inf"],
@@ -411,9 +434,14 @@ class TestFlagTable:
                                           capsys):
         text, value = _FLAG_VALUES[name]
         flag = "--" + name.replace("_", "-")
+        argv = [command, flag, text]
+        if name in _ROWS[command] and name in ("t_min", "t_max"):
+            # a command reads --t-min and --t-max only as a pair
+            partner = {"t_min": "t_max", "t_max": "t_min"}[name]
+            argv += ["--" + partner.replace("_", "-"), _FLAG_VALUES[partner][0]]
         seen = []
         monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
-        code = main([command, flag, text])
+        code = main(argv)
         err = capsys.readouterr().err
         if name in _ROWS[command]:
             assert code == 0 and getattr(seen[0], name) == value

@@ -48,6 +48,17 @@ class TestTraceAt:
         with pytest.raises(NumericalError):
             disk_spec.trace.value(math.nan)
 
+    def test_exact_source_takes_arrays_of_any_shape(self):
+        source = FunctionTraceProvider.rectangle(1.0, 2.0)
+        t = np.geomspace(1e-6, 5.0, 12).reshape(3, 4)
+        got = source.value(t)
+        assert got.shape == (3, 4)
+        assert got.tolist() == [[source.value(v) for v in row]
+                                for row in t.tolist()]
+        assert type(source.value(0.3)) is float
+        bounds = source.tail_bound(t)
+        assert bounds.shape == (3, 4) and np.all(bounds == 1e-15)
+
     def test_dilation_scaling(self, disk):
         spec = analytic_spectrum(disk, 2000)
         spec_r = analytic_spectrum(disk.scaled(1.7), 2000)
@@ -96,14 +107,26 @@ class TestCurves:
         t = 0.2
         assert ds.weighted_trace(1.0, t) == pytest.approx(
             float(np.sum(np.exp(-t * ds.eigenvalues))), rel=1e-8)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError) as info:
             ds.weighted_trace(1.0, 1e-4)
+        assert info.value.stage == "weighted_trace"
+        # the spectrum's own admission rule: t_min itself is admitted
+        t_min = ds.spectrum().t_min
+        assert ds.weighted_trace(1.0, t_min) > 0
+        with pytest.raises(NumericalError):
+            ds.weighted_trace(1.0, np.nextafter(t_min, 0.0))
         # the matrix product against the per-mode quadrature sum
         x, y = ds.op.nodes[:, 0], ds.op.nodes[:, 1]
         psi = 0.2 * x * y
         per_mode = sum(math.exp(-t * lam) * float(np.sum(psi * phi**2 * ds.op.mass))
                        for lam, phi in zip(ds.eigenvalues, ds.eigenvectors.T))
         assert ds.weighted_trace("0.2*x*y", t) == pytest.approx(per_mode, rel=1e-12)
+
+    def test_curve_errors_are_the_per_t_tail_bounds(self, square, disk):
+        ts = np.geomspace(0.02, 0.5, 9)
+        for spec in (analytic_spectrum(square, 200), analytic_spectrum(disk, 400)):
+            errors = trace_curve(spec, ts).errors
+            assert errors.tolist() == [spec.trace.tail_bound(t) for t in ts]
 
     def test_provenance_does_not_route_the_trace(self, square):
         # the trace source is fixed where a spectrum is built; relabelling a
@@ -117,7 +140,7 @@ class TestCurves:
             trace_at(spec, 0.5 * t_min)
         assert default_window(spec)[0] == pytest.approx(max(1e-2, t_min))
         t = 2 * t_min
-        weyl = spec.volume * math.exp(-t * spec.completeness) / (4 * math.pi * t)
+        weyl = spec.volume * np.exp(-t * spec.completeness) / (4 * math.pi * t)
         assert trace_curve(spec, [t, 0.5]).errors[0] == weyl
         assert trace_at(spec, t) == float(np.sum(np.exp(-t * spec.eigenvalues)))
 

@@ -19,6 +19,7 @@ from spectral_corner.spectrum import _closed_form
 
 from .conftest import make_sector
 from .oracles import _bessel_zeros_upto as brentq_zeros_upto
+from .oracles import rect_theta_factor_loops as theta_loops
 from .oracles import theta_side
 
 
@@ -42,6 +43,33 @@ class TestRectThetaFactor:
         for t in (0.0, -1.0, math.nan):
             with pytest.raises(SpecError):
                 rect_theta_factor(t)
+            with pytest.raises(SpecError):
+                rect_theta_factor(np.array([[0.1, 1.0], [t, 2.0]]))
+
+    def test_arrays_match_the_term_by_term_sums(self):
+        t = np.concatenate([np.geomspace(1e-8, 50.0, 20001),
+                            np.nextafter(0.15, [0.0, 1.0]), [0.15]])
+        assert np.count_nonzero(t < 0.15) > 1000
+        assert np.count_nonzero(t >= 0.15) > 1000
+        got = rect_theta_factor(t)
+        ref = np.array([theta_loops(v) for v in t.tolist()])
+        assert got.shape == t.shape
+        assert np.max(np.abs(got - ref) / ref) <= 1e-15
+        grid = t[:12].reshape(3, 4)
+        assert np.array_equal(rect_theta_factor(grid), got[:12].reshape(3, 4))
+
+    def test_subnormal_t_does_not_overflow(self):
+        # 1/t is inf there; its term is exp(-inf) = 0, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rect_theta_factor(np.array([5e-324, 1e-300, 0.5]))
+            scalar = rect_theta_factor(5e-324)
+        assert got[0] == scalar == theta_loops(5e-324)
+        assert scalar == pytest.approx(1.30e161, rel=1e-2)
+
+    def test_scalar_gives_a_python_float(self):
+        for t in (0.01, 0.15, 2.0, np.float64(0.3), np.array(0.3)):
+            assert type(rect_theta_factor(t)) is float
 
 
 class TestBessel:
