@@ -28,7 +28,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .errors import SpecError
+from .errors import SpecError, check_seed
 from .fields import as_field
 from .geometry import (A0_TERMS, Domain, MetricSpec, _a0_terms,
                        geometric_coefficients, interior_integral)
@@ -136,9 +136,11 @@ def pa_verify(domain: Domain, sigma, config: Optional[PipelineConfig] = None) ->
     the route label names the legs' routes.
     When configured, the differentiated form at u = 0 is checked against one
     central difference of zeta'(0) over u = +-du; there is no step-doubling
-    check.
+    check.  The config's seed must be a non-negative integer
+    (``check_seed``); it is checked before any work.
     """
     cfg = config or PipelineConfig()
+    check_seed("pa_verify", cfg.seed)
     if cfg.tolerance is not None and not 0 < cfg.tolerance < math.inf:  # NaN
         raise SpecError("PipelineConfig.tolerance must be None or finite and > 0, "
                         f"got {cfg.tolerance!r}")

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalError, SpecError
+from .errors import NumericalError, SpecError, check_seed
 from .fields import as_field
 from .geometry import (Domain, ExpansionCoefficients, MetricSpec,
                        geometric_coefficients)
@@ -117,8 +117,11 @@ def fit_expansion(curve: HeatTraceCurve, mode: str = "fit-all",
     fit-all solves weighted least squares on {1/t, 1/sqrt(t), 1, sqrt(t),
     sqrt(t) log t}.  peel-known subtracts the supplied a_{-1}/t +
     a_{-1/2}/sqrt(t) and extrapolates the remainder on {1, sqrt(t),
-    sqrt(t) log t, t}.  Confidence intervals come from a residual bootstrap.
+    sqrt(t) log t, t}.  Confidence intervals come from a residual bootstrap
+    of `bootstrap` resamples drawn from ``default_rng(seed)``; seed must be a
+    non-negative integer (``check_seed``).
     """
+    check_seed("fit_expansion", seed)
     t, y = curve.t, curve.values
     if t.size < 8 or math.log10(t[-1] / t[0]) < 1.0 - 1e-9:
         raise SpecError(f"fit needs >= 8 samples spanning >= 1 decade of t, "

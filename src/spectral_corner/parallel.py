@@ -40,9 +40,47 @@ def _pool_size(items: int) -> int:
     return min(_usable_cpus(), items)
 
 
-# Thread-count setters of the OpenBLAS builds numpy and scipy ship or link.
-_OPENBLAS_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads",
-                     "scipy_openblas_set_num_threads64_")
+# Thread-count entry points of the OpenBLAS builds numpy and scipy ship or
+# link, as (setters, getters).
+_OPENBLAS_ENTRIES = (("openblas_set_num_threads", "scipy_openblas_set_num_threads",
+                      "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads", "scipy_openblas_get_num_threads",
+                      "scipy_openblas_get_num_threads64_"))
+
+
+def _openblas() -> list:
+    """(set, get) thread-count entry points of every loaded OpenBLAS.
+
+    OpenBLAS reads its thread count from the environment only when it
+    loads, so the loaded builds are found in /proc/self/maps and reached
+    through their own entry points.  Without /proc, or for another BLAS,
+    the list is empty.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh
+                     if "openblas" in line}
+    except OSError:
+        return []
+    entries = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter, getter = (next((getattr(lib, name) for name in names
+                                if hasattr(lib, name)), None)
+                          for names in _OPENBLAS_ENTRIES)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            entries.append((setter, getter))
+    return entries
+
+
+def blas_thread_counts() -> list[int]:
+    """The thread count of every loaded OpenBLAS; empty without /proc."""
+    return [get() for _, get in _openblas()]
 
 
 def _one_blas_thread() -> None:
@@ -51,27 +89,10 @@ def _one_blas_thread() -> None:
     The workers already fill the usable CPUs, and an OpenBLAS thread pool in
     each one oversubscribes them: on a 2-vCPU Xeon, two workers with two
     BLAS threads each took 3.4 s for the windows of the h = 1/64 anomaly
-    operator, one process 1.8 s.  OpenBLAS reads its thread count from the
-    environment only when it loads, so the loaded builds are found in
-    /proc/self/maps and set through their own entry points.  Without
-    /proc, or for another BLAS, this does nothing.
+    operator, one process 1.8 s.
     """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(None, 5)[5].strip() for line in fh
-                     if "openblas" in line}
-    except OSError:
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        setter = next((getattr(lib, name) for name in _OPENBLAS_SETTERS
-                       if hasattr(lib, name)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+    for set_, _ in _openblas():
+        set_(1)
 
 
 # (fn, job) of the running fork_map, inherited by each forked worker.

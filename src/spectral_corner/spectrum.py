@@ -13,6 +13,16 @@ the blocks.  Its windows are sized per block, about 40 of a block's modes
 each, and run on forked worker processes (``parallel``), one per usable
 CPU, with the same bits for any number of workers.
 
+A solve is planned first (``_plan``: the blocks, then one dense job per
+block or one Lanczos job per block and window) and then run (``_run``).
+Every job checks the residual contract on its own block; ``solve_eigs``
+checks the kept pairs on the full operator once more.  A run that holds no
+window stays in the caller, and dense jobs join a pool only when the
+caller runs OpenBLAS on one thread, as the workers do (``_run``).
+``richardson_spectrum`` plans both of its grids and runs all their jobs
+together, the coarse grid's dense blocks beside the fine grid's windows,
+and keeps only eigenvalues.
+
 Every spectrum is a trace source (``TraceSource``): the truncated sum over
 its eigenvalues.  Rectangle spectra also carry their exact theta-product
 trace, a ``FunctionTraceProvider``; ``Spectrum.trace`` is the best source a
@@ -35,10 +45,10 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spsla
 from scipy.special import exp1
 
-from .errors import NumericalError, SpecError
+from .errors import NumericalError, SpecError, check_seed
 from .fields import as_field
 from .geometry import Domain, MetricSpec
-from .parallel import fork_map
+from .parallel import blas_thread_counts, fork_map
 from .special import bessel_zeros_upto, gauss_panels, rect_theta_factor
 
 # Relative tail below 1e-15 once t * completeness >= this; a truncated sum
@@ -538,8 +548,18 @@ def richardson_spectrum(domain: Domain, metric: Optional[MetricSpec], h: float,
     Sorting pairs modes across the two grids; O(h^2) eigenvalue errors cancel
     to O(h^4) away from slit tips (reduced order near tips is measured, not
     assumed).  metric None is the flat metric.  k must be below the coarse
-    grid's node count.
+    grid's node count, and seed a non-negative integer (``check_seed``).
+
+    Each grid is planned as ``solve_eigs`` plans it (``_plan``), and the
+    jobs of both run together in one ``_run``: when any grid is sliced, the
+    other grid's dense blocks run on the same pool as its windows; a pair of
+    dense grids stays in this process.  Only eigenvalues come back.  Each
+    job checks the residual contract on its own block, which equals the
+    residual of its prolongation on the full operator, so no eigenvector is
+    built.  lam_h and lam_{h/2} are the k smallest of each grid's jobs, the
+    bits two ``solve_eigs`` calls would give.
     """
+    check_seed("richardson_spectrum", seed)
     if metric is None:
         metric = MetricSpec.flat()
     coarse_op = assemble_fdm(domain, metric, h=h)
@@ -549,11 +569,16 @@ def richardson_spectrum(domain: Domain, metric: Optional[MetricSpec], h: float,
         raise SpecError(f"richardson_spectrum needs k <= {n - 1}, got k={k}: "
                         f"the h={h:g} grid has {n} interior nodes (reduce h "
                         "to raise the bound)")
-    coarse = solve_eigs(coarse_op, k, seed=seed)
-    fine = solve_eigs(assemble_fdm(domain, metric, h=h / 2), k, seed=seed)
-    lam = np.sort((4 * fine.eigenvalues - coarse.eigenvalues) / 3)
+    fine_op = assemble_fdm(domain, metric, h=h / 2)
+    coarse, fine = (_plan(op, k, seed)[2] for op in (coarse_op, fine_op))
+    lams = [lam for lam, _ in _run(coarse + fine, vectors=False)]
+
+    def smallest(parts: list) -> np.ndarray:
+        return np.sort(np.concatenate(parts))[:k]
+
+    lam = np.sort((4 * smallest(lams[len(coarse):]) - smallest(lams[:len(coarse)])) / 3)
     return _fdm_spectrum(lam, {"source": "discrete", "h": h, "richardson": True,
-                               "u": metric.u}, fine.op.volume,
+                               "u": metric.u}, fine_op.volume,
                          domain.perimeter if metric.is_flat() else None)
 
 
@@ -760,28 +785,72 @@ def _window_edges(Bs: list, k: int,
     return windows
 
 
-def _solve_window(job: tuple, i: int) -> np.ndarray:
-    """Eigenvalues of window i; its eigenvectors go to out[:n_b, cols[i]:...].
+def _dense_eigh(Bs: list) -> list:
+    """The dense route's jobs: one LAPACK eigh of each whole block.
 
-    job is (Bs, windows, v0s, cols, out).  Lanczos on block b must find
-    exactly the m eigenvalues inertia counts in [lo, hi).  Its shift is the
-    window's midpoint; when a mode found there misses the residual contract
-    on B_b, the window is solved once more at a shift moved up by
-    ``_RESHIFT`` of its width.  That asks for 2 _RESHIFT m more modes, about
-    as many as lie above the window but nearer the new shift than its lower
-    edge.  Whatever the second solve gives is returned, and ``solve_eigs``
-    checks it on B.
+    Every eigenvalue of every block is computed, so the k smallest over the
+    blocks are the k smallest of B.
     """
-    Bs, windows, v0s, cols, out = job
-    lo, hi, m, b = windows[i]
-    B = Bs[b]
+    return [(B, b, None) for b, B in enumerate(Bs)]
+
+
+def _sliced_eigsh(Bs: list, k: int, volume: float, rng: np.random.Generator) -> list:
+    """The sliced route's jobs: one shift-invert Lanczos per window and block.
+
+    The edges are certified here first, on every block at once
+    (``_window_edges``), so every window knows the count m of eigenvalues
+    it must return.  The start vectors come from rng in job order.
+    """
+    return [(Bs[b], b, (lo, hi, m, rng.standard_normal(Bs[b].shape[0])))
+            for lo, hi, m, b in _window_edges(Bs, k, volume)]
+
+
+def _plan(op: DiscreteOperator, k: int, seed: int) -> tuple:
+    """(B, blocks, jobs) for the k smallest eigenpairs of op: the plan step.
+
+    B = M^{-1/2} A M^{-1/2} and blocks is ``_blocks``' list of (B_b, Q_b).
+    A job is (B_b, b, window), the share of block b that one ``_solve_job``
+    solves: the whole block by a dense eigh when window is None, else the
+    Lanczos window (lo, hi, m, v0) that inertia counts m eigenvalues in.
+    When the tallest block has n_b nodes with n_b^2 <= ``_DENSE_RATIO`` k
+    the jobs are ``_dense_eigh``'s, else ``_sliced_eigsh``'s, whose start
+    vectors come from ``default_rng(seed)``.
+    """
+    _check_count("solve_eigs", k)
+    check_seed("solve_eigs", seed)
+    n = op.n_nodes
+    if not k <= n - 1:
+        raise SpecError(f"solve_eigs needs 1 <= k <= {n - 1}, got k={k}: the "
+                        f"operator has n={n} nodes")
+    B = op.symmetrized().tocsc()
+    blocks = _blocks(op, B)
+    Bs = [B_b for B_b, _ in blocks]
+    if max(B_b.shape[0] for B_b in Bs) ** 2 <= _DENSE_RATIO * k:
+        jobs = _dense_eigh(Bs)
+    else:
+        jobs = _sliced_eigsh(Bs, k, op.volume, np.random.default_rng(seed))
+    return B, blocks, jobs
+
+
+def _solve_window(B, b: int, lo: float, hi: float, m: int,
+                  v0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The m eigenpairs of block b in [lo, hi), B = B_b, and their worst residual.
+
+    Lanczos must find exactly the m eigenvalues inertia counts in [lo, hi).
+    Its shift is the window's midpoint; when a mode found there misses the
+    residual contract, the window is solved once more at a shift moved up
+    by ``_RESHIFT`` of its width.  That asks for 2 _RESHIFT m more modes,
+    about as many as lie above the window but nearer the new shift than its
+    lower edge.  Whatever the second solve gives is returned, and
+    ``_solve_job`` checks its residual.
+    """
     n = B.shape[0]
     for share in (0.0, _RESHIFT):
         shift, [(lu, _)] = _certified_lus(
             [B], 0.5 * (lo + hi) + share * (hi - lo), _NUDGE * (hi - lo))
         OPinv = spsla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         nev = min(m + _EXTRA + math.ceil(2 * share * m), n - 1)
-        lam, Y = _eigsh(B, nev, shift, v0s[i], OPinv)
+        lam, Y = _eigsh(B, nev, shift, v0, OPinv)
         del lu, OPinv  # free the factor before a second one is made
         inside = (lam >= lo) & (lam < hi)
         found = int(np.count_nonzero(inside))
@@ -791,10 +860,10 @@ def _solve_window(job: tuple, i: int) -> np.ndarray:
                 f"window [{lo:.10g}, {hi:.10g}) of block {b}: inertia counts {m} "
                 f"eigenvalues, Lanczos found {found}")
         lam, Y = lam[inside], Y[:, inside]
-        if _worst_residual(B, lam, Y) <= _RESIDUAL:
+        worst = _worst_residual(B, lam, Y)
+        if worst <= _RESIDUAL:
             break
-    out[:n, cols[i]:cols[i] + m] = Y
-    return lam
+    return lam, Y, worst
 
 
 def _worst_residual(B, lam: np.ndarray, Y: np.ndarray) -> float:
@@ -803,57 +872,77 @@ def _worst_residual(B, lam: np.ndarray, Y: np.ndarray) -> float:
     return float(np.max(resid / np.maximum(lam, 1e-300)))
 
 
-def _sliced_eigsh(blocks: list, n: int, k: int, volume: float,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of B window by window until inertia counts k below an edge.
+def _solve_job(run: tuple, i: int) -> np.ndarray:
+    """Eigenvalues of job picks[i] of a run, each pair checked on its block.
 
-    blocks is ``_blocks``' list of (B_b, Q_b).  The edges are certified
-    here first, on every block at once; the windows, one Lanczos job per
-    block and span, are then independent and run through
-    ``parallel.fork_map``, whose rules decide whether they fork.  Every
-    window returns exactly its inertia count, so its eigenvector columns
-    are known up front: workers write them into one shared buffer, as tall
-    as the tallest block, and send back only eigenvalues.  The merge is in
-    window order, and each kept column is prolongated by its block's Q_b
-    straight into the one (n, k) result, so the result has the same bits
-    for any number of workers.
+    run is (jobs, picks, cols, out), and a job is (B_b, b, window) as
+    ``_plan`` makes it.  A dense job is one LAPACK eigh of B_b; a window job
+    is ``_solve_window``.  A pair whose residual misses 1e-8 lam on B_b
+    raises ``NumericalError("solve_eigs")``; its prolongation by Q_b misses
+    by as much on B, since B Q_b = Q_b B_b and Q_b has orthonormal columns.
+    With a buffer out, job j writes its eigenvectors to out[:n_b,
+    cols[j]:cols[j + 1]] and returns only eigenvalues.
     """
-    Bs = [B for B, _ in blocks]
-    windows = _window_edges(Bs, k, volume)
-    v0s = [rng.standard_normal(Bs[b].shape[0]) for *_, b in windows]
-    cols = np.cumsum([0] + [m for _, _, m, _ in windows]).tolist()
-    height = max(B.shape[0] for B in Bs)
-    # an anonymous MAP_SHARED mapping: the workers' writes land here.
-    # Workers that return their eigenvectors instead give the same bytes in
-    # the same time, but the pickled copies raise the caller's peak RSS: in
-    # a fresh process running three h = 1/32 Richardson pairs (2-vCPU Xeon,
-    # BLAS pinned) from 159 to 168 MB on the anomaly operator and from 118
-    # to 125-126 MB on the flat slit square.
-    out = np.ndarray((height, cols[-1]),
-                     buffer=mmap.mmap(-1, 8 * height * cols[-1]))
-    lams = fork_map(_solve_window, (Bs, windows, v0s, cols, out), len(windows),
-                    "solve_eigs")
-    parts = []
-    for lam, (_, _, m, b), c in zip(lams, windows, cols):
-        B, Q = blocks[b]
-        parts.append((lam, out[:B.shape[0], c:c + m], Q))
-    return _merge(parts, n, k)
-
-
-def _dense_eigh(blocks: list, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k smallest eigenpairs of B from one dense eigh per block.
-
-    blocks is ``_blocks``' list of (B_b, Q_b).  Every eigenvalue of every
-    block is computed, so the k smallest over the blocks are the k smallest
-    of B.
-    """
-    parts = []
-    for B, Q in blocks:
+    jobs, picks, cols, out = run
+    j = picks[i]
+    B, b, window = jobs[j]
+    if window is None:
         # LAPACK overwrites the Fortran-ordered copy with the eigenvectors
-        lam, y = sla.eigh(B.toarray(order="F"), driver="evd", overwrite_a=True,
+        lam, Y = sla.eigh(B.toarray(order="F"), driver="evd", overwrite_a=True,
                           check_finite=False)
-        parts.append((lam, y, Q))
-    return _merge(parts, n, k)
+        worst = _worst_residual(B, lam, Y)
+    else:
+        lam, Y, worst = _solve_window(B, b, *window)
+    if worst > _RESIDUAL:
+        raise NumericalError(
+            "solve_eigs", f"block {b}: residual {worst:.3g} exceeds 1e-8 contract")
+    if out is not None:
+        out[:B.shape[0], cols[j]:cols[j + 1]] = Y
+    return lam
+
+
+def _run(jobs: list, vectors: bool) -> list:
+    """(lam, y) of each job in job order, the run step; y is None unless vectors.
+
+    Windows go through one ``parallel.fork_map``, whose rules alone decide
+    whether it forks.  Dense jobs join them there only when this process
+    runs OpenBLAS on one thread, as the pool's workers do, and run here
+    otherwise: a dense eigh's rounding depends on its BLAS thread count (on
+    a 2-vCPU Xeon the 496-node block of the h = 1/32 anomaly operator gave
+    other eigenvalue bits on one thread than on two), so each job runs at
+    this process's count wherever it runs.  A run that holds no window
+    stays here whole.
+
+    Every job's column count is known up front (n_b for a dense job, m for
+    a window), so with vectors the jobs write their eigenvectors into one
+    shared buffer, as tall as the tallest block, and send back only
+    eigenvalues; y is a view of it.  Results come back in job order, so
+    they have the same bits for any number of workers.
+    """
+    cols = np.cumsum([0] + [B.shape[0] if window is None else window[2]
+                            for B, _, window in jobs]).tolist()
+    out = None
+    if vectors:
+        height = max(B.shape[0] for B, _, _ in jobs)
+        # an anonymous MAP_SHARED mapping: the workers' writes land here.
+        # Workers that return their eigenvectors instead give the same bytes
+        # in the same time, but the pickled copies raise the caller's peak
+        # RSS: in a fresh process running three h = 1/32 Richardson pairs as
+        # two solve_eigs calls each (2-vCPU Xeon, BLAS pinned) from 159 to
+        # 168 MB on the anomaly operator and from 118 to 125-126 MB on the
+        # flat slit square.
+        out = np.ndarray((height, cols[-1]),
+                         buffer=mmap.mmap(-1, 8 * height * cols[-1]))
+    pooled = [j for j, (_, _, window) in enumerate(jobs) if window is not None]
+    if pooled and all(n == 1 for n in blas_thread_counts()):
+        pooled = list(range(len(jobs)))
+    rest = [j for j in range(len(jobs)) if j not in pooled]
+    lams = dict(zip(rest, [_solve_job((jobs, rest, cols, out), i)
+                           for i in range(len(rest))]))
+    lams.update(zip(pooled, fork_map(_solve_job, (jobs, pooled, cols, out),
+                                     len(pooled), "solve_eigs")))
+    return [(lams[j], None if out is None else out[:B.shape[0], c:c + lams[j].size])
+            for j, ((B, _, _), c) in enumerate(zip(jobs, cols))]
 
 
 def _merge(parts: list, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -883,12 +972,13 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
 
     M = diag(op.mass) holds the node masses.  B = M^{-1/2} A M^{-1/2} is
     split into blocks (``_blocks``): two when the operator has a
-    ``reflection``, else B itself.  When the tallest block has n_b nodes
-    with n_b^2 <= ``_DENSE_RATIO`` (1300) k, each block is solved by one
-    dense LAPACK eigh in this process and the k smallest eigenvalues over
-    the blocks are kept (``_dense_eigh``); every eigenvalue is computed, so
-    none below lambda_k can be missing.  Any other operator is solved by
-    certified spectrum slicing, as follows.
+    ``reflection``, else B itself.  ``_plan`` turns the blocks into jobs,
+    ``_run`` solves them and ``_merge`` keeps the k smallest pairs.
+    When the tallest block has n_b nodes with n_b^2 <= ``_DENSE_RATIO``
+    (1300) k, each block is one job, solved by a dense LAPACK eigh, and the
+    k smallest eigenvalues over the blocks are kept; every eigenvalue is
+    computed, so none below lambda_k can be missing.  Any other operator is
+    solved by certified spectrum slicing, as follows.
 
     The spectrum of B is cut into windows [lo, hi) of about 40 eigenvalues
     per block by the Weyl count over ``op.volume`` (``_WINDOW``).  At every
@@ -918,28 +1008,23 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
     blocks in order.  The seed feeds only these Lanczos start vectors; the
     dense route does not use it.
 
-    The edges are certified in this process; the jobs then run through
-    ``parallel.fork_map``, whose rules alone decide whether they fork.
-    Results merge in job order, so eigenvalues and eigenvectors have the
-    same bits for any number of workers.
+    The edges are certified in this process.  Windows run through
+    ``parallel.fork_map``, whose rules alone decide whether they fork; the
+    dense jobs run in this process, with no pool.  Results merge in job
+    order, so eigenvalues and eigenvectors have the same bits for any
+    number of workers.
 
-    Residuals ||B y - lam y|| / ||y|| of the prolongated eigenvectors are
-    checked against 1e-8 * lam on the full B, and the eigenvectors
-    phi = M^{-1/2} y are unit in <phi, phi>_M = sum mass phi^2.  k must be
-    below the node count n.
+    Every job checks its residuals ||B_b y - lam y|| / ||y|| against 1e-8
+    * lam on its own block, and the k kept pairs are checked once more on
+    the full B after prolongation.  Either check that fails raises
+    ``NumericalError("solve_eigs")``.  The eigenvectors phi = M^{-1/2} y
+    are unit in <phi, phi>_M = sum mass phi^2.  k must be an integer below
+    the node count n, and seed a non-negative integer (``check_seed``).
     """
-    _check_count("solve_eigs", k)
-    n = op.n_nodes
-    if not k <= n - 1:
-        raise SpecError(f"solve_eigs needs 1 <= k <= {n - 1}, got k={k}: the "
-                        f"operator has n={n} nodes")
-    B = op.symmetrized().tocsc()
-    blocks = _blocks(op, B)
-    if max(B_b.shape[0] for B_b, _ in blocks) ** 2 <= _DENSE_RATIO * k:
-        lam, Y = _dense_eigh(blocks, n, k)
-    else:
-        lam, Y = _sliced_eigsh(blocks, n, k, op.volume,
-                               np.random.default_rng(seed))
+    B, blocks, jobs = _plan(op, k, seed)
+    parts = [(lam, y, blocks[b][1])
+             for (lam, y), (_, b, _) in zip(_run(jobs, vectors=True), jobs)]
+    lam, Y = _merge(parts, op.n_nodes, k)
     worst = _worst_residual(B, lam, Y)
     if worst > _RESIDUAL:
         raise NumericalError("solve_eigs",

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import SpecError, check_seed
 from .geometry import Domain
 from .parallel import fork_map
 
@@ -233,8 +233,10 @@ def bridge_trace_estimate(domain: Domain, t: float, n: int, steps: int = 64,
     whether they fork.  A batch returns the two weight sums of each of its
     blocks, and they are added in block order, so the estimate has the same
     bits for any number of workers and any batch size.  A worker that dies
-    raises ``NumericalError("bridge_trace_estimate")``.
+    raises ``NumericalError("bridge_trace_estimate")``.  seed must be a
+    non-negative integer (``check_seed``).
     """
+    check_seed("bridge_trace_estimate", seed)
     if not 0 < t < math.inf:
         raise SpecError(f"bridge_trace_estimate requires a finite t > 0, got {t}")
     if not (all(isinstance(c, numbers.Integral) and not isinstance(c, bool)

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's own numerics: traces come
 from mpmath theta functions at high precision, kernels from explicit image
 sums, and integrals from scipy quadrature, so agreement with the package is
-evidence rather than tautology.
+evidence rather than tautology.  ``richardson_two_solves`` is the one
+exception: it is the package's own earlier form of a computation, kept to
+pin the bits of the form that replaced it.
 """
 
 import math
@@ -316,3 +318,17 @@ def pa_rhs_integrated(domain, sigma, u=0.0):
                  "boundary_curvature": bcurv, "normal_derivative": normal,
                  "corner_sum": corner}
     return dirichlet + curv + bcurv + normal + corner, breakdown
+
+
+def richardson_two_solves(domain, metric, h, k, seed):
+    """Richardson eigenvalues from one ``solve_eigs`` call per grid.
+
+    The form ``richardson_spectrum`` took before both grids were solved in
+    one run: (4 lam_{h/2} - lam_h)/3, sorted, from the eigenvalues of two
+    independent solves.  The joint run must give these bits.
+    """
+    from spectral_corner import assemble_fdm, solve_eigs
+
+    coarse = solve_eigs(assemble_fdm(domain, metric, h=h), k, seed=seed)
+    fine = solve_eigs(assemble_fdm(domain, metric, h=h / 2), k, seed=seed)
+    return np.sort((4 * fine.eigenvalues - coarse.eigenvalues) / 3)

@@ -142,6 +142,16 @@ class TestSpectralVerification:
         with pytest.raises(SpecError, match="grid spacing h must be finite"):
             pa_verify(square, "0.2*x*y", PipelineConfig(h=h))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "a", 2 ** 64],
+                             ids=["negative", "float", "bool", "str", "too-large"])
+    def test_seed_is_checked_before_any_solve(self, square, seed, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a leg was solved")
+
+        monkeypatch.setattr(anomaly, "_zeta_prime", refuse)
+        with pytest.raises(SpecError, match="seed"):
+            pa_verify(square, "0.2*x*y", PipelineConfig(seed=seed))
+
     @pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0, math.inf])
     def test_verdict_tolerance_must_be_finite_and_positive(self, square,
                                                            tolerance):

@@ -340,6 +340,18 @@ class TestFailures:
         assert code == 3
         assert json.loads(out.err)["error"]["stage"] == "analytic_spectrum"
 
+    @pytest.mark.parametrize("argv", [
+        ["trace"], ["fit"], ["zdet"], ["anomaly", "--sigma", "0.3*x"],
+        ["mc", "--samples", "1000"]], ids=["trace", "fit", "zdet", "anomaly", "mc"])
+    def test_negative_seed_exits_2(self, argv, tmp_path, capsys):
+        # finite differences on the slit square, or its walker, read the seed
+        p = tmp_path / "slit.json"
+        p.write_text(json.dumps(SLIT_SQUARE_DOC))
+        code, out = run_json([*argv, "--domain", str(p), "--seed", "-1"], capsys)
+        assert code == 2
+        err = json.loads(out.err)["error"]
+        assert err["kind"] == "spec" and "seed" in err["message"]
+
     def test_bad_flag_values_exit_2(self, square_doc, capsys):
         code, out = run_json(["compare", "--domain", square_doc,
                               "--tol", "-1"], capsys)

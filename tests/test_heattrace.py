@@ -210,6 +210,14 @@ class TestFits:
         with pytest.raises(SpecError):
             fit_expansion(curve, "nonsense-mode")
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "a", 2 ** 64],
+                             ids=["negative", "float", "bool", "str", "too-large"])
+    def test_seed_must_be_a_non_negative_integer(self, square, seed):
+        curve = trace_curve(analytic_spectrum(square, 50),
+                            np.geomspace(1e-3, 1e-1, 12))
+        with pytest.raises(SpecError, match="seed"):
+            fit_expansion(curve, seed=seed)
+
 
 class TestDerivativeIdentity:
     def test_residual_small_on_square(self, square):

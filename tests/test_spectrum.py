@@ -1,7 +1,9 @@
+import contextlib
 import functools
 import itertools
 import math
 import multiprocessing
+import os
 import pickle
 import threading
 
@@ -18,7 +20,8 @@ from spectral_corner import spectrum as spectrum_mod
 
 from .conftest import BENT_SLIT_DOC, SLIT_SQUARE_DOC, make_sector
 from .oracles import _bessel_zeros_upto as brentq_zeros_upto
-from .oracles import l_shape_fdm, segments_cross_many, slit_square_odd_fdm
+from .oracles import (l_shape_fdm, richardson_two_solves, segments_cross_many,
+                      slit_square_odd_fdm)
 
 
 def fdm_square_eigenvalue(m, n, h):
@@ -903,3 +906,136 @@ class TestParallelWindows:
         assert type(back) is NumericalError
         assert (back.stage, back.message, back.best_estimate, str(back)) \
             == ("solve_eigs", "window [0, 1): no", 2.5, str(err))
+
+
+@contextlib.contextmanager
+def _one_blas_thread_here():
+    """Every loaded OpenBLAS on one thread in this process inside the block."""
+    entries = parallel._openblas()
+    before = [get() for _, get in entries]
+    for set_, _ in entries:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (set_, _), n in zip(entries, before):
+            set_(n)
+
+
+# (domain doc, sigma at u = 1, h, k): the anomaly and slit-tip benchmark
+# pairs, a dense coarse grid and a sliced fine one, and a pair of dense grids
+_RICHARDSON_PAIRS = {
+    "anomaly": (UNIT_SQUARE_DOC, "0.2*x*y", 1 / 32, 517),
+    "slit-tip": (SLIT_SQUARE_DOC, None, 1 / 32, 400),
+    # the fine grid's 480-node block is dense from k = 178 on
+    "all-dense": (SLIT_SQUARE_DOC, None, 1 / 16, 180),
+}
+
+
+class TestJointRichardson:
+    """richardson_spectrum plans both grids and runs their jobs together,
+    keeping eigenvalues only, with the bits of one solve_eigs per grid."""
+
+    @staticmethod
+    def _pair(name):
+        doc, sigma, h, k = _RICHARDSON_PAIRS[name]
+        return build_domain(doc), _metric(sigma), h, k
+
+    @pytest.mark.parametrize("blas", ["as-is", "one-thread"])
+    @pytest.mark.parametrize("name", sorted(_RICHARDSON_PAIRS))
+    def test_same_bits_as_two_solves(self, name, blas, monkeypatch):
+        # with one BLAS thread here the dense blocks join the pool; with
+        # more they run in this process, at its own thread count
+        domain, metric, h, k = self._pair(name)
+        if blas == "one-thread" and not parallel._openblas():
+            pytest.skip("no OpenBLAS to pin")
+        with _one_blas_thread_here() if blas == "one-thread" \
+                else contextlib.nullcontext():
+            ref = richardson_two_solves(domain, metric, h, k, seed=1)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
+                got = richardson_spectrum(domain, metric, h, k, seed=1)
+                assert got.eigenvalues.tobytes() == ref.tobytes(), workers
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    @pytest.mark.parametrize("name, pools", [("anomaly", [2]), ("slit-tip", [2]),
+                                             ("all-dense", [])])
+    def test_one_pool_for_both_grids(self, name, pools, monkeypatch):
+        counted = TestParallelWindows._count_pools(monkeypatch)
+        richardson_spectrum(*self._pair(name), seed=0)
+        assert counted == pools
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    @pytest.mark.parametrize("threads, here", [([1, 1], 0), ([2, 1], 2)],
+                             ids=["one-thread", "two-threads"])
+    def test_dense_blocks_join_the_pool_on_one_blas_thread(self, threads, here,
+                                                          monkeypatch):
+        # the slit-tip pair's coarse grid is two dense blocks; they run in
+        # the pool's workers only when this process's BLAS runs as theirs do
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(spectrum_mod, "blas_thread_counts", lambda: threads)
+        caller, calls, eigh = os.getpid(), [], spectrum_mod.sla.eigh
+
+        def recorded(*args, **kwargs):
+            if os.getpid() == caller:
+                calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum_mod.sla, "eigh", recorded)
+        richardson_spectrum(*self._pair("slit-tip"), seed=0)
+        assert len(calls) == here
+
+    @pytest.mark.parametrize("route", ["dense", "sliced"])
+    def test_a_job_that_misses_the_contract_names_its_block(self, route,
+                                                           monkeypatch):
+        # no pair meets a contract of 1e-30; the job raises on its own
+        # block, before any merge or full-operator check
+        monkeypatch.setattr(spectrum_mod, "_RESIDUAL", 1e-30)
+        if route == "sliced":
+            monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
+        domain, metric, h, k = self._pair("all-dense")
+        for solve in (lambda: solve_eigs(assemble_fdm(domain, metric, h=h), k),
+                      lambda: richardson_spectrum(domain, metric, h, k)):
+            with pytest.raises(NumericalError) as info:
+                solve()
+            assert info.value.stage == "solve_eigs"
+            assert "block 0: residual" in str(info.value)
+
+    def test_no_eigenvectors_are_built(self, monkeypatch):
+        # the joint run merges nothing and checks nothing on the full B
+        domain, metric, h, k = self._pair("all-dense")
+        for name in ("_merge", "solve_eigs"):
+            monkeypatch.setattr(spectrum_mod, name, _refuse)
+        assert richardson_spectrum(domain, metric, h, k).count == k
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+class TestSeeds:
+    """One seed rule for every seeded solve: an integer in [0, 2^64), not a
+    bool; anything else is a SpecError before any work."""
+
+    BAD = [-1, 1.5, True, "a", 2 ** 64]
+    IDS = ["negative", "float", "bool", "str", "too-large"]
+
+    @pytest.mark.parametrize("seed", BAD, ids=IDS)
+    @pytest.mark.parametrize("route", ["dense", "sliced"])
+    def test_solve_eigs(self, square, seed, route, monkeypatch):
+        if route == "sliced":
+            monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
+        with pytest.raises(SpecError, match="seed"):
+            solve_eigs(assemble_fdm(square, None, h=1 / 8), 5, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD, ids=IDS)
+    def test_richardson_spectrum(self, slit_square, seed, monkeypatch):
+        monkeypatch.setattr(spectrum_mod, "assemble_fdm", _refuse)
+        with pytest.raises(SpecError, match="seed"):
+            richardson_spectrum(slit_square, None, 1 / 16, 20, seed=seed)
+
+    def test_numpy_integer_seeds_are_accepted(self, square, monkeypatch):
+        monkeypatch.setattr(spectrum_mod, "_DENSE_RATIO", 0)
+        op = assemble_fdm(square, None, h=1 / 8)
+        assert solve_eigs(op, 5, seed=np.uint64(2 ** 64 - 1)).eigenvalues.tobytes() \
+            == solve_eigs(op, 5, seed=2 ** 64 - 1).eigenvalues.tobytes()

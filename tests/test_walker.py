@@ -244,6 +244,12 @@ class TestPreconditions:
         with pytest.raises(SpecError, match="clearance"):
             bridge_trace_estimate(slit_square, 1.0, 100, steps=4)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "a", 2 ** 64],
+                             ids=["negative", "float", "bool", "str", "too-large"])
+    def test_seed_must_be_a_non_negative_integer(self, square, seed):
+        with pytest.raises(SpecError, match="seed"):
+            bridge_trace_estimate(square, 0.1, 100, seed=seed)
+
 
 def _estimate_bits(dom, n, seed=0):
     est = bridge_trace_estimate(dom, 0.05, n, steps=32, seed=seed)
