@@ -33,7 +33,8 @@ from .fields import as_field
 from .geometry import (A0_TERMS, Domain, MetricSpec, _a0_terms,
                        geometric_coefficients, interior_integral)
 from .heattrace import WINDOW_HI, _DU
-from .spectrum import COMPLETE_SHARE, TAIL_THRESHOLD, Spectrum, spectrum_for
+from .spectrum import (COMPLETE_SHARE, TAIL_THRESHOLD, Spectrum, _check_count,
+                       spectrum_for)
 from .zeta import ZetaEvaluation, zeta_prime_at_zero
 
 # Error budget ceiling of each zeta'(0) in the integrated identity.
@@ -137,10 +138,14 @@ def pa_verify(domain: Domain, sigma, config: Optional[PipelineConfig] = None) ->
     When configured, the differentiated form at u = 0 is checked against one
     central difference of zeta'(0) over u = +-du; there is no step-doubling
     check.  The config's seed must be a non-negative integer
-    (``check_seed``); it is checked before any work.
+    (``check_seed``), eigs an integer >= 1 and h finite and > 0; they are
+    checked before any work, whichever route the legs take.
     """
     cfg = config or PipelineConfig()
     check_seed("pa_verify", cfg.seed)
+    _check_count("pa_verify", cfg.eigs)
+    if not 0 < cfg.h < math.inf:  # NaN
+        raise SpecError(f"grid spacing h must be finite and > 0, got {cfg.h!r}")
     if cfg.tolerance is not None and not 0 < cfg.tolerance < math.inf:  # NaN
         raise SpecError("PipelineConfig.tolerance must be None or finite and > 0, "
                         f"got {cfg.tolerance!r}")

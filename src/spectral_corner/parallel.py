@@ -1,16 +1,19 @@
 """One forked process pool for independent numbered work items.
 
-The eigensolver's slicing windows, the walker's batches of Philox blocks
-and the chunks of orders of a Bessel zero search are each a list of items
+The eigensolver's jobs, the walker's batches of Philox blocks and the
+chunks of orders of a Bessel zero search are each a list of items
 numbered 0..count-1 that share one large read-only job (an operator, a
 domain, the orders).  ``fork_map`` runs them on forked workers,
 one per usable CPU, which inherit the job without pickling it, and returns
 the results in item order, so a caller that merges them in that order gets
-the same bits for any number of workers.
+the same bits for any number of workers.  A dense eigh's last bits depend
+on its BLAS thread count, so a map whose items call BLAS runs them on one
+OpenBLAS thread (``one_blas_thread``), whatever the caller's count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import multiprocessing as mp
 import os
@@ -78,32 +81,34 @@ def _openblas() -> list:
     return entries
 
 
-def blas_thread_counts() -> list[int]:
-    """The thread count of every loaded OpenBLAS; empty without /proc."""
-    return [get() for _, get in _openblas()]
+@contextlib.contextmanager
+def one_blas_thread():
+    """Every loaded OpenBLAS of this process on one thread inside the block.
 
-
-def _one_blas_thread() -> None:
-    """Run every loaded OpenBLAS on one thread in this process.
-
-    The workers already fill the usable CPUs, and an OpenBLAS thread pool in
-    each one oversubscribes them: on a 2-vCPU Xeon, two workers with two
-    BLAS threads each took 3.4 s for the windows of the h = 1/64 anomaly
+    The earlier counts come back on exit, also after an exception; other
+    Python threads of this process share the setting meanwhile.  Pooled
+    workers already fill the usable CPUs: on a 2-vCPU Xeon, two workers with
+    two BLAS threads each took 3.4 s for the windows of the h = 1/64 anomaly
     operator, one process 1.8 s.
     """
-    for set_, _ in _openblas():
+    entries = _openblas()
+    before = [get() for _, get in entries]
+    for set_, _ in entries:
         set_(1)
+    try:
+        yield
+    finally:
+        for (set_, _), n in zip(entries, before):
+            set_(n)
 
 
 # (fn, job) of the running fork_map, inherited by each forked worker.
 _worker_job = None
 
 
-def _adopt_job(fn, job, pin_blas: bool) -> None:
+def _adopt_job(fn, job) -> None:
     global _worker_job
     _worker_job = (fn, job)
-    if pin_blas:
-        _one_blas_thread()
 
 
 def _run_item(i: int):
@@ -122,18 +127,16 @@ def fork_map(fn, job, count: int, stage: str, pin_blas: bool = True) -> list:
     only i and the results are pickled.  An exception an item raises
     reaches the caller; a worker that dies raises ``NumericalError(stage)``.
 
-    Each worker runs OpenBLAS on one thread (``_one_blas_thread``) unless
-    pin_blas is False, which suits an fn that makes no BLAS call.  Pinning
-    restarts OpenBLAS's thread pool in the forked worker: with OpenBLAS at
-    its default thread count on a 2-vCPU Xeon, an empty two-item pool took
-    about 43 ms pinned and 14 ms unpinned.
+    Unless pin_blas is False, for an fn that makes no BLAS call, the whole
+    map runs inside ``one_blas_thread()``, whose one thread workers inherit.
     """
-    workers = _pool_size(count)
-    if workers == 1:
-        return [fn(job, i) for i in range(count)]
-    try:
-        with ProcessPoolExecutor(workers, mp.get_context("fork"),
-                                 _adopt_job, (fn, job, pin_blas)) as pool:
-            return list(pool.map(_run_item, range(count)))
-    except BrokenProcessPool as exc:
-        raise NumericalError(stage, f"the worker pool broke: {exc}") from exc
+    with one_blas_thread() if pin_blas else contextlib.nullcontext():
+        workers = _pool_size(count)
+        if workers == 1:
+            return [fn(job, i) for i in range(count)]
+        try:
+            with ProcessPoolExecutor(workers, mp.get_context("fork"),
+                                     _adopt_job, (fn, job)) as pool:
+                return list(pool.map(_run_item, range(count)))
+        except BrokenProcessPool as exc:
+            raise NumericalError(stage, f"the worker pool broke: {exc}") from exc

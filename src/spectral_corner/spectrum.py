@@ -16,12 +16,13 @@ CPU, with the same bits for any number of workers.
 A solve is planned first (``_plan``: the blocks, then one dense job per
 block or one Lanczos job per block and window) and then run (``_run``).
 Every job checks the residual contract on its own block; ``solve_eigs``
-checks the kept pairs on the full operator once more.  A run that holds no
-window stays in the caller, and dense jobs join a pool only when the
-caller runs OpenBLAS on one thread, as the workers do (``_run``).
-``richardson_spectrum`` plans both of its grids and runs all their jobs
-together, the coarse grid's dense blocks beside the fine grid's windows,
-and keeps only eigenvalues.
+checks the kept pairs on the full operator once more.  A run that holds a
+window sends all its jobs through one pool, and a run of dense jobs stays
+in the caller; either way the jobs, and the caller while they run, use one
+OpenBLAS thread (``parallel.one_blas_thread``).  ``richardson_spectrum``
+plans both of its grids and runs all their jobs together, the coarse
+grid's dense blocks beside the fine grid's windows, and keeps only
+eigenvalues.
 
 Every spectrum is a trace source (``TraceSource``): the truncated sum over
 its eigenvalues.  Rectangle spectra also carry their exact theta-product
@@ -34,7 +35,6 @@ finite differences) is chosen.
 from __future__ import annotations
 
 import math
-import mmap
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Protocol
@@ -48,7 +48,7 @@ from scipy.special import exp1
 from .errors import NumericalError, SpecError, check_seed
 from .fields import as_field
 from .geometry import Domain, MetricSpec
-from .parallel import blas_thread_counts, fork_map
+from .parallel import fork_map, one_blas_thread
 from .special import bessel_zeros_upto, gauss_panels, rect_theta_factor
 
 # Relative tail below 1e-15 once t * completeness >= this; a truncated sum
@@ -553,7 +553,8 @@ def richardson_spectrum(domain: Domain, metric: Optional[MetricSpec], h: float,
     Each grid is planned as ``solve_eigs`` plans it (``_plan``), and the
     jobs of both run together in one ``_run``: when any grid is sliced, the
     other grid's dense blocks run on the same pool as its windows; a pair of
-    dense grids stays in this process.  Only eigenvalues come back.  Each
+    dense grids stays in this process, each job on one OpenBLAS thread.
+    Only eigenvalues come back.  Each
     job checks the residual contract on its own block, which equals the
     residual of its prolongation on the full operator, so no eigenvector is
     built.  lam_h and lam_{h/2} are the k smallest of each grid's jobs, the
@@ -785,36 +786,17 @@ def _window_edges(Bs: list, k: int,
     return windows
 
 
-def _dense_eigh(Bs: list) -> list:
-    """The dense route's jobs: one LAPACK eigh of each whole block.
-
-    Every eigenvalue of every block is computed, so the k smallest over the
-    blocks are the k smallest of B.
-    """
-    return [(B, b, None) for b, B in enumerate(Bs)]
-
-
-def _sliced_eigsh(Bs: list, k: int, volume: float, rng: np.random.Generator) -> list:
-    """The sliced route's jobs: one shift-invert Lanczos per window and block.
-
-    The edges are certified here first, on every block at once
-    (``_window_edges``), so every window knows the count m of eigenvalues
-    it must return.  The start vectors come from rng in job order.
-    """
-    return [(Bs[b], b, (lo, hi, m, rng.standard_normal(Bs[b].shape[0])))
-            for lo, hi, m, b in _window_edges(Bs, k, volume)]
-
-
 def _plan(op: DiscreteOperator, k: int, seed: int) -> tuple:
     """(B, blocks, jobs) for the k smallest eigenpairs of op: the plan step.
 
     B = M^{-1/2} A M^{-1/2} and blocks is ``_blocks``' list of (B_b, Q_b).
     A job is (B_b, b, window), the share of block b that one ``_solve_job``
-    solves: the whole block by a dense eigh when window is None, else the
-    Lanczos window (lo, hi, m, v0) that inertia counts m eigenvalues in.
-    When the tallest block has n_b nodes with n_b^2 <= ``_DENSE_RATIO`` k
-    the jobs are ``_dense_eigh``'s, else ``_sliced_eigsh``'s, whose start
-    vectors come from ``default_rng(seed)``.
+    solves.  When the tallest block has n_b nodes with n_b^2 <=
+    ``_DENSE_RATIO`` k, each whole block is one dense eigh job (window
+    None).  Else the edges are certified here on every block at once
+    (``_window_edges``), and each window with m modes of block b is one
+    Lanczos job (lo, hi, m, v0), v0 drawn from ``default_rng(seed)`` in job
+    order.
     """
     _check_count("solve_eigs", k)
     check_seed("solve_eigs", seed)
@@ -826,10 +808,10 @@ def _plan(op: DiscreteOperator, k: int, seed: int) -> tuple:
     blocks = _blocks(op, B)
     Bs = [B_b for B_b, _ in blocks]
     if max(B_b.shape[0] for B_b in Bs) ** 2 <= _DENSE_RATIO * k:
-        jobs = _dense_eigh(Bs)
-    else:
-        jobs = _sliced_eigsh(Bs, k, op.volume, np.random.default_rng(seed))
-    return B, blocks, jobs
+        return B, blocks, [(B_b, b, None) for b, B_b in enumerate(Bs)]
+    rng = np.random.default_rng(seed)
+    return B, blocks, [(Bs[b], b, (lo, hi, m, rng.standard_normal(Bs[b].shape[0])))
+                       for lo, hi, m, b in _window_edges(Bs, k, op.volume)]
 
 
 def _solve_window(B, b: int, lo: float, hi: float, m: int,
@@ -872,20 +854,18 @@ def _worst_residual(B, lam: np.ndarray, Y: np.ndarray) -> float:
     return float(np.max(resid / np.maximum(lam, 1e-300)))
 
 
-def _solve_job(run: tuple, i: int) -> np.ndarray:
-    """Eigenvalues of job picks[i] of a run, each pair checked on its block.
+def _solve_job(run: tuple, i: int) -> tuple:
+    """(lam, y) of job i of a run, each pair checked on its block.
 
-    run is (jobs, picks, cols, out), and a job is (B_b, b, window) as
-    ``_plan`` makes it.  A dense job is one LAPACK eigh of B_b; a window job
-    is ``_solve_window``.  A pair whose residual misses 1e-8 lam on B_b
-    raises ``NumericalError("solve_eigs")``; its prolongation by Q_b misses
-    by as much on B, since B Q_b = Q_b B_b and Q_b has orthonormal columns.
-    With a buffer out, job j writes its eigenvectors to out[:n_b,
-    cols[j]:cols[j + 1]] and returns only eigenvalues.
+    run is (jobs, vectors), and a job is (B_b, b, window) as ``_plan``
+    makes it.  A dense job is one LAPACK eigh of B_b; a window job is
+    ``_solve_window``.  A pair whose residual misses 1e-8 lam on B_b raises
+    ``NumericalError("solve_eigs")``; its prolongation by Q_b misses by as
+    much on B, since B Q_b = Q_b B_b and Q_b has orthonormal columns.  y
+    holds the eigenvectors on B_b when vectors is true, else it is None.
     """
-    jobs, picks, cols, out = run
-    j = picks[i]
-    B, b, window = jobs[j]
+    jobs, vectors = run
+    B, b, window = jobs[i]
     if window is None:
         # LAPACK overwrites the Fortran-ordered copy with the eigenvectors
         lam, Y = sla.eigh(B.toarray(order="F"), driver="evd", overwrite_a=True,
@@ -896,53 +876,24 @@ def _solve_job(run: tuple, i: int) -> np.ndarray:
     if worst > _RESIDUAL:
         raise NumericalError(
             "solve_eigs", f"block {b}: residual {worst:.3g} exceeds 1e-8 contract")
-    if out is not None:
-        out[:B.shape[0], cols[j]:cols[j + 1]] = Y
-    return lam
+    return lam, Y if vectors else None
 
 
 def _run(jobs: list, vectors: bool) -> list:
     """(lam, y) of each job in job order, the run step; y is None unless vectors.
 
-    Windows go through one ``parallel.fork_map``, whose rules alone decide
-    whether it forks.  Dense jobs join them there only when this process
-    runs OpenBLAS on one thread, as the pool's workers do, and run here
-    otherwise: a dense eigh's rounding depends on its BLAS thread count (on
-    a 2-vCPU Xeon the 496-node block of the h = 1/32 anomaly operator gave
-    other eigenvalue bits on one thread than on two), so each job runs at
-    this process's count wherever it runs.  A run that holds no window
-    stays here whole.
-
-    Every job's column count is known up front (n_b for a dense job, m for
-    a window), so with vectors the jobs write their eigenvectors into one
-    shared buffer, as tall as the tallest block, and send back only
-    eigenvalues; y is a view of it.  Results come back in job order, so
-    they have the same bits for any number of workers.
+    A run that holds a window sends every job, dense ones included, through
+    one ``parallel.fork_map``, whose rules alone decide whether it forks; a
+    run of dense jobs only stays here.  Either way every job runs on one
+    OpenBLAS thread (``parallel.one_blas_thread``), since a dense eigh's
+    rounding depends on its thread count, and the results come back in job
+    order: the same bits for any number of workers and BLAS threads.
     """
-    cols = np.cumsum([0] + [B.shape[0] if window is None else window[2]
-                            for B, _, window in jobs]).tolist()
-    out = None
-    if vectors:
-        height = max(B.shape[0] for B, _, _ in jobs)
-        # an anonymous MAP_SHARED mapping: the workers' writes land here.
-        # Workers that return their eigenvectors instead give the same bytes
-        # in the same time, but the pickled copies raise the caller's peak
-        # RSS: in a fresh process running three h = 1/32 Richardson pairs as
-        # two solve_eigs calls each (2-vCPU Xeon, BLAS pinned) from 159 to
-        # 168 MB on the anomaly operator and from 118 to 125-126 MB on the
-        # flat slit square.
-        out = np.ndarray((height, cols[-1]),
-                         buffer=mmap.mmap(-1, 8 * height * cols[-1]))
-    pooled = [j for j, (_, _, window) in enumerate(jobs) if window is not None]
-    if pooled and all(n == 1 for n in blas_thread_counts()):
-        pooled = list(range(len(jobs)))
-    rest = [j for j in range(len(jobs)) if j not in pooled]
-    lams = dict(zip(rest, [_solve_job((jobs, rest, cols, out), i)
-                           for i in range(len(rest))]))
-    lams.update(zip(pooled, fork_map(_solve_job, (jobs, pooled, cols, out),
-                                     len(pooled), "solve_eigs")))
-    return [(lams[j], None if out is None else out[:B.shape[0], c:c + lams[j].size])
-            for j, ((B, _, _), c) in enumerate(zip(jobs, cols))]
+    run = (jobs, vectors)
+    if any(window is not None for _, _, window in jobs):
+        return fork_map(_solve_job, run, len(jobs), "solve_eigs")
+    with one_blas_thread():
+        return [_solve_job(run, i) for i in range(len(jobs))]
 
 
 def _merge(parts: list, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1010,9 +961,10 @@ def solve_eigs(op: DiscreteOperator, k: int, seed: int = 0) -> DiscreteSpectrum:
 
     The edges are certified in this process.  Windows run through
     ``parallel.fork_map``, whose rules alone decide whether they fork; the
-    dense jobs run in this process, with no pool.  Results merge in job
-    order, so eigenvalues and eigenvectors have the same bits for any
-    number of workers.
+    dense jobs run in this process, with no pool.  Every job runs on one
+    OpenBLAS thread (``parallel.one_blas_thread``), and results merge in
+    job order, so eigenpairs have the same bits for any number of workers
+    and any BLAS thread count of the caller.
 
     Every job checks its residuals ||B_b y - lam y|| / ||y|| against 1e-8
     * lam on its own block, and the k kept pairs are checked once more on

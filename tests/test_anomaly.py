@@ -152,6 +152,24 @@ class TestSpectralVerification:
         with pytest.raises(SpecError, match="seed"):
             pa_verify(square, "0.2*x*y", PipelineConfig(seed=seed))
 
+    @pytest.mark.parametrize("cfg, match", [
+        (PipelineConfig(h=-1.0, eigs=-7), "eigenvalue count"),
+        (PipelineConfig(eigs=0), "eigenvalue count"),
+        (PipelineConfig(eigs=1.5), "eigenvalue count"),
+        (PipelineConfig(h=-1.0), "grid spacing h must be finite"),
+        (PipelineConfig(h=math.nan), "grid spacing h must be finite"),
+    ], ids=["both", "eigs-0", "eigs-float", "h-negative", "h-nan"])
+    def test_eigs_and_h_are_checked_on_the_exact_route(self, square, cfg,
+                                                       match, monkeypatch):
+        # a constant sigma on the square takes the exact theta route, which
+        # reads neither eigs nor h; both are still checked before any solve
+        def refuse(*args):
+            raise AssertionError("a leg was solved")
+
+        monkeypatch.setattr(anomaly, "_zeta_prime", refuse)
+        with pytest.raises(SpecError, match=match):
+            pa_verify(square, 0.3, cfg)
+
     @pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0, math.inf])
     def test_verdict_tolerance_must_be_finite_and_positive(self, square,
                                                            tolerance):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 import spectral_corner
-from spectral_corner import SpecError, analytic_spectrum, cli, zeta_series
+from spectral_corner import SpecError, analytic_spectrum, cli, parallel, zeta_series
 from spectral_corner.cli import RunConfig, main, run
 
 from .conftest import SLIT_SQUARE_DOC
@@ -64,6 +64,29 @@ class TestArtifacts:
                          "--seed", "3", "--out", str(path)])
             assert code == 0
             outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.skipif(not parallel._openblas(), reason="no OpenBLAS loaded")
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        # the h = 1/32 grid's dense blocks and the h = 1/64 grid's windows:
+        # a dense eigh rounds by its BLAS thread count, so every solve runs
+        # on one thread whatever OPENBLAS_NUM_THREADS says
+        p = tmp_path / "slit.json"
+        p.write_text(json.dumps(SLIT_SQUARE_DOC))
+        src = str(Path(spectral_corner.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", None):
+            env = {name: value for name, value in os.environ.items()
+                   if name != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = src
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "spectral_corner.cli", "spectrum",
+                 "--domain", str(p), "--grid-h", "0.03125", "--eigs", "400"],
+                capture_output=True, timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
     def test_csv_headers_and_parseable_numbers(self, square_doc, capsys):
@@ -251,10 +274,14 @@ class TestFailures:
         (DISK_DOC, ["trace", "--t-min", "1e-6", "--t-max", "1e-5", "--u", "1",
                     *_SMALL_GRID], 3),
         (SQUARE_DOC, ["spectrum", "--eigs", "abc"], 2),
+        (SQUARE_DOC, ["spectrum", "--eigs", "-5"], 2),
+        (SQUARE_DOC, ["anomaly", "--sigma", "0.3", "--eigs", "-5"], 2),
+        (SQUARE_DOC, ["anomaly", "--sigma", "0.3", "--eigs", "0"], 2),
         (SQUARE_DOC, ["wedge", "--alpha", "1"], 2),
         (None, ["wedge"], 2),
     ], ids=["non-real-sigma", "overflowing-sigma", "t-below-admissible",
-            "bad-flag-value", "flag-outside-command", "missing-alpha"])
+            "bad-flag-value", "negative-eigs", "anomaly-negative-eigs",
+            "anomaly-zero-eigs", "flag-outside-command", "missing-alpha"])
     def test_stderr_is_one_json_document(self, doc, argv, code, tmp_path):
         # as a process, so that warnings and usage errors reach stderr unless
         # the CLI keeps them out; the overflowing sigma warns before the

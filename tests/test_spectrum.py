@@ -648,15 +648,14 @@ class TestSlicedReflections(TestReflections):
 
 
 def _solve_on_route(op, k):
-    """solve_eigs(op, k) under the size rule, and the route it took."""
-    taken = []
+    """solve_eigs(op, k) under the size rule, and the route its plan took."""
+    plans, plan = [], spectrum_mod._plan
     with pytest.MonkeyPatch.context() as mp:
-        for name, fn in [("dense", spectrum_mod._dense_eigh),
-                         ("sliced", spectrum_mod._sliced_eigsh)]:
-            mp.setattr(spectrum_mod, fn.__name__,
-                       lambda *a, fn=fn, name=name: taken.append(name) or fn(*a))
+        mp.setattr(spectrum_mod, "_plan",
+                   lambda *a: plans.append(plan(*a)) or plans[-1])
         ds = solve_eigs(op, k, seed=0)
-    [name] = taken
+    [(_, _, jobs)] = plans
+    [name] = {"dense" if window is None else "sliced" for _, _, window in jobs}
     return ds, name
 
 
@@ -909,17 +908,67 @@ class TestParallelWindows:
 
 
 @contextlib.contextmanager
-def _one_blas_thread_here():
-    """Every loaded OpenBLAS on one thread in this process inside the block."""
+def _blas_threads(n):
+    """Every loaded OpenBLAS in this process on n threads inside the block."""
     entries = parallel._openblas()
     before = [get() for _, get in entries]
     for set_, _ in entries:
-        set_(1)
+        set_(n)
     try:
         yield
     finally:
-        for (set_, _), n in zip(entries, before):
-            set_(n)
+        for (set_, _), was in zip(entries, before):
+            set_(was)
+
+
+def _blas_counts():
+    return [get() for _, get in parallel._openblas()]
+
+
+def _fails_on_one(job, i):
+    if i == 1:
+        raise ValueError("item 1")
+    return i
+
+
+class TestBlasRule:
+    """A pinned fork_map runs every item on one OpenBLAS thread, here and in
+    its workers, and gives the caller back its own thread counts."""
+
+    @pytest.fixture(autouse=True)
+    def openblas(self):
+        if not parallel._openblas():
+            pytest.skip("no OpenBLAS loaded")
+
+    @pytest.mark.parametrize("cpus, raises", [(1, False), (2, False), (1, True),
+                                              (2, True)],
+                             ids=["serial", "pooled", "serial-raises",
+                                  "pooled-raises"])
+    def test_counts_come_back(self, cpus, raises, monkeypatch):
+        if cpus > 1 and not _FORK:
+            pytest.skip("needs the fork start method")
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+        with _blas_threads(2):
+            before = _blas_counts()
+            if raises:
+                with pytest.raises(ValueError, match="item 1"):
+                    parallel.fork_map(_fails_on_one, None, 3, "test")
+            else:
+                inside = parallel.fork_map(lambda job, i: _blas_counts(), None,
+                                           2, "test")
+                assert inside == [[1] * len(before)] * 2
+            assert _blas_counts() == before == [2] * len(before)
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_pooled_workers_read_one(self, monkeypatch):
+        pools = TestParallelWindows._count_pools(monkeypatch)
+        caller = os.getpid()
+        with _blas_threads(2):
+            got = parallel.fork_map(lambda job, i: (os.getpid(), _blas_counts()),
+                                    None, 2, "test")
+        assert pools == [2]
+        assert all(pid != caller and counts and set(counts) == {1}
+                   for pid, counts in got)
 
 
 # (domain doc, sigma at u = 1, h, k): the anomaly and slit-tip benchmark
@@ -941,21 +990,28 @@ class TestJointRichardson:
         doc, sigma, h, k = _RICHARDSON_PAIRS[name]
         return build_domain(doc), _metric(sigma), h, k
 
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _two_solves(name):
+        """The reference bits of a pair, solved with BLAS as it is here."""
+        domain, metric, h, k = TestJointRichardson._pair(name)
+        return richardson_two_solves(domain, metric, h, k, seed=1).tobytes()
+
     @pytest.mark.parametrize("blas", ["as-is", "one-thread"])
     @pytest.mark.parametrize("name", sorted(_RICHARDSON_PAIRS))
     def test_same_bits_as_two_solves(self, name, blas, monkeypatch):
-        # with one BLAS thread here the dense blocks join the pool; with
-        # more they run in this process, at its own thread count
+        # every job runs on one BLAS thread, so the caller's thread count
+        # changes no bit: both cases meet one reference
         domain, metric, h, k = self._pair(name)
         if blas == "one-thread" and not parallel._openblas():
             pytest.skip("no OpenBLAS to pin")
-        with _one_blas_thread_here() if blas == "one-thread" \
+        ref = self._two_solves(name)
+        with parallel.one_blas_thread() if blas == "one-thread" \
                 else contextlib.nullcontext():
-            ref = richardson_two_solves(domain, metric, h, k, seed=1)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
                 got = richardson_spectrum(domain, metric, h, k, seed=1)
-                assert got.eigenvalues.tobytes() == ref.tobytes(), workers
+                assert got.eigenvalues.tobytes() == ref, workers
 
     @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
     @pytest.mark.parametrize("name, pools", [("anomaly", [2]), ("slit-tip", [2]),
@@ -966,24 +1022,28 @@ class TestJointRichardson:
         assert counted == pools
 
     @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
-    @pytest.mark.parametrize("threads, here", [([1, 1], 0), ([2, 1], 2)],
-                             ids=["one-thread", "two-threads"])
-    def test_dense_blocks_join_the_pool_on_one_blas_thread(self, threads, here,
+    @pytest.mark.parametrize("threads", [1, 2], ids=["one-thread", "two-threads"])
+    def test_dense_blocks_join_the_pool_on_one_blas_thread(self, threads,
                                                           monkeypatch):
         # the slit-tip pair's coarse grid is two dense blocks; they run in
-        # the pool's workers only when this process's BLAS runs as theirs do
+        # the pool's workers, beside the fine grid's windows, whatever this
+        # process's BLAS thread count
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(spectrum_mod, "blas_thread_counts", lambda: threads)
-        caller, calls, eigh = os.getpid(), [], spectrum_mod.sla.eigh
+        caller, eigh = os.getpid(), spectrum_mod.sla.eigh
+        read, write = os.pipe()  # the workers inherit the write end
 
         def recorded(*args, **kwargs):
-            if os.getpid() == caller:
-                calls.append(args[0].shape)
+            os.write(write, b"c" if os.getpid() == caller else b"w")
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(spectrum_mod.sla, "eigh", recorded)
-        richardson_spectrum(*self._pair("slit-tip"), seed=0)
-        assert len(calls) == here
+        try:
+            with _blas_threads(threads):
+                richardson_spectrum(*self._pair("slit-tip"), seed=0)
+        finally:
+            os.close(write)
+        with os.fdopen(read, "rb") as fh:
+            assert fh.read() == b"ww"
 
     @pytest.mark.parametrize("route", ["dense", "sliced"])
     def test_a_job_that_misses_the_contract_names_its_block(self, route,

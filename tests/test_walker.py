@@ -319,15 +319,14 @@ class TestParallelBatches:
 
     @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
     def test_workers_skip_blas_pinning(self, slit_square, monkeypatch):
-        # a worker that pinned BLAS would raise in its initializer, which
-        # breaks the pool
+        # a map that pinned BLAS would raise before its first batch
         def pinned():
-            raise RuntimeError("the walker's workers pinned BLAS")
+            raise RuntimeError("the walker's map pinned BLAS")
 
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
         ref = _estimate_bits(slit_square, self.N)
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(parallel, "_one_blas_thread", pinned)
+        monkeypatch.setattr(parallel, "one_blas_thread", pinned)
         assert _estimate_bits(slit_square, self.N) == ref
 
     @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
