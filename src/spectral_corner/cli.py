@@ -85,6 +85,9 @@ class RunConfig:
         window = self.t_min is not None
         if window != (self.t_max is not None):
             raise SpecError("--t-min and --t-max must be given together")
+        if window and self.t_min > self.t_max:
+            raise SpecError(f"the t window needs --t-min below --t-max, got "
+                            f"{self.t_min} > {self.t_max}")
         if window and self.t_min == self.t_max and self.t_points > 1:
             raise SpecError(f"--t-points {self.t_points} needs --t-min below "
                             "--t-max, not equal to it")

@@ -5,9 +5,9 @@ geometric integrals (notably the flat positive Laplacian of the conformal
 factor).  A constant field (a finite number, or a string ``float()``
 parses) is a plain float: it evaluates to exactly that float, its
 derivatives are zero, and it never imports sympy.  Any other expression is
-parsed and differentiated symbolically; sympy, the package's one heavy
-import, is loaded on the first such field, so the flat pipelines never
-load it.
+parsed and differentiated symbolically; sympy is loaded on the first such
+field, so the flat pipelines never load it.  scipy, the other heavy
+import, is likewise loaded on first numerical use (see ``special``).
 """
 
 from __future__ import annotations

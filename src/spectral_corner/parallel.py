@@ -9,6 +9,12 @@ the results in item order, so a caller that merges them in that order gets
 the same bits for any number of workers.  A dense eigh's last bits depend
 on its BLAS thread count, so a map whose items call BLAS runs them on one
 OpenBLAS thread (``one_blas_thread``), whatever the caller's count.
+
+The caller loads every module its items use before it calls ``fork_map``
+or enters ``one_blas_thread``.  Workers die after each map, so a module
+only a worker imports is imported again in every worker of every pool;
+and ``one_blas_thread`` pins only the OpenBLAS builds already loaded, so
+scipy's, loaded inside the block, would run at its default thread count.
 """
 
 from __future__ import annotations

@@ -4,6 +4,16 @@ Bessel functions of fractional order and their zeros, the one-dimensional
 theta-type sum used for exact rectangle heat traces, and quadrature
 rules.  All functions here are pure.
 
+scipy is imported on first numerical use, not with the package: the
+import of scipy.special alone took 0.21 of the package's 0.46 s (2-vCPU
+Xeon), and building a domain, its geometric coefficients, the walker and
+the wedge bounds call no scipy.  ``_scipy`` imports scipy.<name> once, and
+``_LazyScipy`` stands in for it as a module global.  Every scipy module
+loads scipy's own OpenBLAS, so a caller of ``parallel`` loads the ones its
+work uses before ``fork_map`` or ``one_blas_thread`` (the rule and its
+reasons are in ``parallel``): ``bessel_zeros_upto`` loads scipy.special
+before its pool.
+
 Quadrature refines in one loop, ``_converged``: each rule yields a stream
 of estimates, and the first one within tol * max(1, |v|) of the one before
 it is the value.  A non-finite estimate raises at once, and a rule that
@@ -43,14 +53,42 @@ further step is spent only to confirm it.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import special as _sci_special
 
 from .errors import NumericalError, SpecError
 from .parallel import fork_map
+
+
+@functools.cache
+def _scipy(name: str):
+    """The module scipy.<name>, imported on its first use."""
+    return importlib.import_module(f"scipy.{name}")
+
+
+class _LazyScipy:
+    """scipy.<name> as a module global, imported when first read.
+
+    Attribute reads and writes reach the module itself, so a patch made
+    through the stand-in is a patch of scipy, as it was when the global was
+    the module.
+    """
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "_name", name)
+
+    def __getattr__(self, attr: str):
+        return getattr(_scipy(self._name), attr)
+
+    def __setattr__(self, attr: str, value) -> None:
+        setattr(_scipy(self._name), attr, value)
+
+
+_sci_special = _LazyScipy("special")
 
 # Euler-Mascheroni constant to 30 significant digits.
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -207,6 +245,7 @@ def bessel_zeros_upto(nu, x_max: float) -> np.ndarray:
     edges = np.unique(np.r_[np.searchsorted(np.cumsum(n) - n,
                                             np.arange(chunks) * (total / chunks)),
                             nus.size]).tolist()
+    _scipy("special")  # loaded here, once, for every worker to inherit
     # the chunks make no BLAS call, so the workers leave OpenBLAS as it is
     return np.concatenate(fork_map(_chunk_zeros, (nus, start, n, x_max, edges),
                                    len(edges) - 1, "bessel_zeros_upto",

@@ -19,7 +19,10 @@ Every job checks the residual contract on its own block; ``solve_eigs``
 checks the kept pairs on the full operator once more.  A run that holds a
 window sends all its jobs through one pool, and a run of dense jobs stays
 in the caller; either way the jobs, and the caller while they run, use one
-OpenBLAS thread (``parallel.one_blas_thread``).  ``richardson_spectrum``
+OpenBLAS thread (``parallel.one_blas_thread``).  scipy.sparse is loaded
+by the first operator assembled, and ``_run`` loads scipy.linalg and
+scipy.sparse.linalg before it pins BLAS or forks, so the pin holds
+scipy's OpenBLAS and the workers inherit both.  ``richardson_spectrum``
 plans both of its grids and runs all their jobs together, the coarse
 grid's dense blocks beside the fine grid's windows, and keeps only
 eigenvalues.
@@ -40,16 +43,17 @@ from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sps
-import scipy.sparse.linalg as spsla
-from scipy.special import exp1
 
 from .errors import NumericalError, SpecError, check_seed
 from .fields import as_field
 from .geometry import Domain, MetricSpec
 from .parallel import fork_map, one_blas_thread
-from .special import bessel_zeros_upto, gauss_panels, rect_theta_factor
+from .special import (_LazyScipy, _sci_special, _scipy, bessel_zeros_upto,
+                      gauss_panels, rect_theta_factor)
+
+sla = _LazyScipy("linalg")
+sps = _LazyScipy("sparse")
+spsla = _LazyScipy("sparse.linalg")
 
 # Relative tail below 1e-15 once t * completeness >= this; a truncated sum
 # refuses smaller t.
@@ -168,7 +172,8 @@ class Spectrum:
         tail_bound(t0) / (t0 * completeness) < tail_bound(t0).
         """
         self._admit(t0, "e1_sum")
-        return float(np.sum(exp1(t0 * self.eigenvalues))), self.tail_bound(t0)
+        e1 = _sci_special.exp1(t0 * self.eigenvalues)
+        return float(np.sum(e1)), self.tail_bound(t0)
 
     def tail_bound(self, t):
         """Weyl estimate of the omitted tail: int_Lambda^inf (Vol/4pi) e^{-t lam}."""
@@ -888,7 +893,11 @@ def _run(jobs: list, vectors: bool) -> list:
     OpenBLAS thread (``parallel.one_blas_thread``), since a dense eigh's
     rounding depends on its thread count, and the results come back in job
     order: the same bits for any number of workers and BLAS threads.
+    scipy.linalg and scipy.sparse.linalg are loaded before the pool or the
+    pin, so the pin holds scipy's OpenBLAS and workers inherit both.
     """
+    for name in ("linalg", "sparse.linalg"):
+        _scipy(name)
     run = (jobs, vectors)
     if any(window is not None for _, _, window in jobs):
         return fork_map(_solve_job, run, len(jobs), "solve_eigs")

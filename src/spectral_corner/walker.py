@@ -183,17 +183,22 @@ def _weights(domain: Domain, x: np.ndarray, y: np.ndarray,
     """Survival weight of each path with knot planes x, y (paths, knots)
     inside the domain, the knots ds apart in time.
 
-    Distances run to the domain's walls and arcs; crossing any of its slit
-    segments kills a path.
+    Crossing any of its slit segments kills a path, so those rows are found
+    first; the others take distances to the domain's walls and arcs, and
+    every killed path keeps its zero in its row.
     """
+    alive = np.ones(x.shape[0], dtype=bool)
+    for b0, b1 in domain.slit_segments:
+        alive[_slit_crossings(x, y, b0, b1)] = False
+    if not alive.all():
+        x, y = x[alive], y[alive]
     dist = _dist_to_boundary(x.ravel(), y.ravel(), domain.walls,
                              domain.arcs).reshape(x.shape)
     # survival of the unsampled excursion on every inter-knot segment
     log_keep = np.log1p(-np.exp(-dist[:, :-1] * dist[:, 1:] / ds)
                         .clip(max=1.0 - 1e-16)).sum(axis=1)
-    weight = np.exp(log_keep)
-    for b0, b1 in domain.slit_segments:
-        weight[_slit_crossings(x, y, b0, b1)] = 0.0
+    weight = np.zeros(alive.size)
+    weight[alive] = np.exp(log_keep)
     return weight
 
 

@@ -32,13 +32,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import NumericalError, SpecError
 from .geometry import ExpansionCoefficients
 from .heattrace import default_window, fit_expansion, trace_curve
 from .spectrum import Spectrum, TraceSource, _upper_mellin
-from .special import EULER_GAMMA, tanh_sinh
+from .special import EULER_GAMMA, _sci_special, tanh_sinh
 
 
 def provider_for(spec: Spectrum) -> TraceSource:
@@ -143,7 +142,8 @@ def zeta_continued(provider: TraceSource, coeffs: ExpansionCoefficients,
                          tol=1e-13)
     i_high = _upper_mellin(provider, s)
     principal = i_low + i_high + a_m1 / (s - 1.0) + a_mh / (s - 0.5)
-    return principal / gamma_fn(s) + a_0 / gamma_fn(s + 1.0)
+    return (principal / _sci_special.gamma(s)
+            + a_0 / _sci_special.gamma(s + 1.0))
 
 
 # ---------------------------------------------------------------------------

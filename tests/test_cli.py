@@ -410,6 +410,7 @@ class TestFailures:
     @pytest.mark.parametrize("argv", [
         ["trace", "--t-min", "nan", "--t-max", "0.1"],
         ["trace", "--t-min", "inf", "--t-max", "inf"],
+        ["trace", "--t-min", "0.1", "--t-max", "0.05"],
         ["trace", "--t-points", "-1"],
         ["trace", "--t-points", "0"],
         ["spectrum", "--grid-h", "nan", "--sigma", "x", "--u", "1"],
@@ -419,8 +420,8 @@ class TestFailures:
         ["wedge", "--alpha", "inf"],
         ["wedge", "--alpha", "0.5", "--eps", "inf"],
         ["zeta", "--s", "nan"],
-    ], ids=["t-min-nan", "t-range-inf", "t-points-negative", "t-points-zero",
-            "grid-h-nan", "tol-nan", "mc-t-nan", "alpha-nan",
+    ], ids=["t-min-nan", "t-range-inf", "t-range-reversed", "t-points-negative",
+            "t-points-zero", "grid-h-nan", "tol-nan", "mc-t-nan", "alpha-nan",
             "alpha-inf", "eps-inf", "s-nan"])
     def test_non_finite_or_empty_numbers_exit_2(self, argv, square_doc,
                                                 capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import spectral_corner
 from spectral_corner import (MetricSpec, ScalarField, SpecError, as_field,
-                             assemble_fdm, geometric_coefficients)
+                             assemble_fdm, geometric_coefficients, parallel)
 
 from .conftest import SLIT_SQUARE_DOC
 
@@ -167,3 +167,120 @@ class TestImport:
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"] * 5 + ["True"]
+
+
+def _fresh(script: str, **env) -> str:
+    """stdout of `script` run in a fresh interpreter on this package.
+
+    env sets variables of the child; a value of None unsets one.
+    """
+    child = dict(os.environ,
+                 PYTHONPATH=str(Path(spectral_corner.__file__).resolve().parents[1]))
+    for name, value in env.items():
+        child.pop(name, None)
+        if value is not None:
+            child[name] = value
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, timeout=300, env=child)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestScipyLoading:
+    """scipy loads on the first computation that calls it, and a caller of
+    ``parallel`` loads what its work uses before it forks or pins BLAS."""
+
+    def test_scipy_free_steps_leave_scipy_unloaded(self, tmp_path):
+        # one fresh process takes each step in turn, then one that needs
+        # scipy; it prints whether any scipy module is loaded after each
+        rect = tmp_path / "rect.json"
+        rect.write_text(json.dumps({"kind": "rectangle",
+                                    "params": {"a": 1.0, "b": 2.0}}))
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        out = _fresh(f"""
+            import contextlib, io, sys
+            def loaded():
+                print(any(m.split(".")[0] == "scipy" for m in sys.modules))
+            def cli(*argv):
+                with contextlib.redirect_stdout(io.StringIO()), \\
+                        contextlib.redirect_stderr(io.StringIO()):
+                    return cli_mod.main(list(argv))
+            import spectral_corner as sc
+            from spectral_corner import cli as cli_mod
+            loaded()
+            sys.path.insert(0, {str(perfbench)!r})
+            import workloads
+            ctx = {{w: workloads.setup(w)
+                   for w in ("anomaly", "slit-tip", "closed-form")}}
+            loaded()
+            square = ctx["anomaly"]["square"]
+            for dom in (square, ctx["slit-tip"]["slit"],
+                        *ctx["closed-form"]["sectors"].values()):
+                sc.geometric_coefficients(dom)
+            sc.pa_rhs(square, "0.2*x*y")
+            loaded()
+            sc.bridge_trace_estimate(ctx["slit-tip"]["slit"], 0.05, 2000,
+                                     steps=16, seed=0)
+            loaded()
+            sc.a_remainder(sc.WedgeBallQuery(0.3, 1.0, 0.05))
+            sc.a_remainder(sc.WedgeBallQuery(1.5, 1.0, 0.05))
+            loaded()
+            assert cli("mc", "--domain", {str(rect)!r}, "--samples", "500",
+                       "--steps", "16") == 0
+            assert cli("wedge", "--alpha", "0.5") == 0
+            assert cli("trace", "--domain", {str(rect)!r},
+                       "--t-min", "0.1", "--t-max", "0.05") == 2
+            loaded()
+            sc.analytic_spectrum(ctx["closed-form"]["sectors"][1.5], 50)
+            loaded()
+        """)
+        assert out.split() == ["False"] * 6 + ["True"]
+
+    @pytest.mark.parametrize("step", [
+        "sc.analytic_spectrum(sc.build_domain({'kind': 'sector', "
+        "'params': {'alpha': 1.5, 'R': 1.0}}), 4000)",
+        f"sc.richardson_spectrum(sc.build_domain({SLIT_SQUARE_DOC!r}), None, "
+        "1 / 16, 180)",
+        f"sc.solve_eigs(sc.assemble_fdm(sc.build_domain({SLIT_SQUARE_DOC!r}), "
+        "None, h=1 / 32), 100)",
+    ], ids=["bessel", "all-dense", "sliced"])
+    def test_scipy_is_loaded_before_any_fork_or_pin(self, step):
+        # each fork_map and one_blas_thread the step enters, with the scipy
+        # modules its work uses that were not loaded on entry
+        out = _fresh(f"""
+            import json, sys
+            import spectral_corner as sc
+            from spectral_corner import parallel, special, spectrum
+            NEEDS = {{"special": ["scipy.special"],
+                     "spectrum": ["scipy.linalg", "scipy.sparse.linalg"]}}
+            entries = []
+            def watch(owner, name, needs):
+                inner = getattr(owner, name)
+                def entered(*args, **kwargs):
+                    entries.append([owner.__name__, name,
+                                    [m for m in needs if m not in sys.modules]])
+                    return inner(*args, **kwargs)
+                setattr(owner, name, entered)
+            watch(special, "fork_map", NEEDS["special"])
+            for owner in (spectrum, parallel):
+                watch(owner, "one_blas_thread", NEEDS["spectrum"])
+            watch(spectrum, "fork_map", NEEDS["spectrum"])
+            {step}
+            print(json.dumps(entries))
+        """)
+        entries = json.loads(out)
+        assert entries, "the step entered no fork_map or one_blas_thread"
+        assert [entry for entry in entries if entry[2]] == []
+
+    @pytest.mark.skipif(not parallel._openblas(), reason="no OpenBLAS loaded")
+    def test_all_dense_pair_has_the_same_bytes_for_any_blas_threads(self):
+        # the first dense eigh of a fresh process loads scipy.linalg; it is
+        # loaded before the solve pins BLAS, so its OpenBLAS is pinned too
+        script = f"""
+            import spectral_corner as sc
+            spec = sc.richardson_spectrum(sc.build_domain({SLIT_SQUARE_DOC!r}),
+                                          None, 1 / 16, 180)
+            print(spec.eigenvalues.tobytes().hex())
+        """
+        assert _fresh(script, OPENBLAS_NUM_THREADS="1") \
+            == _fresh(script, OPENBLAS_NUM_THREADS=None)
